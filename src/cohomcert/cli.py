@@ -17,6 +17,7 @@ from .scenarios import (
     Report,
     UnknownScenarioError,
     list_scenarios,
+    overrides_for_all,
     reverify,
     run_scenario,
 )
@@ -143,17 +144,17 @@ def _cmd_run(args) -> int:
         return 2
     try:
         params = _scenario_params(args)
+        runs = list(overrides_for_all(params).items()) \
+            if args.scenario == "all" else [(args.scenario, params)]
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
-    names = [n for n, _ in list_scenarios()] if args.scenario == "all" \
-        else [args.scenario]
     try:
-        if len(names) > 1 and args.jobs > 1:
+        if len(runs) > 1 and args.jobs > 1:
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(lambda n: run_scenario(n, params), names))
+                reports = list(pool.map(lambda run: run_scenario(*run), runs))
         else:
-            reports = [run_scenario(n, params) for n in names]
+            reports = [run_scenario(*run) for run in runs]
     except UnknownScenarioError as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)
         return 2

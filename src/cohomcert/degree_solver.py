@@ -7,21 +7,28 @@ The nonvanishing pipeline needs two kinds of facts about a weight table:
   one k-parametric family, for every k >= 0; and
 * for a shifted target there are no monomials at all, for every k >= 0.
 
-Both are certified exactly.  Enumeration at fixed k is complete thanks to
-a positive functional (an integer covector making every variable weight
-strictly positive, which bounds all exponents).  Uniqueness for all k
-reduces to the absence of nonzero integer points in a polyhedron inside
-the kernel of the degree map, decided by exact rational linear algebra:
-trivial lineality, no extreme ray in the recession cone, then integer
-enumeration of the boxed polytope.  Emptiness for all k is certified by a
-Farkas functional.
+Both are certified exactly.  Enumeration at fixed k walks the solution
+lattice of the degree map, not the exponent box: the reduced row echelon
+form of the weight matrix splits the variables into pivot and free
+coordinates, only the free exponents are enumerated, and the pivot
+exponents are solved for exactly in integer arithmetic.  It is complete
+thanks to a positive functional (an integer covector making every
+variable weight strictly positive), which caps every free exponent by the
+remaining budget.  The functional and the echelon form are computed once
+per weight table.  Uniqueness for all k reduces to the absence of nonzero
+integer points in a polyhedron inside the kernel of the degree map,
+decided by exact rational linear algebra: trivial lineality, no extreme
+ray in the recession cone, then integer enumeration of the boxed
+polytope.  Emptiness for all k is certified by a Farkas functional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 
 
 class CertificationError(ValueError):
@@ -50,36 +57,88 @@ def positive_functional(weights) -> tuple[int, ...]:
     raise CertificationError("no small positive functional for this weight table")
 
 
-def monomials_of_degree(weights, target) -> list[tuple[int, ...]]:
-    """All exponent vectors E >= 0 with sum_i E_i * w_i = target.
+@dataclass(frozen=True)
+class _DegreeMap:
+    """The degree map E -> sum_i E_i * w_i of one weight table, in integers.
 
-    Complete by the positive-functional bound: phi(E) = phi(target) with
-    every phi(w_i) >= 1 caps each exponent by the remaining budget.
+    Row i < rank of the reduced echelon form of [A | I], with A the d x n
+    weight matrix, scaled to integer entries reads
+        scales[i] * E[pivots[i]] + sum_j free_coeffs[j][i] * E[free[j]]
+            = transform[i] . target;
+    the rows past the rank have no variable and say that a target off the
+    rational span of the weights has transform[i] . target != 0.
     """
-    n = len(weights)
+
+    functional: tuple[int, ...]
+    phi: tuple[int, ...]
+    pivots: tuple[int, ...]
+    free: tuple[int, ...]
+    scales: tuple[int, ...]
+    free_coeffs: tuple[tuple[int, ...], ...]
+    transform: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=16)
+def _degree_map(weights) -> _DegreeMap:
+    n, d = len(weights), len(weights[0])
     c = positive_functional(weights)
-    phi = [_dot(c, w) for w in weights]
-    budget = _dot(c, target)
-    out: list[tuple[int, ...]] = []
+    aug = [[w[j] for w in weights] + [int(i == j) for i in range(d)]
+           for j in range(d)]
+    red, cols = _rref(aug)
+    rows = []
+    for row in red:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    pivots = tuple(col for col in cols if col < n)
+    rank = len(pivots)
+    free = tuple(j for j in range(n) if j not in pivots)
+    return _DegreeMap(
+        functional=c,
+        phi=tuple(_dot(c, w) for w in weights),
+        pivots=pivots,
+        free=free,
+        scales=tuple(rows[i][col] for i, col in enumerate(pivots)),
+        free_coeffs=tuple(tuple(row[j] for row in rows[:rank]) for j in free),
+        transform=tuple(tuple(row[n:]) for row in rows),
+    )
+
+
+def monomials_of_degree(weights, target) -> list[tuple[int, ...]]:
+    """All exponent vectors E >= 0 with sum_i E_i * w_i = target, sorted.
+
+    Only the free coordinates of the degree map are enumerated; the pivot
+    coordinates are solved for exactly.  Complete by the positive-functional
+    bound: phi(E) = phi(target) with every phi(w_i) >= 1 caps each free
+    exponent by the remaining budget.
+    """
+    dm = _degree_map(tuple(map(tuple, weights)))
+    budget = _dot(dm.functional, target)
     if budget < 0:
-        return out
+        return []
+    rank = len(dm.pivots)
+    rhs = [_dot(row, target) for row in dm.transform]
+    if any(rhs[rank:]):
+        return []  # off the rational span of the weights
+    out: list[tuple[int, ...]] = []
+    exps = [0] * len(weights)
 
-    def rec(i, residual, remaining_budget, acc):
-        if i == n:
-            if all(r == 0 for r in residual):
-                out.append(tuple(acc))
+    def rec(j, remaining, nums):
+        if j == len(dm.free):
+            for col, num, scale in zip(dm.pivots, nums, dm.scales):
+                e, r = divmod(num, scale)
+                if r or e < 0:
+                    return
+                exps[col] = e
+            out.append(tuple(exps))
             return
-        w = weights[i]
-        cap = remaining_budget // phi[i]
-        for e in range(cap + 1):
-            rec(
-                i + 1,
-                tuple(r - e * wj for r, wj in zip(residual, w)),
-                remaining_budget - e * phi[i],
-                acc + [e],
-            )
+        col, coeffs = dm.free[j], dm.free_coeffs[j]
+        step = dm.phi[col]
+        for e in range(remaining // step + 1):
+            exps[col] = e
+            rec(j + 1, remaining - e * step, nums)
+            nums = [x - c for x, c in zip(nums, coeffs)]
 
-    rec(0, tuple(target), budget, [])
+    rec(0, budget, rhs[:rank])
     out.sort()
     return out
 
@@ -290,6 +349,8 @@ def unique_monomial_family(weights, base, slope,
         if extra:
             raise CertificationError(f"second solution family exists: {extra[0]}")
     for k in probes:
+        if k in (0, 1):
+            continue  # sols0 and sols1 are the family at k = 0, 1
         target = _vadd(base, _vscale(slope, k))
         if monomials_of_degree(weights, target) != [family.at(k)]:
             raise CertificationError(f"probe at k={k} does not match the family")

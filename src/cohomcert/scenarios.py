@@ -552,6 +552,10 @@ class Scenario:
     runner: object
 
 
+# the primes singh-p-torsion runs and reverify accepts: the pipeline's
+# enumeration and lambda_p both grow with p, so p comes from a fixed range
+TORSION_PRIME_BOUNDS = (2, 31)
+
 _SCENARIOS = (
     Scenario(
         "hartshorne",
@@ -659,14 +663,35 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
         if key in params and not is_prime(params[key]):
             raise ValueError(f"parameter {key}={params[key]} must be prime")
     if "primes" in params:
-        bad = [p for p in params["primes"] if not is_prime(p)]
+        primes = params["primes"]
+        lo, hi = TORSION_PRIME_BOUNDS
+        if not isinstance(primes, list) or not all(
+                isinstance(p, int) and lo <= p <= hi for p in primes):
+            raise ValueError(
+                f"parameter primes={primes!r} outside documented bounds "
+                f"[{lo}, {hi}]"
+            )
+        bad = [p for p in primes if not is_prime(p)]
         if bad:
             raise ValueError(f"non-prime entries in primes: {bad}")
+        if len(set(primes)) != len(primes):
+            raise ValueError(f"repeated entries in primes: {primes}")
     if "q_list" in params:
         bad = [q for q in params["q_list"] if not isinstance(q, int) or q < 1]
         if bad:
             raise ValueError(f"bad Frobenius exponents in q_list: {bad}")
     return params
+
+
+def overrides_for_all(overrides: dict) -> dict[str, dict]:
+    """The overrides of a run of every scenario, split by scenario: each key
+    goes only to the scenarios whose defaults carry it.  A key that no
+    scenario accepts is a ValueError."""
+    unknown = set(overrides) - {k for s in _SCENARIOS for k in s.defaults}
+    if unknown:
+        raise ValueError(f"no scenario accepts parameter(s) {sorted(unknown)}")
+    return {s.name: {k: v for k, v in overrides.items() if k in s.defaults}
+            for s in _SCENARIOS}
 
 
 def run_scenario(name: str, params: dict | None = None) -> Report:
@@ -738,10 +763,17 @@ def _verify_weight_pipeline(cert) -> bool:
         return False
     weights = tuple(WEIGHT_TABLE[v] for v in ring.variables)
     rel_deg = multidegree(relation, grading)
+    wsum = tuple(sum(WEIGHT_TABLE[v][j] for v in ("x", "y", "z")) for j in range(4))
     families = {}
     for rec in steps["cofactor_degrees"]["data"]["cofactors"]:
         base = tuple(rec["target_base"])
         slope = tuple(rec["target_slope"])
+        # the targets follow from p; taken from the report unchecked they
+        # could ask the enumerator for any amount of work
+        wv = WEIGHT_TABLE[rec["generator"]]
+        if base != tuple(e - p * w for e, w in zip((0, 0, 0, p), wv)) or \
+                slope != tuple(t - w for t, w in zip(wsum, wv)):
+            return False
         family = MonomialFamily(tuple(rec["family_const"]),
                                 tuple(rec["family_slope"]))
         try:
@@ -813,8 +845,24 @@ def _verify_weight_pipeline(cert) -> bool:
     return final["witness_monomial"] == cert["witness_monomial"]
 
 
+def _torsion_work_bounded(cert) -> bool:
+    """Do p and the class degree stay in the documented range?  Checked
+    before any arithmetic, since the re-check's cost grows with p."""
+    lo, hi = TORSION_PRIME_BOUNDS
+    p = cert["p"]
+    if type(p) is not int or not lo <= p <= hi or not is_prime(p):
+        return False
+    pipeline = cert["nonvanishing"]["certificate"]
+    if pipeline["p"] != p:
+        return False
+    hom = {s["name"]: s for s in pipeline["steps"]}.get("homogeneity")
+    return hom is not None and list(hom["data"]["degree"]) == [0, 0, 0, p]
+
+
 def _verify_torsion_cert(cert, _report):
-    p = int(cert["p"])
+    if not _torsion_work_bounded(cert):
+        return False
+    p = cert["p"]
     cech = _class_from_json(cert["class"])
     ring = cech.ring.ring
     if ring.domain != ZZ or len(cech.ring.relations) != 1:

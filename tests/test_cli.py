@@ -115,3 +115,24 @@ def test_params_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     assert main(["run", "singh-p-torsion", "--params", str(bad)]) == 2
+
+
+def test_run_all_routes_scenario_specific_flags(capsys):
+    assert main(["run", "all", "--primes", "2,3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("scenario ") == 8
+    assert "p-torsion-p3" in out and "p-torsion-p5" not in out
+
+
+def test_run_all_rejects_parameters_no_scenario_accepts(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    assert main(["run", "all", "--params", str(path)]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert main(["run", "all", "--primes", "37"]) == 2
+
+
+def test_torsion_prime_bound_exit_two(capsys):
+    assert main(["run", "singh-p-torsion", "--primes", "37"]) == 2
+    assert "bounds" in capsys.readouterr().err
+    assert main(["torsion", "--primes", "2,37"]) == 2

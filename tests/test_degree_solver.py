@@ -1,7 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
+from cohomcert import degree_solver
+from cohomcert.cohomology import weight_reduction_nonvanishing
 from cohomcert.degree_solver import (
     CertificationError,
     MonomialFamily,
@@ -24,6 +27,118 @@ def brute_monomials(weights, target, cap):
                for j in range(d)):
             out.append(e)
     return sorted(out)
+
+
+def box_walk_monomials(weights, target):
+    """Oracle: walk every exponent vector under the positive-functional
+    budget and keep those of the target degree."""
+    n = len(weights)
+    c = positive_functional(weights)
+    phi = [sum(ci * wi for ci, wi in zip(c, w)) for w in weights]
+    budget = sum(ci * ti for ci, ti in zip(c, target))
+    out = []
+    if budget < 0:
+        return out
+
+    def rec(i, residual, remaining_budget, acc):
+        if i == n:
+            if all(r == 0 for r in residual):
+                out.append(tuple(acc))
+            return
+        w = weights[i]
+        cap = remaining_budget // phi[i]
+        for e in range(cap + 1):
+            rec(
+                i + 1,
+                tuple(r - e * wj for r, wj in zip(residual, w)),
+                remaining_budget - e * phi[i],
+                acc + [e],
+            )
+
+    rec(0, tuple(target), budget, [])
+    out.sort()
+    return out
+
+
+def _random_tables(rng, count):
+    """Seeded small weight tables that admit a positive functional; every
+    fourth one gets an extra coordinate, the sum of its first and last, so
+    it is rank deficient."""
+    tables = []
+    while len(tables) < count:
+        n, d = rng.randint(1, 4), rng.randint(1, 3)
+        weights = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+        if len(tables) % 4 == 3:
+            weights = [w + [w[0] + w[-1]] for w in weights]
+        try:
+            positive_functional(weights)
+        except CertificationError:
+            continue
+        tables.append(tuple(tuple(w) for w in weights))
+    return tables
+
+
+def test_random_tables_match_both_oracles():
+    rng = random.Random(20040603)
+    for weights in _random_tables(rng, 150):
+        d = len(weights[0])
+        c = positive_functional(weights)
+        targets = [tuple(rng.randint(-3, 4) for _ in range(d)) for _ in range(2)]
+        # two more on the lattice: a small nonnegative combination of weights
+        for _ in range(2):
+            e = [rng.randint(0, 1) for _ in weights]
+            targets.append(tuple(sum(ei * w[j] for ei, w in zip(e, weights))
+                                 for j in range(d)))
+        for target in targets:
+            budget = sum(ci * ti for ci, ti in zip(c, target))
+            got = monomials_of_degree(weights, target)
+            # phi(w_i) >= 1, so no exponent of a solution exceeds the budget
+            assert got == brute_monomials(weights, target, max(budget, 0)), \
+                (weights, target)
+            assert got == box_walk_monomials(weights, target), (weights, target)
+
+
+@pytest.mark.parametrize("weights, target", [
+    # rank 1 in two coordinates: (1, 0) lies off the rational span
+    (((1, 1), (2, 2)), (1, 0)),
+    (((1, 1), (2, 2), (3, 3)), (3, 2)),
+    # on the rational span but off the integer lattice
+    (((2,), (4,)), (3,)),
+    (((2, 0), (0, 2), (1, 1)), (1, 0)),
+    # a rank-2 table in three coordinates
+    (((1, 0, 1), (0, 1, 1), (1, 1, 2)), (1, 2, 0)),
+])
+def test_off_lattice_targets_have_no_solutions(weights, target):
+    assert box_walk_monomials(weights, target) == []
+    assert monomials_of_degree(weights, target) == []
+
+
+def test_rank_deficient_table_matches_oracles():
+    weights = ((1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 3))
+    for target in [(2, 1, 3), (3, 3, 6), (0, 0, 0), (4, 2, 6)]:
+        got = monomials_of_degree(weights, target)
+        assert got, target
+        assert got == box_walk_monomials(weights, target) == \
+            brute_monomials(weights, target, sum(target)), target
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_pipeline_targets_match_box_walk(p, monkeypatch):
+    # every target the pipeline asks the solver about for this p: the
+    # cofactor degrees at each probed k and the relation-shifted degrees
+    asked = []
+    solve = degree_solver.monomials_of_degree
+
+    def recording(weights, target):
+        asked.append((tuple(weights), tuple(target)))
+        return solve(weights, target)
+
+    monkeypatch.setattr(degree_solver, "monomials_of_degree", recording)
+    weight_reduction_nonvanishing(p)
+    assert len(asked) == 18  # three generators, k = 0..3 plus two shifts
+    for weights, target in set(asked):
+        assert solve(weights, target) == box_walk_monomials(weights, target), \
+            (p, target)
 
 
 def test_positive_functional_exists():

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 
@@ -41,6 +42,19 @@ def test_parameter_validation():
         run_scenario("ring-A-colon", {"p": 4})
     with pytest.raises(ValueError):
         run_scenario("singh-p-torsion", {"primes": [4]})
+
+
+@pytest.mark.parametrize("primes", [[37], [2, 37], [101], [1], [-2], [3, 3],
+                                    3, ["7"]])
+def test_torsion_primes_are_bounded(primes):
+    with pytest.raises(ValueError):
+        run_scenario("singh-p-torsion", {"primes": primes})
+
+
+def test_torsion_primes_up_to_the_bound_run_and_reverify():
+    report = run_scenario("singh-p-torsion", {"primes": [13, 17, 19, 23, 29, 31]})
+    assert report.passed and len(report.checks) == 6
+    assert reverify(json.loads(json.dumps(report.to_json_dict())))
 
 
 def test_hartshorne_report():
@@ -174,6 +188,63 @@ def test_reverify_detects_tampering():
     tampered = copy.deepcopy(ann)
     tampered["checks"][2]["certificate"]["expected_generators"] = ["s^2 + 1"]
     assert not reverify(tampered)
+
+
+@pytest.fixture(scope="module")
+def torsion_report_p3():
+    return run_scenario("singh-p-torsion", {"primes": [3]}).to_json_dict()
+
+
+def _set_p(cert, p):
+    cert["p"] = p
+
+
+def _set_pipeline_p(cert, p):
+    cert["nonvanishing"]["certificate"]["p"] = p
+
+
+def _set_both_p(cert, p):
+    _set_p(cert, p)
+    _set_pipeline_p(cert, p)
+
+
+def _set_degree(cert, p):
+    steps = cert["nonvanishing"]["certificate"]["steps"]
+    hom = next(s for s in steps if s["name"] == "homogeneity")
+    hom["data"]["degree"] = [0, 0, 0, p]
+
+
+def _set_target_base(cert, p):
+    steps = cert["nonvanishing"]["certificate"]["steps"]
+    cof = next(s for s in steps if s["name"] == "cofactor_degrees")
+    cof["data"]["cofactors"][0]["target_base"] = [-p, 0, 0, p]
+
+
+def _set_target_slope(cert, k):
+    steps = cert["nonvanishing"]["certificate"]["steps"]
+    cof = next(s for s in steps if s["name"] == "cofactor_degrees")
+    cof["data"]["cofactors"][0]["target_slope"] = [0, k, k, 0]
+
+
+@pytest.mark.parametrize("tamper, value", [
+    (_set_both_p, 37),          # prime past the bound
+    (_set_both_p, 10007),       # would enumerate for hours unbounded
+    (_set_both_p, 9),           # in range but not prime
+    (_set_both_p, "3"),         # not an integer
+    (_set_p, 5),                # outer p disagrees with the pipeline's
+    (_set_pipeline_p, 5),       # pipeline p disagrees with the outer one
+    (_set_pipeline_p, 10007),
+    (_set_degree, 4),           # homogeneity degree is not (0,0,0,p)
+    (_set_degree, 10007),
+    (_set_target_base, 10007),  # cofactor target that p does not give
+    (_set_target_slope, 5000),
+])
+def test_reverify_bounds_torsion_work(torsion_report_p3, tamper, value):
+    tampered = copy.deepcopy(torsion_report_p3)
+    tamper(tampered["checks"][0]["certificate"], value)
+    t0 = time.perf_counter()
+    assert not reverify(tampered)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_reverify_rejects_malformed():
