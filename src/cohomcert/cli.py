@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .scenarios import (
     MalformedReportError,
@@ -43,8 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the JSON report to PATH")
     run_p.add_argument("--full", action="store_true",
                        help="print complete certificate transcripts")
-    run_p.add_argument("--jobs", type=int, default=1,
-                       help="worker pool size for 'run all' (default 1)")
     run_p.add_argument("--params", metavar="PATH", dest="params_file",
                        help="JSON file of parameter overrides")
     run_p.add_argument("--k-max", type=int, dest="k_max")
@@ -53,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated primes, e.g. 2,3,5,7")
     run_p.add_argument("--p", type=int, dest="p")
 
-    rev_p = sub.add_parser("reverify", help="re-check a saved JSON report")
+    rev_p = sub.add_parser("reverify", help="re-check a saved report or 'run all' bundle")
     rev_p.add_argument("path", metavar="REPORT.json")
 
     toe_p = sub.add_parser("toeplitz", help="irreducible-factor census table")
@@ -61,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     toe_p.add_argument("--p", type=int, dest="p", default=5)
     toe_p.add_argument("--format", choices=("text", "json"), default="text")
     toe_p.add_argument("--out", metavar="PATH")
-
-    tor_p = sub.add_parser("torsion", help="run the p-torsion pipeline standalone")
-    tor_p.add_argument("--primes", type=str, default="2,3,5,7")
-    tor_p.add_argument("--format", choices=("text", "json"), default="text")
-    tor_p.add_argument("--out", metavar="PATH")
-    tor_p.add_argument("--full", action="store_true")
     return parser
 
 
@@ -139,9 +130,6 @@ def _cmd_run(args) -> int:
     if args.out and args.format == "json":
         print("--out and --format json are mutually exclusive", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
     try:
         params = _scenario_params(args)
         runs = list(overrides_for_all(params).items()) \
@@ -150,11 +138,7 @@ def _cmd_run(args) -> int:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
     try:
-        if len(runs) > 1 and args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(lambda run: run_scenario(*run), runs))
-        else:
-            reports = [run_scenario(*run) for run in runs]
+        reports = [run_scenario(*run) for run in runs]
     except UnknownScenarioError as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)
         return 2
@@ -170,6 +154,18 @@ def _cmd_run(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _reports_of(payload) -> list:
+    """The reports in a saved file: one report, or the bundle that
+    `run all` writes."""
+    if not (isinstance(payload, dict) and "reports" in payload
+            and payload.get("artifact") == "cohomcert"):
+        return [payload]
+    reports = payload["reports"]
+    if not isinstance(reports, list) or not reports:
+        raise MalformedReportError("bundle carries no reports")
+    return reports
+
+
 def _cmd_reverify(args) -> int:
     try:
         with open(args.path) as fh:
@@ -178,7 +174,7 @@ def _cmd_reverify(args) -> int:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
     try:
-        ok = reverify(payload)
+        ok = all(reverify(report) for report in _reports_of(payload))
     except MalformedReportError as exc:
         print(f"malformed report: {exc}", file=sys.stderr)
         return 2
@@ -211,18 +207,6 @@ def _cmd_toeplitz(args) -> int:
     return 0
 
 
-def _cmd_torsion(args) -> int:
-    try:
-        primes = _parse_primes(args.primes)
-        report = run_scenario("singh-p-torsion", {"primes": primes})
-    except ValueError as exc:
-        print(f"bad parameters: {exc}", file=sys.stderr)
-        return 2
-    _emit(report.to_json_dict(), args,
-          lambda: _print_report(report, args.full, sys.stdout))
-    return 0 if report.passed else 1
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -237,8 +221,6 @@ def main(argv=None) -> int:
         return _cmd_reverify(args)
     if args.command == "toeplitz":
         return _cmd_toeplitz(args)
-    if args.command == "torsion":
-        return _cmd_torsion(args)
     return 2
 
 

@@ -159,38 +159,32 @@ def _monomial_membership_zz(f: Polynomial, gens) -> bool:
     return all(any(monomial_divides(e, t) for e in exps) for t in f.terms)
 
 
+def _vanishes_at(c: CechClass, k: int) -> bool:
+    """Does f (x_1...x_n)^k lie in (x_1^{m+k}, ..., x_n^{m+k})?"""
+    pushed = push_forward(c, k)
+    if c.ring.ring.domain == ZZ:
+        if c.ring.relations:
+            raise DomainNotSupportedError(
+                "vanishing over Z with relations is outside the membership engine"
+            )
+        return _monomial_membership_zz(pushed.numerator, pushed.power_ideal().generators)
+    return membership(pushed.numerator, pushed.power_ideal(), rel=c.ring)
+
+
 def is_zero_up_to(c: CechClass, k_max: int):
     """ZeroAt(k) for the least k <= k_max witnessing vanishing, else
     UnknownUpTo(k_max); never claims nonvanishing by itself."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    ring = c.ring.ring
-    prod = c.sequence_product()
-    over_z = ring.domain == ZZ
-    if over_z and c.ring.relations:
-        raise DomainNotSupportedError(
-            "vanishing over Z with relations is outside the membership engine"
-        )
     for k in range(k_max + 1):
-        f = c.numerator * prod ** k
-        gens = tuple(x ** (c.m + k) for x in c.sequence)
-        if over_z:
-            inside = _monomial_membership_zz(f, gens)
-        else:
-            inside = membership(f, Ideal(ring, gens), rel=c.ring)
-        if inside:
+        if _vanishes_at(c, k):
             return ZeroAt(k)
     return UnknownUpTo(k_max)
 
 
 def verify_zero_at(c: CechClass, verdict: ZeroAt) -> bool:
     """Re-check a ZeroAt witness through the membership engine."""
-    ring = c.ring.ring
-    f = c.numerator * c.sequence_product() ** verdict.k
-    gens = tuple(x ** (c.m + verdict.k) for x in c.sequence)
-    if ring.domain == ZZ and not c.ring.relations:
-        return _monomial_membership_zz(f, gens)
-    return membership(f, Ideal(ring, gens), rel=c.ring)
+    return _vanishes_at(c, verdict.k)
 
 
 # --------------------------------------------------------------------------
@@ -324,8 +318,8 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
     z -> -(x+y) lands the question in Z[x,y]; (5) the specialized element
     is not in (p, x^p, y^p), so no such equation exists.
 
-    Raises PipelineStepError naming the failing step; the lam override
-    exists so tests can sabotage the input.
+    Raises PipelineStepError naming the failing step.  lam defaults to
+    lambda_p; tests pass other numerators to sabotage the input.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -519,29 +513,35 @@ class TorsionCertificate:
         }
 
 
+def eta_class(p: int) -> CechClass:
+    """eta_p = [lambda_p + (x^p, y^p, z^p)] in the ux + vy + wz
+    hypersurface over Z."""
+    ring, relation = torsion_ring()
+    u, v, w, x, y, z = ring.gens()
+    lam = lambda_q([u, v, w], [x, y, z], p, 1, relation=relation)
+    return CechClass(QuotientRing(ring, (relation,)), (x, y, z), p, lam)
+
+
 def eta_torsion_check(p: int) -> TorsionCertificate:
-    """Certify that eta_p = [lambda_p + (x^p, y^p, z^p)] is a nonzero
-    p-torsion class in the ux + vy + wz hypersurface over Z.
+    """Certify that eta_p is a nonzero p-torsion class.
 
     p * eta_p = 0 holds at transition exponent 0 with explicit cofactors
     (an exact polynomial identity, re-checkable without any ideal
     machinery); nonvanishing comes from the weight pipeline.
     """
-    ring, relation = torsion_ring()
-    u, v, w, x, y, z = ring.gens()
-    lam = lambda_q([u, v, w], [x, y, z], p, 1, relation=relation)
-    quotient = QuotientRing(ring, (relation,))
-    cls = CechClass(quotient, (x, y, z), p, lam)
+    cls = eta_class(p)
+    (relation,) = cls.ring.relations
+    u, v, w = (cls.ring.ring.gen(n) for n in ("u", "v", "w"))
 
     seq_cofactors = (u ** p, v ** p, w ** p)
     rel_cofactor = -(relation ** (p - 1))
     recombined = rel_cofactor * relation
     for cof, gen in zip(seq_cofactors, cls.sequence):
         recombined = recombined + cof * gen ** p
-    if recombined != p * lam:
+    if recombined != p * cls.numerator:
         raise PipelineStepError("annihilation", "cofactor identity failed")
 
-    nonzero = weight_reduction_nonvanishing(p)
+    nonzero = weight_reduction_nonvanishing(p, cls.numerator)
     return TorsionCertificate(
         p=p,
         cech_class=cls,
@@ -570,7 +570,7 @@ def annihilator_in_subring(c: CechClass, subring_vars, k: int = 0) -> Ideal:
     unknown = set(subring_vars) - set(ring.variables)
     if unknown:
         raise KeyError(f"subring variables {sorted(unknown)} not in {ring}")
-    f = c.numerator * c.sequence_product() ** k
-    quot = colon(c.power_ideal(k), f, rel=c.ring)
+    pushed = push_forward(c, k)
+    quot = colon(pushed.power_ideal(), pushed.numerator, rel=c.ring)
     drop = set(ring.variables) - set(subring_vars)
     return eliminate(quot, drop)

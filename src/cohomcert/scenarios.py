@@ -21,18 +21,14 @@ from .cohomology import (
     ZeroAt,
     annihilator_in_subring,
     conjecture_membership_check,
+    eta_class,
     eta_torsion_check,
     is_zero_up_to,
-    torsion_ring,
+    push_forward,
     verify_zero_at,
-    WEIGHT_TABLE,
+    weight_reduction_nonvanishing,
 )
-from .degree_solver import (
-    CertificationError,
-    MonomialFamily,
-    monomials_of_degree,
-    unique_monomial_family,
-)
+from .degree_solver import CertificationError
 from .groebner import (
     GuardExceededError,
     Ideal,
@@ -43,21 +39,16 @@ from .groebner import (
     frobenius_power,
     ideal_equal,
     membership,
-    membership_monomial_plus_p,
 )
 from .polyring import (
     GF,
     QQ,
-    Multigrading,
     Polynomial,
     PolyRing,
     ZZ,
     convert,
     domain_from_string,
     is_prime,
-    multidegree,
-    reduce_mod_p,
-    restrict_to_variables,
 )
 from .toeplitz import (
     ST_RING,
@@ -286,30 +277,32 @@ def _run_ptor2(params) -> list[CheckResult]:
     return checks
 
 
-def _annihilator_check(name, cech, subring_vars, k, expected_poly, note=None):
-    """Shared body for the colon-identity scenarios."""
+def _colon_check(name, operation, expected_poly, contracted, cert_fields):
+    """Shared body for the colon-identity scenarios: `contracted()` yields
+    the contracted colon ideal, `cert_fields` the fields of the certificate
+    that depend on its kind."""
     def body():
-        computed = annihilator_in_subring(cech, subring_vars, k)
-        sub = computed.ring
-        expected_sub = convert(expected_poly, sub)
-        expected_ideal = Ideal(sub, (expected_sub,))
+        computed = contracted()
+        expected_ideal = Ideal(computed.ring, (convert(expected_poly, computed.ring),))
         equal = ideal_equal(computed, expected_ideal)
         computed_gb = [str(g) for g in buchberger(computed).basis] \
             if not computed.is_zero else []
-        expected_gb = [str(g) for g in buchberger(expected_ideal).basis]
         cert = {
-            "kind": "annihilator",
-            "class": cech.to_json_dict(),
-            "subring_variables": list(subring_vars),
-            "k": k,
+            **cert_fields,
             "computed_generators": computed_gb,
-            "expected_generators": expected_gb,
+            "expected_generators":
+                [str(g) for g in buchberger(expected_ideal).basis],
         }
-        if note:
-            cert["note"] = note
         return ("pass" if equal else "fail"), computed_gb, cert, {}
-    return _guarded_check(
-        name, "annihilator_in_subring", [str(expected_poly)], body,
+    return _guarded_check(name, operation, [str(expected_poly)], body)
+
+
+def _annihilator_check(name, cech, subring_vars, k, expected_poly, **extra):
+    return _colon_check(
+        name, "annihilator_in_subring", expected_poly,
+        lambda: annihilator_in_subring(cech, subring_vars, k),
+        {"kind": "annihilator", "class": cech.to_json_dict(),
+         "subring_variables": list(subring_vars), "k": k, **extra},
     )
 
 
@@ -343,31 +336,16 @@ def _run_ring_b(params) -> list[CheckResult]:
     checks = []
     for n in range(1, n_max + 1):
         # (a^n, b^n, c) : s a b^{n-1}, contracted to K[s,t]
-        def body(n=n):
-            I = Ideal(ring, (a ** n, b ** n, c))
-            quot = colon(I, s * a * b ** (n - 1), rel=quotient)
-            computed = eliminate(quot, {"a", "b", "c"})
-            sub = computed.ring
-            expected_sub = convert(qn_recursive(n - 1).poly, sub)
-            expected_ideal = Ideal(sub, (expected_sub,))
-            equal = ideal_equal(computed, expected_ideal)
-            computed_gb = [str(g) for g in buchberger(computed).basis] \
-                if not computed.is_zero else []
-            cert = {
-                "kind": "colon_contraction",
-                "ring": _ring_json(ring),
-                "relations": [str(relation)],
-                "ideal_generators": [str(g) for g in I.generators],
-                "colon_element": str(s * a * b ** (n - 1)),
-                "subring_variables": ["s", "t"],
-                "computed_generators": computed_gb,
-                "expected_generators":
-                    [str(g) for g in buchberger(expected_ideal).basis],
-            }
-            return ("pass" if equal else "fail"), computed_gb, cert, {}
-        checks.append(_guarded_check(
-            f"colon-n{n}", "colon+eliminate",
-            [str(qn_recursive(n - 1).poly)], body,
+        ideal = Ideal(ring, (a ** n, b ** n, c))
+        element = s * a * b ** (n - 1)
+        checks.append(_colon_check(
+            f"colon-n{n}", "colon+eliminate", qn_recursive(n - 1).poly,
+            lambda ideal=ideal, element=element: eliminate(
+                colon(ideal, element, rel=quotient), {"a", "b", "c"}),
+            {"kind": "colon_contraction", "ring": _ring_json(ring),
+             "relations": [str(relation)],
+             "ideal_generators": [str(g) for g in ideal.generators],
+             "colon_element": str(element), "subring_variables": ["s", "t"]},
         ))
     return checks
 
@@ -466,6 +444,31 @@ def _sabotaged_family(n: int) -> QnPolynomial:
     return qn_recursive(n)
 
 
+def _census_rows_sound(p: int, rows) -> bool:
+    """Each census row (JSON form) lists irreducible factors over F_p whose
+    product is Q_n(1,t), names as new exactly its factors that no earlier
+    row has, and counts the distinct factors seen so far."""
+    tring = PolyRing(("t",), GF(p))
+    seen: set[str] = set()
+    for row in rows:
+        product = tring.one()
+        for fac, mult in row["factorization"]:
+            poly = tring.parse(fac)
+            if not irreducibility_certified(poly):
+                return False
+            product = product * poly ** int(mult)
+        if product != qn_dehomogenized(int(row["n"]), p):
+            return False
+        factors = [fac for fac, _ in row["factorization"]]
+        if row["factors"] != factors or \
+                row["new_factors"] != [f for f in factors if f not in seen]:
+            return False
+        seen.update(factors)
+        if int(row["cumulative_count"]) != len(seen):
+            return False
+    return True
+
+
 def _run_toeplitz_suite(params) -> list[CheckResult]:
     n_max = params["n_max"]
     N = params["generating_order"]
@@ -513,18 +516,8 @@ def _run_toeplitz_suite(params) -> list[CheckResult]:
             a.cumulative_count <= b.cumulative_count
             for a, b in zip(census.rows, census.rows[1:])
         )
-        tring = PolyRing(("t",), GF(census_p))
-        sound = True
-        for row in census.rows:
-            product = tring.one()
-            for fac, mult in row.factorization:
-                poly = tring.parse(fac)
-                if not irreducibility_certified(poly):
-                    sound = False
-                product = product * poly ** mult
-            if product != qn_dehomogenized(row.n, census_p):
-                sound = False
         cert = {"kind": "census", "census": census.to_json_dict()}
+        sound = _census_rows_sound(census_p, cert["census"]["rows"])
         ok = monotone and sound
         return ("pass" if ok else "fail"), {
             "cumulative_count": census.cumulative_count,
@@ -662,11 +655,14 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     for key in ("p", "census_p"):
         if key in params and not is_prime(params[key]):
             raise ValueError(f"parameter {key}={params[key]} must be prime")
+    # one check per entry: an empty list would pass with nothing checked
+    for key in ("primes", "domains"):
+        if key in params and (not isinstance(params[key], list) or not params[key]):
+            raise ValueError(f"parameter {key}={params[key]!r} must be a nonempty list")
     if "primes" in params:
         primes = params["primes"]
         lo, hi = TORSION_PRIME_BOUNDS
-        if not isinstance(primes, list) or not all(
-                isinstance(p, int) and lo <= p <= hi for p in primes):
+        if not all(isinstance(p, int) and lo <= p <= hi for p in primes):
             raise ValueError(
                 f"parameter primes={primes!r} outside documented bounds "
                 f"[{lo}, {hi}]"
@@ -748,126 +744,26 @@ def _verify_polynomial_identity(cert, _report):
     return lhs == rhs
 
 
-def _verify_weight_pipeline(cert) -> bool:
-    p = int(cert["p"])
-    steps = {s["name"]: s for s in cert["steps"]}
-    required = ("homogeneity", "cofactor_degrees", "reduction_identity",
-                "specialization", "final_nonmembership")
-    if set(required) - set(steps):
-        return False
-    ring, relation = torsion_ring()
-    grading = Multigrading.from_dict(ring, WEIGHT_TABLE)
-    hom = steps["homogeneity"]["data"]
-    lam = ring.parse(hom["numerator"])
-    if multidegree(lam, grading) != tuple(hom["degree"]):
-        return False
-    weights = tuple(WEIGHT_TABLE[v] for v in ring.variables)
-    rel_deg = multidegree(relation, grading)
-    wsum = tuple(sum(WEIGHT_TABLE[v][j] for v in ("x", "y", "z")) for j in range(4))
-    families = {}
-    for rec in steps["cofactor_degrees"]["data"]["cofactors"]:
-        base = tuple(rec["target_base"])
-        slope = tuple(rec["target_slope"])
-        # the targets follow from p; taken from the report unchecked they
-        # could ask the enumerator for any amount of work
-        wv = WEIGHT_TABLE[rec["generator"]]
-        if base != tuple(e - p * w for e, w in zip((0, 0, 0, p), wv)) or \
-                slope != tuple(t - w for t, w in zip(wsum, wv)):
-            return False
-        family = MonomialFamily(tuple(rec["family_const"]),
-                                tuple(rec["family_slope"]))
-        try:
-            unique_monomial_family(weights, base, slope, expected=family)
-        except CertificationError:
-            return False
-        psi = tuple(rec["relation_shift_farkas"])
-        shifted = tuple(b - r for b, r in zip(base, rel_deg))
-        if any(sum(c * w[j] for j, c in enumerate(psi)) < 0 for w in weights):
-            return False
-        if sum(c * s_ for c, s_ in zip(psi, slope)) > 0:
-            return False
-        if sum(c * b for c, b in zip(psi, shifted)) >= 0:
-            return False
-        if monomials_of_degree(weights, shifted):
-            return False
-        families[rec["generator"]] = family
-    if set(families) != {"x", "y", "z"}:
-        return False
-    # step 3: each forced cofactor times x_i^(p+k) equals (xyz)^k times the
-    # matching bracket generator, as parametric exponent vectors
-    partner = {"x": "u", "y": "v", "z": "w"}
-    for name, family in families.items():
-        const = list(family.const)
-        slope_v = list(family.slope)
-        const[ring.var_index(name)] += p
-        slope_v[ring.var_index(name)] += 1
-        goal_const = [0] * ring.nvars
-        goal_const[ring.var_index(name)] = p
-        goal_const[ring.var_index(partner[name])] = p
-        goal_slope = [1 if v in ("x", "y", "z") else 0 for v in ring.variables]
-        if const != goal_const or slope_v != goal_slope:
-            return False
-    spec_data = steps["specialization"]["data"]
-    x, y = ring.gen("x"), ring.gen("y")
-    subst = {"u": 1, "v": 1, "w": 1, "z": -(x + y)}
-    if not relation.substitute(subst).is_zero:
-        return False
-    lam_bar = restrict_to_variables(lam.substitute(subst), ("x", "y"))
-    if str(lam_bar) != spec_data["specialized_numerator"]:
-        return False
-    zxy = lam_bar.ring
-    xb, yb = zxy.gens()
-    # step 4: the recorded generator images match and land in (p, x^p, y^p)
-    u_gen, v_gen, w_gen, z_gen = (ring.gen(n) for n in ("u", "v", "w", "z"))
-    images = {
-        "u^p*x^p": (u_gen ** p * x ** p),
-        "v^p*y^p": (v_gen ** p * y ** p),
-        "w^p*z^p": (w_gen ** p * z_gen ** p),
-    }
-    for label, poly in images.items():
-        image = restrict_to_variables(poly.substitute(subst), ("x", "y"))
-        if str(image) != spec_data["generator_images"].get(label):
-            return False
-        if not membership_monomial_plus_p(image, p, [xb ** p, yb ** p]):
-            return False
-    final = steps["final_nonmembership"]["data"]
-    if membership_monomial_plus_p(lam_bar, p, [xb ** p, yb ** p]):
-        return False
-    fbar = reduce_mod_p(lam_bar, p)
-    residual = Polynomial(fbar.ring, {
-        e: c for e, c in fbar.terms.items()
-        if not (e[0] >= p or e[1] >= p)
-    }, _normalized=True)
-    if str(residual) != final["residual_mod_p"]:
-        return False
-    if residual.is_zero:
-        return False
-    return final["witness_monomial"] == cert["witness_monomial"]
-
-
 def _torsion_work_bounded(cert) -> bool:
-    """Do p and the class degree stay in the documented range?  Checked
-    before any arithmetic, since the re-check's cost grows with p."""
+    """Does p stay in the documented range?  Checked before any
+    arithmetic, since the re-check's cost grows with p."""
     lo, hi = TORSION_PRIME_BOUNDS
     p = cert["p"]
-    if type(p) is not int or not lo <= p <= hi or not is_prime(p):
-        return False
-    pipeline = cert["nonvanishing"]["certificate"]
-    if pipeline["p"] != p:
-        return False
-    hom = {s["name"]: s for s in pipeline["steps"]}.get("homogeneity")
-    return hom is not None and list(hom["data"]["degree"]) == [0, 0, 0, p]
+    return type(p) is int and lo <= p <= hi and is_prime(p)
 
 
 def _verify_torsion_cert(cert, _report):
+    """The class must be eta_p itself, the cofactors must recombine to
+    p * lambda_p, and rerunning the pipeline that issued the nonvanishing
+    certificate must reproduce it exactly."""
     if not _torsion_work_bounded(cert):
         return False
     p = cert["p"]
-    cech = _class_from_json(cert["class"])
-    ring = cech.ring.ring
-    if ring.domain != ZZ or len(cech.ring.relations) != 1:
+    cech = eta_class(p)
+    if cert["class"] != cech.to_json_dict():
         return False
-    relation = cech.ring.relations[0]
+    ring = cech.ring.ring
+    (relation,) = cech.ring.relations
     ann = cert["annihilation"]
     if int(ann["k"]) != 0:
         return False
@@ -877,14 +773,8 @@ def _verify_torsion_cert(cert, _report):
     recombined = recombined + ring.parse(ann["relation_cofactor"]) * relation
     if recombined != p * cech.numerator:
         return False
-    nv = cert["nonvanishing"]
-    if nv.get("verdict") != "nonzero_certified":
-        return False
-    pipeline = nv["certificate"]
-    hom = {s["name"]: s for s in pipeline["steps"]}.get("homogeneity")
-    if hom is None or hom["data"]["numerator"] != str(cech.numerator):
-        return False
-    return _verify_weight_pipeline(pipeline)
+    return cert["nonvanishing"] == \
+        weight_reduction_nonvanishing(p, cech.numerator).to_json_dict()
 
 
 def _inject(poly: Polynomial, target: PolyRing) -> Polynomial:
@@ -898,34 +788,11 @@ def _inject(poly: Polynomial, target: PolyRing) -> Polynomial:
     return Polynomial(target, out)
 
 
-def _verify_annihilator_cert(cert, _report):
-    cech = _class_from_json(cert["class"])
-    ring = cech.ring.ring
-    k = int(cert["k"])
-    subvars = tuple(cert["subring_variables"])
-    sub = PolyRing(subvars, ring.domain)
-    computed = [sub.parse(s) for s in cert["computed_generators"]]
-    expected = [sub.parse(s) for s in cert["expected_generators"]]
-    if not computed or not expected:
-        return False
-    # the two subring ideals must coincide
-    if not ideal_equal(Ideal(sub, tuple(computed)), Ideal(sub, tuple(expected))):
-        return False
-    # soundness: every reported generator annihilates the class at level k
-    f = cech.numerator * cech.sequence_product() ** k
-    power = cech.power_ideal(k)
-    for g in computed:
-        if not membership(_inject(g, ring) * f, power, rel=cech.ring):
-            return False
-    return True
-
-
-def _verify_colon_contraction(cert, _report):
-    ring = _ring_from_json(cert["ring"])
-    relations = tuple(ring.parse(r) for r in cert["relations"])
-    quotient = QuotientRing(ring, relations)
-    ideal = Ideal(ring, tuple(ring.parse(g) for g in cert["ideal_generators"]))
-    element = ring.parse(cert["colon_element"])
+def _colon_cert_holds(cert, quotient: QuotientRing, ideal: Ideal,
+                      element: Polynomial) -> bool:
+    """The reported subring generators span the expected ideal, and each
+    one multiplies `element` into `ideal` modulo the relations."""
+    ring = quotient.ring
     sub = PolyRing(tuple(cert["subring_variables"]), ring.domain)
     computed = [sub.parse(s) for s in cert["computed_generators"]]
     expected = [sub.parse(s) for s in cert["expected_generators"]]
@@ -933,10 +800,24 @@ def _verify_colon_contraction(cert, _report):
         return False
     if not ideal_equal(Ideal(sub, tuple(computed)), Ideal(sub, tuple(expected))):
         return False
-    for g in computed:
-        if not membership(_inject(g, ring) * element, ideal, rel=quotient):
-            return False
-    return True
+    return all(membership(_inject(g, ring) * element, ideal, rel=quotient)
+               for g in computed)
+
+
+def _verify_annihilator_cert(cert, _report):
+    # the colon of the class at level k: its power ideal by its numerator
+    pushed = push_forward(_class_from_json(cert["class"]), int(cert["k"]))
+    return _colon_cert_holds(cert, pushed.ring, pushed.power_ideal(),
+                             pushed.numerator)
+
+
+def _verify_colon_contraction(cert, _report):
+    ring = _ring_from_json(cert["ring"])
+    return _colon_cert_holds(
+        cert, QuotientRing(ring, tuple(ring.parse(r) for r in cert["relations"])),
+        Ideal(ring, tuple(ring.parse(g) for g in cert["ideal_generators"])),
+        ring.parse(cert["colon_element"]),
+    )
 
 
 def _verify_toeplitz_equality(cert, _report):
@@ -960,28 +841,7 @@ def _verify_roots(cert, _report):
 
 def _verify_census(cert, _report):
     data = cert["census"]
-    p = int(data["p"])
-    tring = PolyRing(("t",), GF(p))
-    seen: set[str] = set()
-    prev = 0
-    for row in data["rows"]:
-        n = int(row["n"])
-        product = tring.one()
-        for fac, mult in row["factorization"]:
-            poly = tring.parse(fac)
-            if not irreducibility_certified(poly):
-                return False
-            product = product * poly ** int(mult)
-        if product != qn_dehomogenized(n, p):
-            return False
-        for fac in row["new_factors"]:
-            if fac in seen:
-                return False
-        seen.update(row["factors"])
-        if len(seen) != int(row["cumulative_count"]) or len(seen) < prev:
-            return False
-        prev = len(seen)
-    return True
+    return _census_rows_sound(int(data["p"]), data["rows"])
 
 
 def _verify_frobenius_witness(cert, report):
@@ -1020,16 +880,16 @@ def reverify(report) -> bool:
     """Re-check every certificate embedded in a report.
 
     Accepts a Report or its JSON dict form.  Raises MalformedReportError
-    when the payload is not a report of this artifact; returns False as
-    soon as any certificate fails to re-verify.
+    when the payload is not a report of this artifact or has no checks;
+    returns False as soon as any certificate fails to re-verify.
     """
     if isinstance(report, Report):
         report = report.to_json_dict()
     if not isinstance(report, dict) or report.get("artifact") != "cohomcert":
         raise MalformedReportError("not a cohomcert report")
     checks = report.get("checks")
-    if not isinstance(checks, list):
-        raise MalformedReportError("report carries no check list")
+    if not isinstance(checks, list) or not checks:
+        raise MalformedReportError("report carries no checks")
     for check in checks:
         try:
             cert = check["certificate"]

@@ -90,20 +90,50 @@ def test_toeplitz_bad_p(capsys):
     assert main(["toeplitz", "--n-max", "3", "--p", "6"]) == 2
 
 
-def test_torsion_command(capsys):
-    assert main(["torsion", "--primes", "2,3"]) == 0
+def test_run_torsion_primes_flag(capsys):
+    assert main(["run", "singh-p-torsion", "--primes", "2,3"]) == 0
     out = capsys.readouterr().out
     assert "p-torsion-p2" in out and "p-torsion-p3" in out
 
 
-def test_torsion_bad_primes(capsys):
-    assert main(["torsion", "--primes", "2,banana"]) == 2
+def test_run_torsion_bad_primes(capsys):
+    assert main(["run", "singh-p-torsion", "--primes", "2,banana"]) == 2
 
 
-def test_run_all_with_jobs(capsys):
-    assert main(["run", "all", "--jobs", "2"]) == 0
+def test_run_all_exit_zero(capsys):
+    assert main(["run", "all"]) == 0
     out = capsys.readouterr().out
     assert out.count("scenario ") == 8
+
+
+def test_run_all_out_then_reverify_bundle(tmp_path, capsys):
+    path = tmp_path / "all.json"
+    assert main(["run", "all", "--out", str(path)]) == 0
+    assert main(["reverify", str(path)]) == 0
+    assert "re-verified" in capsys.readouterr().out
+
+    bundle = json.loads(path.read_text())
+    assert len(bundle["reports"]) == 8
+    torsion = next(r for r in bundle["reports"]
+                   if r["scenario"] == "singh-p-torsion")
+    torsion["checks"][0]["certificate"]["annihilation"]["relation_cofactor"] = "1"
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(bundle))
+    assert main(["reverify", str(tampered)]) == 1
+
+    for reports in ([], "nope"):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"artifact": "cohomcert", "reports": reports}))
+        assert main(["reverify", str(empty)]) == 2
+
+
+def test_run_empty_list_parameters_exit_two(tmp_path, capsys):
+    for scenario, params in (("singh-p-torsion", {"primes": []}),
+                             ("ptor2-theorem", {"domains": []})):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        assert main(["run", scenario, "--params", str(path)]) == 2
+        assert "nonempty" in capsys.readouterr().err
 
 
 def test_params_file(tmp_path, capsys):
@@ -135,4 +165,4 @@ def test_run_all_rejects_parameters_no_scenario_accepts(tmp_path, capsys):
 def test_torsion_prime_bound_exit_two(capsys):
     assert main(["run", "singh-p-torsion", "--primes", "37"]) == 2
     assert "bounds" in capsys.readouterr().err
-    assert main(["torsion", "--primes", "2,37"]) == 2
+    assert main(["run", "singh-p-torsion", "--primes", "2,37"]) == 2

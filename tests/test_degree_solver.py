@@ -147,12 +147,15 @@ def test_positive_functional_exists():
 
 
 def test_enumeration_matches_brute_force():
+    # c weighs every variable 1, so a monomial of degree `target` has total
+    # degree c . target, which bounds each of its exponents
+    c = (1, 1, 1, 2)
+    assert all(sum(ci * wi for ci, wi in zip(c, w)) == 1 for w in W6)
     for target in [(0, 0, 0, 2), (-2, 1, 1, 2), (1, 1, 0, 1), (0, 0, 0, 0),
                    (-1, 0, 0, 0), (3, -1, 0, 2)]:
         got = monomials_of_degree(W6, target)
-        # the positive functional bounds every exponent by phi(target);
-        # cap 8 is comfortably past that for these targets
-        assert got == brute_monomials(W6, target, 8), target
+        cap = sum(ci * ti for ci, ti in zip(c, target))
+        assert got == brute_monomials(W6, target, max(cap, 0)), target
 
 
 def test_unique_family_for_the_cofactor_targets():

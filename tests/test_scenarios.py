@@ -42,6 +42,11 @@ def test_parameter_validation():
         run_scenario("ring-A-colon", {"p": 4})
     with pytest.raises(ValueError):
         run_scenario("singh-p-torsion", {"primes": [4]})
+    # an empty list would pass with nothing checked
+    with pytest.raises(ValueError):
+        run_scenario("singh-p-torsion", {"primes": []})
+    with pytest.raises(ValueError):
+        run_scenario("ptor2-theorem", {"domains": []})
 
 
 @pytest.mark.parametrize("primes", [[37], [2, 37], [101], [1], [-2], [3, 3],
@@ -195,6 +200,23 @@ def torsion_report_p3():
     return run_scenario("singh-p-torsion", {"primes": [3]}).to_json_dict()
 
 
+def test_reverify_rejects_a_forged_torsion_class(torsion_report_p3):
+    # [lambda_3 + (x, y, z)] is zero, since lambda_3 lies in (x, y, z), yet
+    # these cofactors satisfy the annihilation identity at m = 1
+    forged = copy.deepcopy(torsion_report_p3)
+    cert = forged["checks"][0]["certificate"]
+    cert["class"]["m"] = 1
+    cert["annihilation"]["sequence_cofactors"] = ["u^3*x^2", "v^3*y^2", "w^3*z^2"]
+    assert not reverify(forged)
+
+
+def test_reverify_reruns_the_pipeline_transcript(torsion_report_p3):
+    tampered = copy.deepcopy(torsion_report_p3)
+    pipeline = tampered["checks"][0]["certificate"]["nonvanishing"]["certificate"]
+    pipeline["steps"][2]["statement"] += " "
+    assert not reverify(tampered)
+
+
 def _set_p(cert, p):
     cert["p"] = p
 
@@ -252,6 +274,8 @@ def test_reverify_rejects_malformed():
         reverify({"not": "a report"})
     with pytest.raises(MalformedReportError):
         reverify({"artifact": "cohomcert", "checks": "nope"})
+    with pytest.raises(MalformedReportError):
+        reverify({"artifact": "cohomcert", "checks": []})
     report = run_scenario("katzman-factorization").to_json_dict()
     bad = copy.deepcopy(report)
     bad["checks"][0]["certificate"]["kind"] = "martian"
