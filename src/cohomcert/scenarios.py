@@ -54,10 +54,12 @@ from .toeplitz import (
     ST_RING,
     QnPolynomial,
     build_matrix,
+    dense_coefficients,
     det_oracle,
     factor_census,
     generating_check,
     irreducibility_certified,
+    mul_fp,
     qn_dehomogenized,
     qn_recursive,
     roots_numeric_check,
@@ -451,13 +453,21 @@ def _census_rows_sound(p: int, rows) -> bool:
     tring = PolyRing(("t",), GF(p))
     seen: set[str] = set()
     for row in rows:
-        product = tring.one()
-        for fac, mult in row["factorization"]:
-            poly = tring.parse(fac)
-            if not irreducibility_certified(poly):
+        n = int(row["n"])
+        factorization = [(tring.parse(fac), int(mult))
+                         for fac, mult in row["factorization"]]
+        # degrees adding up to n bound the work before any arithmetic
+        if any(g.total_degree() < 1 or m < 1 for g, m in factorization) or \
+                sum(g.total_degree() * m for g, m in factorization) != n:
+            return False
+        product = [1]
+        for g, m in factorization:
+            if not irreducibility_certified(g):
                 return False
-            product = product * poly ** int(mult)
-        if product != qn_dehomogenized(int(row["n"]), p):
+            dense = dense_coefficients(g)
+            for _ in range(m):
+                product = mul_fp(product, dense, p)
+        if product != dense_coefficients(qn_dehomogenized(n, p)):
             return False
         factors = [fac for fac, _ in row["factorization"]]
         if row["factors"] != factors or \
@@ -637,6 +647,16 @@ def list_scenarios() -> list[tuple[str, str]]:
     return [(s.name, s.description) for s in _SCENARIOS]
 
 
+def _is_field_name(text) -> bool:
+    """Is text "QQ" or "GF(p)" with p prime?"""
+    if not isinstance(text, str):
+        return False
+    try:
+        return domain_from_string(text).is_field
+    except ValueError:
+        return False
+
+
 def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     params = dict(scenario.defaults)
     for key, value in (overrides or {}).items():
@@ -659,6 +679,10 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     for key in ("primes", "domains"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
             raise ValueError(f"parameter {key}={params[key]!r} must be a nonempty list")
+    if "domains" in params:
+        bad = [d for d in params["domains"] if not _is_field_name(d)]
+        if bad:
+            raise ValueError(f"domains entries must name QQ or GF(p), p prime: {bad}")
     if "primes" in params:
         primes = params["primes"]
         lo, hi = TORSION_PRIME_BOUNDS
@@ -839,9 +863,29 @@ def _verify_roots(cert, _report):
         and bool(cert["value"])
 
 
-def _verify_census(cert, _report):
+def _census_work_bounded(data, report) -> bool:
+    """Is this the census the report's parameters ask for, with rows
+    n = 1..n_max inside the scenario's bounds?  Checked before any
+    arithmetic, since the re-check's cost grows with n and p."""
+    p, n_max, rows = data["p"], data["n_max"], data["rows"]
+    params = report.get("params")
+    if not isinstance(params, dict):
+        return False
+    lo, hi = _REGISTRY["toeplitz-suite"].bounds["census_n_max"]
+    return type(p) is int and p == params.get("census_p") \
+        and type(n_max) is int and lo <= n_max <= hi \
+        and n_max == params.get("census_n_max") \
+        and isinstance(rows, list) and len(rows) == n_max \
+        and all(isinstance(row, dict) and type(row.get("n")) is int
+                and row["n"] == i for i, row in enumerate(rows, 1)) \
+        and is_prime(p)
+
+
+def _verify_census(cert, report):
     data = cert["census"]
-    return _census_rows_sound(int(data["p"]), data["rows"])
+    if not _census_work_bounded(data, report):
+        return False
+    return _census_rows_sound(data["p"], data["rows"])
 
 
 def _verify_frobenius_witness(cert, report):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -20,8 +22,6 @@ from .polyring import (
     QQ,
     Polynomial,
     PolyRing,
-    convert,
-    restrict_to_variables,
 )
 
 ST_RING = PolyRing(("s", "t"), QQ)
@@ -101,28 +101,43 @@ _QN_CACHE: dict[int, QnPolynomial] = {}
 
 
 def qn_recursive(n: int) -> QnPolynomial:
-    """Q_0 = 1, Q_1 = t, Q_{n+2} = t*Q_{n+1} - s^2*Q_n, memoized."""
+    """Q_0 = 1, Q_1 = t, Q_{n+2} = t*Q_{n+1} - s^2*Q_n, memoized.
+
+    The cache always holds Q_0..Q_top; a miss resumes the recursion from
+    Q_top, so building the family up to n costs n steps in total.
+    """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a non-negative integer, got {n}")
-    if n in _QN_CACHE:
-        return _QN_CACHE[n]
-    s, t = ST_RING.gen("s"), ST_RING.gen("t")
-    a, b = ST_RING.one(), t
-    _QN_CACHE.setdefault(0, QnPolynomial(0, a))
-    _QN_CACHE.setdefault(1, QnPolynomial(1, b))
-    for m in range(2, n + 1):
-        a, b = b, t * b - s ** 2 * a
-        _QN_CACHE.setdefault(m, QnPolynomial(m, b))
+    if n not in _QN_CACHE:
+        t = ST_RING.gen("t")
+        if not _QN_CACHE:
+            _QN_CACHE[0] = QnPolynomial(0, ST_RING.one())
+            _QN_CACHE[1] = QnPolynomial(1, t)
+        s2 = ST_RING.gen("s") ** 2
+        top = len(_QN_CACHE) - 1
+        a, b = _QN_CACHE[top - 1].poly, _QN_CACHE[top].poly
+        for m in range(top + 1, n + 1):
+            a, b = b, t * b - s2 * a
+            _QN_CACHE[m] = QnPolynomial(m, b)
     return _QN_CACHE[n]
 
 
 def qn_dehomogenized(n: int, p: int | None = None) -> Polynomial:
-    """Q_n(1, t) as a univariate polynomial, over Q or over F_p."""
-    f = qn_recursive(n).poly.substitute({"s": 1})
-    f = restrict_to_variables(f, ("t",))
+    """Q_n(1, t) as a univariate polynomial, over Q or over F_p.
+
+    Q_n is homogeneous of degree n, so s^i t^j -> t^j only relabels
+    exponents: no two terms collide and no coefficient changes.
+    """
+    terms = qn_recursive(n).poly.terms
     if p is None:
-        return f
-    return convert(f, PolyRing(("t",), GF(p)))
+        ring = PolyRing(("t",), QQ)
+        return Polynomial(ring, {(j,): c for (_, j), c in terms.items()},
+                          _normalized=True)
+    ring = PolyRing(("t",), GF(p))
+    # the coefficients of Q_n are integers
+    images = {(j,): c.numerator % p for (_, j), c in terms.items()}
+    return Polynomial(ring, {e: c for e, c in images.items() if c},
+                      _normalized=True)
 
 
 def generating_check(N: int, family=qn_recursive) -> bool:
@@ -135,13 +150,10 @@ def generating_check(N: int, family=qn_recursive) -> bool:
         raise ValueError("truncation order must be at least 2")
     ring = PolyRing(("s", "t", "z"), QQ)
     s, t, z = ring.gens()
-
-    def lift(f: Polynomial) -> Polynomial:
-        return Polynomial(ring, {e + (0,): c for e, c in f.terms.items()})
-
-    series = ring.zero()
-    for n in range(N + 1):
-        series = series + lift(family(n).poly) * z ** n
+    # Q_n z^n for distinct n share no monomial: the sum is a union of terms
+    series = Polynomial(ring, {
+        e + (n,): c for n in range(N + 1) for e, c in family(n).poly.terms.items()
+    }, _normalized=True)
     product = series * (ring.one() - t * z + s ** 2 * z ** 2)
     truncated = Polynomial(
         ring, {e: c for e, c in product.terms.items() if e[2] <= N}, _normalized=True
@@ -180,6 +192,105 @@ def roots_numeric_check(n: int, tol: float = 1e-8) -> bool:
 # decomposition, then distinct-degree splitting, then equal-degree
 # splitting (Cantor-Zassenhaus for odd p, the trace map for p = 2) with a
 # fixed-seed generator so runs are reproducible bit for bit.
+#
+# Products go through Kronecker substitution: a coefficient list is packed
+# into one integer, w bytes per coefficient, so a single big-integer
+# product yields every convolution sum at once, provided no sum reaches
+# 2^(8w).
+
+
+_BYTEORDER = sys.byteorder
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _slot_width(bound):
+    """Bytes per slot holding every value up to bound: the smallest of 1,
+    2, 4 and 8 that does, otherwise the exact byte count."""
+    need = (bound.bit_length() + 7) // 8
+    return next((w for w in (1, 2, 4, 8) if w >= need), need)
+
+
+def _pack(coeffs, width):
+    code = _TYPECODES.get(width)
+    if code is not None:
+        data = array(code, coeffs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(width, _BYTEORDER) for c in coeffs)
+    return int.from_bytes(data, _BYTEORDER)
+
+
+def _unpack(x, count, width, p):
+    """The first count slots of a packed integer, each reduced mod p."""
+    data = x.to_bytes(count * width, _BYTEORDER)
+    code = _TYPECODES.get(width)
+    if code is not None:
+        return [c % p for c in array(code, data)]
+    return [int.from_bytes(data[i:i + width], _BYTEORDER) % p
+            for i in range(0, len(data), width)]
+
+
+def _convolve(a, b, width, p):
+    """a*b over F_p, untrimmed, by one packed product; width must hold
+    min(len(a), len(b)) * (p-1)^2."""
+    x = _pack(a, width)
+    y = x if a is b else _pack(b, width)
+    return _unpack(x * y, len(a) + len(b) - 1, width, p)
+
+
+def mul_fp(a, b, p):
+    """Product of dense coefficient lists over F_p (entries in [0, p))."""
+    if not a or not b:
+        return []
+    width = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
+    return _utrim(_convolve(a, b, width, p))
+
+
+def dense_coefficients(f: Polynomial) -> list:
+    """Little-endian coefficient list of a univariate polynomial."""
+    dense = [0] * (f.total_degree() + 1)
+    for e, c in f.terms.items():
+        dense[e[0]] = c
+    return dense
+
+
+class _Modulus:
+    """Multiplication modulo a monic f of degree n >= 1 over F_p.
+
+    Built once per modulus.  The slot width holds n*(p-1)^2 + p, the
+    largest sum a product of reduced operands or its fold can reach, and
+    the table holds x^k mod f for k = n..2n-2, packed, so a product is
+    reduced by adding c_k * (x^k mod f) for its high coefficients c_k into
+    one packed accumulator.
+    """
+
+    __slots__ = ("f", "p", "n", "width", "fold")
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        self.f, self.p, self.n = f, p, n
+        self.width = _slot_width(n * (p - 1) ** 2 + p)
+        r = [-c % p for c in f[:n]]  # x^n mod f
+        self.fold = []
+        for _ in range(n - 1):
+            self.fold.append(_pack(r, self.width))
+            top = r[-1]
+            r = [0] + r[:-1]
+            if top:
+                r = [(a - top * b) % p for a, b in zip(r, f)]
+
+    def mul(self, a, b):
+        """a*b mod f for a, b of degree < n with entries in [0, p)."""
+        if not a or not b:
+            return []
+        n, width, p = self.n, self.width, self.p
+        c = _convolve(a, b, width, p)
+        if len(c) > n:
+            acc = _pack(c[:n], width)
+            for ck, rk in zip(c[n:], self.fold):
+                if ck:
+                    acc += ck * rk
+            c = _unpack(acc, n, width, p)
+        return _utrim(c)
 
 
 def _utrim(f):
@@ -195,17 +306,6 @@ def _umonic(f, p):
         return list(f)
     inv = pow(f[-1], p - 2, p)
     return [c * inv % p for c in f]
-
-def _umul(f, g, p):
-    if not f or not g:
-        return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = (out[i + j] + a * b) % p
-    return _utrim(out)
 
 def _udivmod(f, g, p):
     f = list(f)
@@ -229,19 +329,25 @@ def _ugcd(f, g, p):
         f, g = g, _udivmod(f, g, p)[1]
     return _umonic(f, p)
 
-def _upow_mod(f, e, mod, p):
+def _upow_mod(f, e, mod):
+    """f^e modulo mod.f, by square-and-multiply in the modulus context."""
+    base = _udivmod(f, mod.f, mod.p)[1] if len(f) > mod.n else f
     result = [1]
-    base = _udivmod(f, mod, p)[1]
     while e:
         if e & 1:
-            result = _udivmod(_umul(result, base, p), mod, p)[1]
+            result = mod.mul(result, base)
         e >>= 1
         if e:
-            base = _udivmod(_umul(base, base, p), mod, p)[1]
+            base = mod.mul(base, base)
     return result
 
 def _uderiv(f, p):
     return _utrim([i * c % p for i, c in enumerate(f)][1:])
+
+def _minus_x(h, p):
+    hx = list(h) + [0] * max(0, 2 - len(h))
+    hx[1] = (hx[1] - 1) % p
+    return _utrim(hx)
 
 
 def _squarefree(f, p):
@@ -280,16 +386,17 @@ def _distinct_degree(f, p):
     """Split a squarefree monic f into (product, d) blocks."""
     out = []
     h = [0, 1]  # x
+    mod = None
     d = 0
     while _udeg(f) > 0:
         d += 1
         if 2 * d > _udeg(f):
             out.append((f, _udeg(f)))
             break
-        h = _upow_mod(h, p, f, p)
-        hx = list(h) + [0] * max(0, 2 - len(h))
-        hx[1] = (hx[1] - 1) % p
-        g = _ugcd(_utrim(hx), f, p)
+        if mod is None or mod.f is not f:
+            mod = _Modulus(f, p)
+        h = _upow_mod(h, p, mod)
+        g = _ugcd(_minus_x(h, p), f, p)
         if _udeg(g) > 0:
             out.append((g, d))
             f = _udivmod(f, g, p)[0]
@@ -308,6 +415,7 @@ def _equal_degree(f, d, p, rng):
     n = _udeg(f)
     if n == d:
         return [f]
+    mod = _Modulus(f, p)
     while True:
         a = _random_poly(n, p, rng)
         if _udeg(a) < 1:
@@ -318,13 +426,13 @@ def _equal_degree(f, d, p, rng):
         if p == 2:
             # trace map: a + a^2 + a^4 + ... + a^(2^(d-1)) splits f
             b = []
-            t = _udivmod(a, f, p)[1]
+            t = a
             for _ in range(d):
                 b = _uadd(b, t, p)
-                t = _upow_mod(t, 2, f, p)
+                t = mod.mul(t, t)
             g = _ugcd(b, f, p) if b else []
         else:
-            b = _upow_mod(a, (p ** d - 1) // 2, f, p)
+            b = _upow_mod(a, (p ** d - 1) // 2, mod)
             if b:
                 b[0] = (b[0] - 1) % p
             else:
@@ -366,7 +474,9 @@ def irreducibility_certified(f: Polynomial) -> bool:
     """Deterministic irreducibility certificate over F_p (Rabin's test).
 
     f of degree n is irreducible iff x^(p^n) = x mod f and, for every
-    prime divisor l of n, gcd(x^(p^(n/l)) - x, f) = 1.
+    prime divisor l of n, gcd(x^(p^(n/l)) - x, f) = 1.  The Frobenius
+    iterates x^(p^k) mod f are computed once, for k = 1..n in turn, and
+    each gcd is taken when k reaches n/l.
     """
     ring = f.ring
     if ring.domain.kind != "prime_field" or ring.nvars != 1:
@@ -375,27 +485,16 @@ def irreducibility_certified(f: Polynomial) -> bool:
     n = f.total_degree()
     if n < 1:
         return False
-    dense = [0] * (n + 1)
-    for e, c in f.terms.items():
-        dense[e[0]] = c
-    dense = _umonic(dense, p)
-
-    def frob_iterate(steps):
-        h = [0, 1]
-        for _ in range(steps):
-            h = _upow_mod(h, p, dense, p)
-        return h
-
-    for l in _prime_divisors(n):
-        h = frob_iterate(n // l)
-        hx = list(h) + [0] * max(0, 2 - len(h))
-        hx[1] = (hx[1] - 1) % p
-        if _udeg(_ugcd(_utrim(hx), dense, p)) != 0:
+    dense = _umonic(dense_coefficients(f), p)
+    mod = _Modulus(dense, p)
+    checkpoints = {n // l for l in _prime_divisors(n)}
+    h = [0, 1]
+    for k in range(1, n + 1):
+        h = _upow_mod(h, p, mod)
+        if k in checkpoints and _udeg(_ugcd(_minus_x(h, p), dense, p)) != 0:
             return False
-    h = frob_iterate(n)
-    hx = list(h) + [0] * max(0, 2 - len(h))
-    hx[1] = (hx[1] - 1) % p
-    return not _utrim(hx) or _udivmod(_utrim(hx), dense, p)[1] == []
+    hx = _minus_x(h, p)
+    return not hx or _udivmod(hx, dense, p)[1] == []
 
 
 def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -413,11 +512,8 @@ def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     p = ring.domain.p
-    dense = [0] * (f.total_degree() + 1)
-    for e, c in f.terms.items():
-        dense[e[0]] = c
     out = []
-    for coeffs, mult in _factor_dense(_umonic(dense, p), p):
+    for coeffs, mult in _factor_dense(_umonic(dense_coefficients(f), p), p):
         poly = Polynomial(ring, {(i,): c for i, c in enumerate(coeffs) if c})
         out.append((poly, mult))
     return out

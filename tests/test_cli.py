@@ -136,6 +136,14 @@ def test_run_empty_list_parameters_exit_two(tmp_path, capsys):
         assert "nonempty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domains", [["ZZ"], [3], ["QQ", "GF(4)"]])
+def test_run_non_field_domains_exit_two(tmp_path, capsys, domains):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"domains": domains}))
+    assert main(["run", "ptor2-theorem", "--params", str(path)]) == 2
+    assert "bad parameters" in capsys.readouterr().err
+
+
 def test_params_file(tmp_path, capsys):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"primes": [2]}))

@@ -269,6 +269,91 @@ def test_reverify_bounds_torsion_work(torsion_report_p3, tamper, value):
     assert time.perf_counter() - t0 < 0.1
 
 
+@pytest.fixture(scope="module")
+def census_report():
+    return run_scenario("toeplitz-suite", {
+        "n_max": 1, "generating_order": 2, "roots_n_max": 1, "census_n_max": 8,
+    }).to_json_dict()
+
+
+def _census_of(report):
+    return report["checks"][-1]["certificate"]["census"]
+
+
+def _census_p_string(report):
+    _census_of(report)["p"] = "5"
+
+
+def _census_p_not_prime(report):
+    _census_of(report)["p"] = report["params"]["census_p"] = 9
+
+
+def _census_p_not_the_params(report):
+    _census_of(report)["p"] = 7
+
+
+def _census_n_max_not_row_count(report):
+    _census_of(report)["n_max"] = report["params"]["census_n_max"] = 7
+
+
+def _census_n_max_above_bounds(report):
+    rows = _census_of(report)["rows"]
+    rows += [dict(rows[-1], n=n) for n in range(9, 401)]
+    _census_of(report)["n_max"] = report["params"]["census_n_max"] = 400
+
+
+def _census_n_max_below_bounds(report):
+    _census_of(report)["rows"] = []
+    _census_of(report)["n_max"] = report["params"]["census_n_max"] = 0
+
+
+def _census_row_n_400(report):
+    _census_of(report)["rows"][3]["n"] = 400
+
+
+def _census_row_n_2000(report):
+    _census_of(report)["rows"][-1]["n"] = 2000
+
+
+def _census_rows_out_of_order(report):
+    rows = _census_of(report)["rows"]
+    rows[2], rows[3] = rows[3], rows[2]
+
+
+def _census_row_n_not_int(report):
+    _census_of(report)["rows"][0]["n"] = True
+
+
+@pytest.mark.parametrize("tamper", [
+    _census_p_string,             # p is not an int
+    _census_p_not_prime,          # p is not prime
+    _census_p_not_the_params,     # p differs from params.census_p
+    _census_n_max_not_row_count,  # n_max is not len(rows)
+    _census_n_max_above_bounds,   # n_max past census_n_max's bounds
+    _census_n_max_below_bounds,
+    _census_row_n_400,            # rows are not n = 1..n_max
+    _census_row_n_2000,
+    _census_rows_out_of_order,
+    _census_row_n_not_int,
+])
+def test_reverify_bounds_census_work(census_report, tamper):
+    tampered = copy.deepcopy(census_report)
+    tamper(tampered)
+    t0 = time.perf_counter()
+    assert not reverify(tampered)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_reverify_checks_census_factor_degrees(census_report):
+    # a factor of huge degree is rejected by its degree, before any product
+    tampered = copy.deepcopy(census_report)
+    _census_of(tampered)["rows"][0]["factorization"] = [["t^100000000", 1]]
+    t0 = time.perf_counter()
+    assert not reverify(tampered)
+    assert time.perf_counter() - t0 < 0.1
+    assert reverify(census_report)
+
+
 def test_reverify_rejects_malformed():
     with pytest.raises(MalformedReportError):
         reverify({"not": "a report"})

@@ -19,9 +19,26 @@ from cohomcert import (
     qn_recursive,
     roots_numeric_check,
 )
-from cohomcert.toeplitz import QnPolynomial, ST_RING, ToeplitzMatrix
+from cohomcert.polyring import convert, restrict_to_variables
+from cohomcert.toeplitz import (
+    _QN_CACHE,
+    QnPolynomial,
+    ST_RING,
+    ToeplitzMatrix,
+    _Modulus,
+    _slot_width,
+    _udivmod,
+    _upow_mod,
+    dense_coefficients,
+    mul_fp,
+)
 
-from census_oracle import brute_census_counts, brute_factorize, qn_dehom_dense
+from census_oracle import (
+    brute_census_counts,
+    brute_factorize,
+    qn_dehom_dense,
+    smallest_factor,
+)
 
 S, T = ST_RING.gens()
 
@@ -186,6 +203,12 @@ def test_census_against_brute_force_oracle():
     # live cross-check at small degrees; n = 16 is frozen in the acceptance suite
     counts = [r.cumulative_count for r in factor_census(10, 5).rows]
     assert counts == brute_census_counts(10, 5)
+    for p, n_max in ((2, 12), (3, 10), (5, 8)):
+        ring = PolyRing(("t",), GF(p))
+        for row in factor_census(n_max, p).rows:
+            mine = {tuple(dense_coefficients(ring.parse(name))): m
+                    for name, m in row.factorization}
+            assert mine == brute_factorize(qn_dehom_dense(row.n, p), p), (p, row.n)
 
 
 def test_census_first_occurrence():
@@ -207,3 +230,162 @@ def test_divisibility_ladder():
                     bottom = qn_dehomogenized(m - 1, p)
                     quotient = exact_divide(top, bottom)
                     assert quotient * bottom == top
+
+
+# --------------------------------------------------------------------------
+# packed GF(p)[t] kernel, checked against schoolbook arithmetic
+
+KERNEL_PRIMES = (2, 3, 13, 257, 65521, 2 ** 31 - 1, 2 ** 61 - 1)
+
+
+def _umul(f, g, p):
+    """Schoolbook product over F_p: the oracle for the packed kernel."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = (out[i + j] + a * b) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _oracle_mulmod(a, b, f, p):
+    return _udivmod(_umul(a, b, p), f, p)[1]
+
+
+def _oracle_powmod(a, e, f, p):
+    result, base = [1], _udivmod(a, f, p)[1]
+    for _ in range(e):
+        result = _oracle_mulmod(result, base, f, p)
+    return result
+
+
+def _random_dense(length, p, rng):
+    f = [rng.randrange(p) for _ in range(length)]
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _random_monic(n, p, rng):
+    return [rng.randrange(p) for _ in range(n)] + [1]
+
+
+def test_slot_width_rounds_up_never_down():
+    assert _slot_width(255) == 1
+    assert _slot_width(256) == 2
+    assert _slot_width(2 ** 32 - 1) == 4
+    assert _slot_width(2 ** 32) == 8
+    assert _slot_width(2 ** 64 - 1) == 8
+    assert _slot_width(2 ** 64) == 9
+    assert _slot_width(2 ** 72) == 10
+
+
+def test_mulmod_matches_schoolbook_on_random_operands():
+    rng = random.Random(20260)
+    widths = set()
+    for p in KERNEL_PRIMES:
+        for n in (1, 2, 3, 5, 8, 17, 33):
+            f = _random_monic(n, p, rng)
+            mod = _Modulus(f, p)
+            widths.add(mod.width)
+            for _ in range(4):
+                a, b = _random_dense(n, p, rng), _random_dense(n, p, rng)
+                assert mod.mul(a, b) == _oracle_mulmod(a, b, f, p), (p, n)
+                assert mod.mul(a, a) == _oracle_mulmod(a, a, f, p), (p, n)
+            assert mod.mul([], _random_dense(n, p, rng)) == []
+    # every array slot width and the generic wide path ran
+    assert {1, 2, 4, 8} <= widths and max(widths) > 8
+
+
+def test_mulmod_worst_case_operands():
+    # all coefficients p - 1 make every convolution and fold sum maximal
+    rng = random.Random(7)
+    for p in KERNEL_PRIMES:
+        for n in (1, 2, 4, 9, 40):
+            top = [p - 1] * n
+            for f in ([p - 1] * n + [1], _random_monic(n, p, rng)):
+                mod = _Modulus(f, p)
+                assert mod.mul(top, top) == _oracle_mulmod(top, top, f, p), (p, n)
+
+
+def test_mulmod_needs_its_nine_byte_slot():
+    # p = 2^31 - 1, degree 5: n*(p-1)^2 + p needs 9 bytes; an 8-byte slot
+    # would let the worst-case sums carry into the next coefficient
+    p, n = 2 ** 31 - 1, 5
+    f = [p - 1] * n + [1]
+    mod = _Modulus(f, p)
+    assert mod.width == 9
+    top = [p - 1] * n
+    assert mod.mul(top, top) == _oracle_mulmod(top, top, f, p)
+    assert mul_fp(top, top, p) == _umul(top, top, p)
+
+
+def test_upow_mod_matches_schoolbook():
+    rng = random.Random(31337)
+    for p in KERNEL_PRIMES:
+        for n in (1, 2, 3, 6, 11):
+            f = _random_monic(n, p, rng)
+            mod = _Modulus(f, p)
+            for e in (0, 1, 2, 3, 7, 16, 29):
+                a = _random_dense(n + 2, p, rng)  # unreduced base too
+                assert _upow_mod(a, e, mod) == _oracle_powmod(a, e, f, p), (p, n, e)
+
+
+def test_mul_fp_matches_schoolbook():
+    rng = random.Random(5)
+    for p in KERNEL_PRIMES:
+        for la, lb in ((1, 1), (1, 9), (7, 3), (20, 20), (0, 4)):
+            a, b = _random_dense(la, p, rng), _random_dense(lb, p, rng)
+            assert mul_fp(a, b, p) == _umul(a, b, p), (p, la, lb)
+        top = [p - 1] * 30
+        assert mul_fp(top, top, p) == _umul(top, top, p)
+
+
+def test_irreducibility_matches_trial_division():
+    # Rabin's test reads x^(p^(n/l)) from one pass of Frobenius iterates;
+    # composite degrees (4, 6) exercise more than one checkpoint
+    rng = random.Random(11)
+    for p in (2, 3, 5):
+        ring = PolyRing(("t",), GF(p))
+        for n in range(1, 7):
+            for _ in range(8):
+                dense = _random_monic(n, p, rng)
+                f = ring.parse(" + ".join(
+                    f"{c}*t^{i}" for i, c in enumerate(dense) if c))
+                brute = smallest_factor(dense, p)[0] is None
+                assert irreducibility_certified(f) is brute, (p, dense)
+
+
+# --------------------------------------------------------------------------
+# the Q_n family
+
+
+def test_qn_recursion_resumes_out_of_order():
+    _QN_CACHE.clear()
+    got = {n: qn_recursive(n).poly for n in (40, 7, 64, 3)}
+    assert sorted(_QN_CACHE) == list(range(65))
+    a, b = ST_RING.one(), T
+    fresh = [a, b]
+    for _ in range(2, 65):
+        a, b = b, T * b - S ** 2 * a
+        fresh.append(b)
+    for n, poly in got.items():
+        assert poly == fresh[n], n
+    assert all(_QN_CACHE[n].poly == fresh[n] for n in range(65))
+
+
+def test_qn_dehomogenized_matches_substitution():
+    for p in (None, 5, 13):
+        for n in range(65):
+            old = restrict_to_variables(
+                qn_recursive(n).poly.substitute({"s": 1}), ("t",))
+            if p is not None:
+                old = convert(old, PolyRing(("t",), GF(p)))
+            new = qn_dehomogenized(n, p)
+            assert new.ring == old.ring and new == old, (n, p)
+
