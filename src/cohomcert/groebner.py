@@ -10,13 +10,24 @@ by membership_monomial_plus_p via reduction mod p.
 The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
 auto-reduced, so output is deterministic for a fixed input and order.
+
+Bookkeeping: pairs wait in a heap keyed (deg lcm, order key of lcm, i, j),
+each key computed once when the pair is kept; (i, j) is unique, so the
+selection order is exactly "smallest key first".  Every basis element is a
+reducer (lm, terms, support mask of lm, deg lm), so reduction, the
+coprime test, the criteria and minimalization reject most non-divisors by
+a mask and a degree comparison before the exponent scan.  In the
+M-criterion a later candidate lcm has no smaller degree and so divides an
+earlier one only when they are equal: that half of the test is one
+comparison with the next candidate.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import neg
 
 from .polyring import (
     GrevLex,
@@ -195,13 +206,28 @@ def _monicize(terms, key, ops):
     return lm, terms
 
 
+def _support_mask(e) -> int:
+    """Bit i is set iff variable i occurs in the monomial e."""
+    mask = 0
+    for i, x in enumerate(e):
+        if x:
+            mask |= 1 << i
+    return mask
+
+
+def _reducer(lm, terms):
+    """A monic basis element as (lm, terms, support mask of lm, deg lm)."""
+    return lm, terms, _support_mask(lm), sum(lm)
+
+
 def _normal_form_terms(fterms, basis, key, ops):
-    """Full normal form of a term dict against monic (lm, terms) pairs."""
+    """Full normal form of a term dict against reducers (lm, terms, mask,
+    deg); the first reducer in list order whose lm divides a term is used."""
     _, sub, mul, _ = ops
     if not fterms:
         return {}
     work = dict(fterms)
-    heap = [(tuple(-v for v in key(e)), e) for e in work]
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
     heapq.heapify(heap)
     out = {}
     while heap:
@@ -209,33 +235,37 @@ def _normal_form_terms(fterms, basis, key, ops):
         c = work.pop(m, None)
         if c is None:
             continue
-        for lm, terms in basis:
-            if monomial_divides(lm, m):
-                shift = monomial_div(m, lm)
-                for e2, c2 in terms.items():
-                    if e2 == lm:
-                        continue
-                    e = monomial_mul(shift, e2)
-                    prev = work.get(e)
-                    if prev is None:
-                        nc = sub(0, mul(c, c2))
-                        if nc != 0:
-                            work[e] = nc
-                            heapq.heappush(heap, (tuple(-v for v in key(e)), e))
+        mmask = _support_mask(m)
+        dm = sum(m)
+        for lm, terms, lmask, ld in basis:
+            # the mask and degree reject most non-divisors before the scan
+            if lmask & ~mmask or ld > dm or not monomial_divides(lm, m):
+                continue
+            shift = monomial_div(m, lm)
+            for e2, c2 in terms.items():
+                if e2 == lm:
+                    continue
+                e = monomial_mul(shift, e2)
+                prev = work.get(e)
+                if prev is None:
+                    nc = sub(0, mul(c, c2))
+                    if nc != 0:
+                        work[e] = nc
+                        heapq.heappush(heap, (tuple(map(neg, key(e))), e))
+                else:
+                    nc = sub(prev, mul(c, c2))
+                    if nc == 0:
+                        del work[e]
                     else:
-                        nc = sub(prev, mul(c, c2))
-                        if nc == 0:
-                            del work[e]
-                        else:
-                            work[e] = nc
-                break
+                        work[e] = nc
+            break
         else:
             out[m] = c
     return out
 
 
 def _spoly(a, b, ops):
-    """S-polynomial of two monic elements given as (lm, terms)."""
+    """S-polynomial of two monic elements given as reducers."""
     _, sub, _, _ = ops
     l = monomial_lcm(a[0], b[0])
     sa = monomial_div(l, a[0])
@@ -252,58 +282,64 @@ def _spoly(a, b, ops):
 
 
 def _buchberger_core(inputs, key, ops, guard):
-    """Returns (reduced monic basis as (lm, terms) pairs, Diagnostics)."""
-    store: list = []
-    active: list[int] = []
-    pairs: list = []  # (i, j, lcm exponent)
+    """Returns (reduced monic basis as term dicts sorted by leading
+    monomial, Diagnostics)."""
+    store: list = []  # every element ever added, as a reducer
+    active: list[int] = []  # indices into store of the current basis
+    reducers: list = []  # store[g] for g in active, in that order
+    # pairs as (deg lcm, key(lcm), i, j, lcm, support mask of lcm); (i, j)
+    # is unique, so heap order is the normal strategy's order with ties
+    # broken by (i, j), and the comparison never reaches the lcm
+    pairs: list = []
     stats = {"s_pairs": 0, "max_degree": 0}
 
-    def coprime(a, b):
-        return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-    def update(h_idx):
+    def update(h):
         # Gebauer-Moeller pair update on arrival of a new basis element.
-        nonlocal pairs, active
-        hlm = store[h_idx][0]
-        cand = [(g, monomial_lcm(hlm, store[g][0])) for g in active]
-        cand.sort(key=lambda t: (monomial_degree(t[1]), key(t[1]), t[0]))
-        kept: list = []  # (g, lcm, coprime flag)
-        for pos, (g, l) in enumerate(cand):
-            cp = coprime(hlm, store[g][0])
-            if not cp:
-                dominated = any(
-                    monomial_divides(l2, l) for _, l2 in cand[pos + 1:]
-                ) or any(
-                    monomial_divides(l2, l) for _, l2, _ in kept
-                )
-                if dominated:
-                    continue
-            kept.append((g, l, cp))
-        new_pairs = [(g, h_idx, l) for g, l, cp in kept if not cp]
-        old = []
-        for i, j, l in pairs:
-            if (
-                not monomial_divides(hlm, l)
-                or monomial_lcm(store[i][0], hlm) == l
-                or monomial_lcm(hlm, store[j][0]) == l
+        nonlocal pairs, active, reducers
+        hlm, _, hmask, hdeg = store[h]
+        cand = []
+        for g in active:
+            gmask = store[g][2]
+            l = monomial_lcm(hlm, store[g][0])
+            cand.append((sum(l), l, g, hmask | gmask, not hmask & gmask))
+        # Sorted by degree, then lcm, equal lcms sit next to each other in g
+        # order.  A later lcm, of no smaller degree, divides l only if it
+        # equals l, and so does an earlier one of the same degree.  Which
+        # candidates survive therefore does not depend on how the lcms of
+        # one degree are ordered, and the order key is computed only for
+        # the pairs that are kept.
+        cand.sort()
+        kept: list = []  # (lcm, mask) of every candidate kept so far
+        new_pairs = []
+        for pos, (d, l, g, lmask, cp) in enumerate(cand):
+            if not cp and (
+                pos + 1 < len(cand) and cand[pos + 1][1] == l
+                or any(not m2 & ~lmask and monomial_divides(l2, l)
+                       for l2, m2 in kept)
             ):
-                old.append((i, j, l))
-        pairs = old + new_pairs
-        active = [g for g in active if not monomial_divides(hlm, store[g][0])]
-        active.append(h_idx)
+                continue
+            kept.append((l, lmask))
+            if not cp:
+                new_pairs.append((d, key(l), g, h, l, lmask))
+        # B-criterion: drop an old pair (i, j) when h's lm divides its lcm
+        # and that lcm differs from both lcm(i, h) and lcm(h, j)
+        pairs = [
+            t for t in pairs
+            if hmask & ~t[5] or hdeg > t[0] or not monomial_divides(hlm, t[4])
+            or monomial_lcm(store[t[2]][0], hlm) == t[4]
+            or monomial_lcm(hlm, store[t[3]][0]) == t[4]
+        ] + new_pairs
+        heapq.heapify(pairs)
+        active = [
+            g for g in active
+            if hmask & ~store[g][2] or not monomial_divides(hlm, store[g][0])
+        ]
+        active.append(h)
+        reducers = [store[g] for g in active]
 
-    def basis_view():
-        return [store[i] for i in active]
-
-    seeds = sorted(
-        (t for t in inputs if t),
-        key=lambda t: (monomial_degree(max(t, key=key)), key(max(t, key=key))),
-    )
-    for terms in seeds:
-        h = _normal_form_terms(terms, basis_view(), key, ops)
-        if not h:
-            continue
-        store.append(_monicize(h, key, ops))
+    def add(h):
+        lm, terms = _monicize(h, key, ops)
+        store.append(_reducer(lm, terms))
         update(len(store) - 1)
         if len(active) > guard.max_basis:
             raise GuardExceededError(
@@ -311,11 +347,17 @@ def _buchberger_core(inputs, key, ops, guard):
                 Diagnostics(stats["s_pairs"], len(active), stats["max_degree"]),
             )
 
+    seeds = sorted(
+        (t for t in inputs if t),
+        key=lambda t: (monomial_degree(max(t, key=key)), key(max(t, key=key))),
+    )
+    for terms in seeds:
+        h = _normal_form_terms(terms, reducers, key, ops)
+        if h:
+            add(h)
+
     while pairs:
-        best = min(pairs, key=lambda t: (monomial_degree(t[2]), key(t[2]), t[0], t[1]))
-        pairs.remove(best)
-        i, j, l = best
-        deg = monomial_degree(l)
+        deg, _, i, j, _, _ = heapq.heappop(pairs)
         stats["s_pairs"] += 1
         stats["max_degree"] = max(stats["max_degree"], deg)
         if deg > guard.max_degree:
@@ -323,29 +365,24 @@ def _buchberger_core(inputs, key, ops, guard):
                 f"S-pair lcm degree {deg} exceeds the guard ({guard.max_degree})",
                 Diagnostics(stats["s_pairs"], len(active), stats["max_degree"]),
             )
-        h = _normal_form_terms(_spoly(store[i], store[j], ops), basis_view(), key, ops)
-        if not h:
-            continue
-        store.append(_monicize(h, key, ops))
-        update(len(store) - 1)
-        if len(active) > guard.max_basis:
-            raise GuardExceededError(
-                f"basis size {len(active)} exceeds the guard ({guard.max_basis})",
-                Diagnostics(stats["s_pairs"], len(active), stats["max_degree"]),
-            )
+        h = _normal_form_terms(_spoly(store[i], store[j], ops), reducers, key, ops)
+        if h:
+            add(h)
 
-    # minimalize, then tail-reduce against the final leading terms
+    # minimalize, then tail-reduce against the final leading terms; a
+    # minimal element's monic leading term is divisible by no other, so it
+    # survives the reduction unchanged
     order_sorted = sorted(active, key=lambda i: key(store[i][0]))
-    minimal: list[int] = []
+    minimal: list = []
     for i in order_sorted:
-        if not any(monomial_divides(store[j][0], store[i][0]) for j in minimal):
-            minimal.append(i)
-    reduced = []
-    for i in minimal:
-        others = [store[j] for j in minimal if j != i]
-        h = _normal_form_terms(store[i][1], others, key, ops)
-        reduced.append(_monicize(h, key, ops))
-    reduced.sort(key=lambda t: key(t[0]))
+        lm, _, mask, _ = store[i]
+        if not any(not m2 & ~mask and monomial_divides(lm2, lm)
+                   for lm2, _, m2, _ in minimal):
+            minimal.append(store[i])
+    reduced = []  # ascending by leading monomial, like minimal
+    for r in minimal:
+        others = [o for o in minimal if o is not r]
+        reduced.append(_normal_form_terms(r[1], others, key, ops))
     diag = Diagnostics(stats["s_pairs"], len(reduced), stats["max_degree"])
     return reduced, diag
 
@@ -362,6 +399,14 @@ class GroebnerBasis:
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     diagnostics: Diagnostics
+    # basis as reducers, derived once so normal_form need not redo it
+    _reducers: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = self.order.key(self.ring)
+        object.__setattr__(self, "_reducers", tuple(
+            _reducer(max(g.terms, key=key), g.terms) for g in self.basis
+        ))
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self)
@@ -390,7 +435,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
     raw, diag = _buchberger_core(
         [g.terms for g in ideal.generators], key, ops, guard
     )
-    basis = tuple(Polynomial(ring, terms, _normalized=True) for _, terms in raw)
+    basis = tuple(Polynomial(ring, terms, _normalized=True) for terms in raw)
     gb = GroebnerBasis(ring, order, basis, diag)
     _GB_CACHE[cache_key] = gb
     return gb
@@ -401,8 +446,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise RingMismatchError(f"{f.ring} != {gb.ring}")
     ops = _field_ops(gb.ring.domain)
     key = gb.order.key(gb.ring)
-    pairs = [(max(g.terms, key=key), g.terms) for g in gb.basis]
-    out = _normal_form_terms(f.terms, pairs, key, ops)
+    out = _normal_form_terms(f.terms, gb._reducers, key, ops)
     return Polynomial(gb.ring, out, _normalized=True)
 
 

@@ -30,18 +30,39 @@ class ParseError(ValueError):
     """Polynomial text could not be parsed."""
 
 
+# Miller-Rabin with the prime bases 2..37 has no strong pseudoprime below
+# this bound (OEIS A014233), so the test is exact there
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_EXACT_BELOW:
+        d = 41
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -11,6 +11,7 @@ the per-check wall-clock fields.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -559,6 +560,10 @@ class Scenario:
 # enumeration and lambda_p both grow with p, so p comes from a fixed range
 TORSION_PRIME_BOUNDS = (2, 31)
 
+# the largest modulus a scenario or a census certificate may name (p,
+# census_p, GF(p) domains); checked before any primality test
+PRIME_BOUND = 2 ** 64
+
 _SCENARIOS = (
     Scenario(
         "hartshorne",
@@ -613,7 +618,7 @@ _SCENARIOS = (
         "ann_(K[s,t]) of eta_n in the normal hypersurface S equals (Q_(n-1)); "
         "the n = q cases double as Frobenius-power witnesses",
         {"p": 2, "n_max": 3, "k": 0, "q_list": [2]},
-        {"n_max": (1, 4), "k": (0, 1)},
+        {"n_max": (1, 6), "k": (0, 2)},
         _run_singh_swanson,
     ),
     Scenario(
@@ -648,10 +653,13 @@ def list_scenarios() -> list[tuple[str, str]]:
 
 
 def _is_field_name(text) -> bool:
-    """Is text "QQ" or "GF(p)" with p prime?"""
+    """Is text "QQ" or "GF(p)" with p a prime at most PRIME_BOUND?"""
     if not isinstance(text, str):
         return False
     try:
+        m = re.fullmatch(r"GF\((\d+)\)", text.strip())
+        if m and int(m.group(1)) > PRIME_BOUND:
+            return False
         return domain_from_string(text).is_field
     except ValueError:
         return False
@@ -673,8 +681,13 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
                 f"parameter {key}={v!r} outside documented bounds [{lo}, {hi}]"
             )
     for key in ("p", "census_p"):
-        if key in params and not is_prime(params[key]):
-            raise ValueError(f"parameter {key}={params[key]} must be prime")
+        if key not in params:
+            continue
+        v = params[key]
+        if type(v) is not int or v > PRIME_BOUND:
+            raise ValueError(f"parameter {key}={v!r} must be an int at most 2^64")
+        if not is_prime(v):
+            raise ValueError(f"parameter {key}={v} must be prime")
     # one check per entry: an empty list would pass with nothing checked
     for key in ("primes", "domains"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
@@ -682,7 +695,9 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     if "domains" in params:
         bad = [d for d in params["domains"] if not _is_field_name(d)]
         if bad:
-            raise ValueError(f"domains entries must name QQ or GF(p), p prime: {bad}")
+            raise ValueError(
+                f"domains entries must name QQ or GF(p), p a prime at most 2^64: {bad}"
+            )
     if "primes" in params:
         primes = params["primes"]
         lo, hi = TORSION_PRIME_BOUNDS
@@ -878,7 +893,7 @@ def _census_work_bounded(data, report) -> bool:
         and isinstance(rows, list) and len(rows) == n_max \
         and all(isinstance(row, dict) and type(row.get("n")) is int
                 and row["n"] == i for i, row in enumerate(rows, 1)) \
-        and is_prime(p)
+        and p <= PRIME_BOUND and is_prime(p)
 
 
 def _verify_census(cert, report):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -136,12 +137,23 @@ def test_run_empty_list_parameters_exit_two(tmp_path, capsys):
         assert "nonempty" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("domains", [["ZZ"], [3], ["QQ", "GF(4)"]])
+@pytest.mark.parametrize("domains", [["ZZ"], [3], ["QQ", "GF(4)"],
+                                     ["GF(18446744073709551629)"]])
 def test_run_non_field_domains_exit_two(tmp_path, capsys, domains):
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"domains": domains}))
     assert main(["run", "ptor2-theorem", "--params", str(path)]) == 2
     assert "bad parameters" in capsys.readouterr().err
+
+
+def test_run_census_p_above_the_prime_bound_exit_two(tmp_path, capsys):
+    # 2^64 + 13 is prime; the bound rejects it before any primality test
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"census_p": 2 ** 64 + 13}))
+    t0 = time.perf_counter()
+    assert main(["run", "toeplitz-suite", "--params", str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert "2^64" in capsys.readouterr().err
 
 
 def test_params_file(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,10 +27,26 @@ from cohomcert import (
     membership,
     membership_monomial_plus_p,
     normal_form,
+    run_scenario,
 )
-from cohomcert.groebner import _GB_CACHE
+from cohomcert import groebner
+from cohomcert.cohomology import CechClass, annihilator_in_subring
+from cohomcert.groebner import (
+    _GB_CACHE,
+    _field_ops,
+    _normal_form_terms,
+    _reducer,
+    _support_mask,
+)
+from cohomcert.polyring import GrevLex, monomial_divides
+from cohomcert.scenarios import _singh_swanson_ring
 
-from helpers import brute_force_membership, random_homogeneous, random_polynomial
+from helpers import (
+    brute_force_membership,
+    monomials_up_to_degree,
+    random_homogeneous,
+    random_polynomial,
+)
 
 RQ = PolyRing(("x", "y"), QQ)
 R5 = PolyRing(("x", "y"), GF(5))
@@ -353,3 +371,155 @@ def test_zero_ideal_membership():
     assert Z.is_zero
     assert membership(RQ.zero(), Z)
     assert not membership(x, Z)
+
+
+# --------------------------------------------------------------------------
+# pinned outputs: the S-pair selection order decides every basis and every
+# Diagnostics, so these values (recorded before the pair queue became a
+# keyed heap) must not move
+
+
+def _basis_digest(gb):
+    text = "\n".join(str(g) for g in gb.basis)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _record_buchberger_runs(monkeypatch, thunk):
+    """Every distinct basis the engine computes while thunk runs, in order."""
+    runs = []
+    real = groebner.buchberger
+
+    def recording(ideal, order=groebner.DEFAULT_ORDER, guard=groebner.DEFAULT_GUARD):
+        gb = real(ideal, order, guard)
+        if all(gb is not r for r in runs):
+            runs.append(gb)
+        return gb
+
+    monkeypatch.setattr(groebner, "_GB_CACHE", {})
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    thunk()
+    return runs
+
+
+def test_pinned_singh_swanson_annihilator_colon(monkeypatch):
+    # the n = 4, k = 1 annihilator of the colon workload, over GF(2)
+    ring, relation = _singh_swanson_ring(2)
+    s, t, u, v, w, x, y, z = ring.gens()
+    n = 4
+    cech = CechClass(QuotientRing(ring, (relation,)), (x, y, z), n,
+                     s * (u * x) * (v * y) ** (n - 1) * z ** (n - 1))
+    runs = _record_buchberger_runs(
+        monkeypatch, lambda: annihilator_in_subring(cech, ("s", "t"), 1))
+    assert [(str(gb.order), gb.diagnostics.as_dict(), _basis_digest(gb))
+            for gb in runs] == [
+        ("eliminate(_t)", {"s_pairs": 359, "basis_size": 76, "max_degree": 24},
+         "3bc248fe28575631"),
+        ("eliminate(u,v,w,x,y,z)",
+         {"s_pairs": 17, "basis_size": 12, "max_degree": 7},
+         "872043b577a06101"),
+    ]
+
+
+def test_pinned_hartshorne_ideal():
+    ring = PolyRing(("w", "x", "y", "z"), GF(101))
+    w, x, y, z = ring.gens()
+    _GB_CACHE.clear()
+    gb = buchberger(Ideal(ring, (x ** 5 * z ** 2, y ** 5, w * x - y * z)))
+    assert gb.diagnostics.as_dict() == \
+        {"s_pairs": 13, "basis_size": 7, "max_degree": 12}
+    assert [str(g) for g in gb.basis] == [
+        "w*x + 100*y*z", "y^5", "x^5*z^2", "x^4*y*z^3", "x^3*y^2*z^4",
+        "x^2*y^3*z^5", "x*y^4*z^6",
+    ]
+    _GB_CACHE.clear()
+
+
+def test_pinned_random_grevlex_ideal():
+    ring = PolyRing(("a", "b", "c", "d"), GF(101))
+    rng = random.Random(1)
+    mons = list(monomials_up_to_degree(4, 3))
+    gens = tuple(
+        Polynomial(ring, {m: rng.randint(1, 100) for m in rng.sample(mons, 4)})
+        for _ in range(3)
+    )
+    assert [str(g) for g in gens] == [
+        "58*a^2*b + 61*a*c + 64*a*d + 98*d",
+        "78*c^3 + 4*a*d^2 + 56*a*b + 50*c*d",
+        "41*a^2*c + 14*b*c^2 + 4*d^2 + 76",
+    ]
+    _GB_CACHE.clear()
+    gb = buchberger(Ideal(ring, gens))
+    assert gb.diagnostics.as_dict() == \
+        {"s_pairs": 26, "basis_size": 13, "max_degree": 9}
+    assert _basis_digest(gb) == "926bbb05dd80e75d"
+    _GB_CACHE.clear()
+
+
+def test_pinned_ptor2_guard_abort():
+    # e = 3 is inside the documented bounds and still aborts, as recorded
+    report = run_scenario("ptor2-theorem", {"e": 3})
+    assert [(c.status, c.actual, c.diagnostics) for c in report.checks] == [
+        ("fail", "degree guard: S-pair lcm degree 159 exceeds the guard (120)",
+         {"s_pairs": 1, "basis_size": 3, "max_degree": 159}),
+    ] * 2
+
+
+def test_mask_prefilter_agrees_with_monomial_divides():
+    rng = random.Random(46)
+    ops = _field_ops(GF(101))
+    key = GrevLex().key(PolyRing(("a", "b", "c", "d", "e"), GF(101)))
+    zero = (0,) * 5
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        # mostly small exponents, so zeros and true divisors both occur
+        a = tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(5))
+        b = tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(5))
+        for a1, b1 in ((a, b), (zero, b), (a, zero), (zero, zero)):
+            expect = monomial_divides(a1, b1)
+            seen[expect] += 1
+            ma, mb = _support_mask(a1), _support_mask(b1)
+            assert ma == sum(1 << i for i, x in enumerate(a1) if x)
+            # the prefilter rejects only non-divisors
+            if expect:
+                assert not ma & ~mb and sum(a1) <= sum(b1)
+            # the engine's own reduction: x^b is reduced by x^a iff a | b
+            reduced = _normal_form_terms({b1: 1}, [_reducer(a1, {a1: 1})], key, ops)
+            assert (reduced == {}) == expect
+    assert seen[True] > 1000 and seen[False] > 1000
+
+
+def _sympy_reduced_basis(sympy, gens, ring, order):
+    """The reduced basis sympy computes, as a set of frozen term dicts in
+    this ring's coefficients."""
+    symbols = sympy.symbols(ring.variables)
+    dom = ring.domain
+    exprs = [sympy.Poly.from_dict({e: sympy.sympify(c) for e, c in g.terms.items()},
+                                  *symbols).as_expr() for g in gens]
+    kwargs = {"modulus": dom.p} if dom.kind == "prime_field" else {"domain": "QQ"}
+    gb = sympy.groebner(exprs, *symbols, order=order, **kwargs)
+    return {
+        frozenset((e, dom.normalize(Fraction(int(c.numerator), int(c.denominator))
+                                    if dom.kind == "rational" else int(c)))
+                  for e, c in poly.terms())
+        for poly in gb.polys
+    }
+
+
+def test_reduced_bases_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    mons = list(monomials_up_to_degree(3, 2))
+    sizes = []
+    for dom in (GF(101), GF(7), QQ):
+        ring = PolyRing(("x", "y", "z"), dom)
+        for _ in range(6):
+            gens = tuple(
+                Polynomial(ring, {m: rng.randint(1, 9) for m in rng.sample(mons, 3)})
+                for _ in range(rng.randint(2, 3))
+            )
+            for order, name in ((Lex(), "lex"), (GrevLex(), "grevlex")):
+                gb = buchberger(Ideal(ring, gens), order)
+                ours = {frozenset(g.terms.items()) for g in gb.basis}
+                assert ours == _sympy_reduced_basis(sympy, gens, ring, name)
+                sizes.append(len(gb.basis))
+    assert len(sizes) == 36 and sum(n >= 3 for n in sizes) >= 18

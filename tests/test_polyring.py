@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from cohomcert import (
     reduce_mod_p,
     restrict_to_variables,
 )
+from cohomcert.polyring import is_prime
 
 RQ = PolyRing(("x", "y"), QQ)
 RZ = PolyRing(("x", "y"), ZZ)
@@ -291,3 +293,27 @@ def test_prime_field_requires_prime():
         GF(6)
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_is_prime_matches_a_sieve():
+    limit = 10 ** 5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit ** 0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == \
+        [n for n in range(limit) if sieve[n]]
+    assert not is_prime(-7)
+
+
+@pytest.mark.parametrize("n, expected", [
+    (3215031751, False),           # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),  # strong pseudoprime to bases 2..23
+    (2 ** 61 - 1, True),
+    (10 ** 16 + 61, True),
+])
+def test_is_prime_large_inputs_fast(n, expected):
+    t0 = time.perf_counter()
+    assert is_prime(n) is expected
+    assert time.perf_counter() - t0 < 0.01

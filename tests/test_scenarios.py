@@ -47,6 +47,12 @@ def test_parameter_validation():
         run_scenario("singh-p-torsion", {"primes": []})
     with pytest.raises(ValueError):
         run_scenario("ptor2-theorem", {"domains": []})
+    # moduli above 2^64 are rejected before any primality test
+    for params in ({"p": 2 ** 64 + 13}, {"p": "101"}):
+        with pytest.raises(ValueError):
+            run_scenario("ring-A-colon", params)
+    with pytest.raises(ValueError):
+        run_scenario("ptor2-theorem", {"domains": ["GF(18446744073709551629)"]})
 
 
 @pytest.mark.parametrize("primes", [[37], [2, 37], [101], [1], [-2], [3, 3],
@@ -109,6 +115,17 @@ def test_ring_a_annihilators_match_qn():
 def test_ring_b_report():
     report = run_scenario("ring-B-colon", {"n_max": 3})
     assert report.passed and len(report.checks) == 3
+
+
+def test_singh_swanson_bound_tops_run_and_reverify():
+    report = run_scenario("singh-swanson-S", {"n_max": 6, "k": 2})
+    assert report.passed
+    assert [c.name for c in report.checks] == \
+        [f"annihilator-n{n}" for n in range(1, 7)] + ["frobenius-witness-q2"]
+    assert reverify(json.loads(json.dumps(report.to_json_dict())))
+    for over in ({"n_max": 7}, {"k": 3}):
+        with pytest.raises(ValueError):
+            run_scenario("singh-swanson-S", over)
 
 
 def test_singh_swanson_report():
@@ -324,6 +341,11 @@ def _census_row_n_not_int(report):
     _census_of(report)["rows"][0]["n"] = True
 
 
+def _census_p_above_the_prime_bound(report):
+    # 2^64 + 13 is prime; the bound rejects it before any primality test
+    _census_of(report)["p"] = report["params"]["census_p"] = 2 ** 64 + 13
+
+
 @pytest.mark.parametrize("tamper", [
     _census_p_string,             # p is not an int
     _census_p_not_prime,          # p is not prime
@@ -335,6 +357,7 @@ def _census_row_n_not_int(report):
     _census_row_n_2000,
     _census_rows_out_of_order,
     _census_row_n_not_int,
+    _census_p_above_the_prime_bound,
 ])
 def test_reverify_bounds_census_work(census_report, tamper):
     tampered = copy.deepcopy(census_report)
