@@ -11,15 +11,35 @@ The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
 auto-reduced, so output is deterministic for a fixed input and order.
 
+Monomials: inside the engine every exponent vector is one Python int,
+packed on entry (buchberger, normal_form, GroebnerBasis._packing) and
+unpacked on exit.  The layout is compiled once per (variables, order,
+width).  Each field has `bits` value bits and a guard bit on top, and the
+fields run most significant first in the order's own comparison sequence:
+grevlex [deg | e_n ... e_1], lex [e_1 ... e_n | deg], and BlockElimination
+[deg front | front reversed | inner layout of the rest], composing
+recursively.  The fields the order compares descending are complemented
+by XOR with all-ones, so the order key is the int P ^ X and the heaps hold
+-(P ^ X).  A product is a + b, a quotient b - a, x^a divides x^b iff
+((b | G) - a) & G == G for the guard bits G, and the lcm selects each
+exponent field by the same subtraction and then recomputes the degree
+fields by one multiplication per block.
+
+Width: the value bits start with room for twice the larger of
+guard.max_degree and the largest input total degree, and never fewer than
+8.  Every product (through the fieldwise maximum of a reducer's tail) and
+the degree fields of every lcm kept are checked against the guard bits;
+on overflow the computation restarts with twice the width.  The engine is
+deterministic, so a restart changes nothing but the time taken, and
+nothing wraps.
+
 Bookkeeping: pairs wait in a heap keyed (deg lcm, order key of lcm, i, j),
 each key computed once when the pair is kept; (i, j) is unique, so the
-selection order is exactly "smallest key first".  Every basis element is a
-reducer (lm, terms, support mask of lm, deg lm), so reduction, the
-coprime test, the criteria and minimalization reject most non-divisors by
-a mask and a degree comparison before the exponent scan.  In the
-M-criterion a later candidate lcm has no smaller degree and so divides an
-earlier one only when they are equal: that half of the test is one
-comparison with the next candidate.
+selection order is exactly "smallest key first".  The candidates of a
+pair update are sorted by their packed lcm, which puts every proper
+divisor first and equal lcms side by side: in the M-criterion a later
+lcm divides an earlier one only when they are equal, and that half of
+the test is one comparison with the next candidate.
 """
 
 from __future__ import annotations
@@ -27,11 +47,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import neg
+from functools import lru_cache
 
 from .polyring import (
     GrevLex,
     BlockElimination,
+    Lex,
     MonomialOrder,
     Polynomial,
     PolyRing,
@@ -39,10 +60,8 @@ from .polyring import (
     NonDivisibleError,
     ZZ,
     is_prime,
-    monomial_degree,
     monomial_div,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
     reduce_mod_p,
 )
@@ -156,190 +175,295 @@ class QuotientRing:
 
 
 # --------------------------------------------------------------------------
-# engine internals: terms are dicts {exponent tuple: coefficient}
+# engine internals: terms are dicts {packed monomial: coefficient}
 
 
 def _field_ops(domain):
+    """(norm, inv): norm maps an integer or rational combination of field
+    elements to its canonical value, inv inverts a nonzero element."""
     if domain.kind == "prime_field":
         p = domain.p
-
-        def add(a, b):
-            return (a + b) % p
-
-        def sub(a, b):
-            return (a - b) % p
-
-        def mul(a, b):
-            return (a * b) % p
 
         def inv(a):
             return pow(a, p - 2, p)
 
-        return add, sub, mul, inv
+        return p.__rmod__, inv
     if domain.kind == "rational":
 
-        def add(a, b):
-            return a + b
-
-        def sub(a, b):
-            return a - b
-
-        def mul(a, b):
-            return a * b
+        def norm(a):
+            return a
 
         def inv(a):
             return Fraction(1) / a
 
-        return add, sub, mul, inv
+        return norm, inv
     raise DomainNotSupportedError(
         f"Groebner computations need field coefficients, not {domain}"
     )
 
 
-def _monicize(terms, key, ops):
-    _, _, mul, inv = ops
-    lm = max(terms, key=key)
+class _Overflow(Exception):
+    """A packed field outgrew its width; the caller widens and restarts."""
+
+
+def _fields(order, names, idx):
+    """Fields of the packed layout of `order` on the variables `names` (at
+    ring positions idx), most significant first, as (positions summed,
+    complemented).  An exponent field sums one position."""
+    if not idx:
+        return []
+    if isinstance(order, Lex):
+        return [((i,), False) for i in idx] + [(tuple(idx), False)]
+    if isinstance(order, GrevLex):
+        return [(tuple(idx), False)] + [((i,), True) for i in reversed(idx)]
+    if isinstance(order, BlockElimination):
+        where = {v: k for k, v in enumerate(names)}
+        fk = [where[v] for v in order.front]
+        rk = [k for k in range(len(names)) if k not in set(fk)]
+        front = [idx[k] for k in fk]
+        out = [(tuple(front), False)] if front else []
+        out += [((i,), True) for i in reversed(front)]
+        return out + _fields(order.inner, tuple(names[k] for k in rk),
+                             [idx[k] for k in rk])
+    raise TypeError(f"no packed layout for the monomial order {order!r}")
+
+
+class _Layout:
+    """Exponent vectors packed into one int for one (variables, order,
+    bits); see the module docstring.  `flip` is X, `guard` is G, `exps`
+    covers the value bits of the exponent fields, and the degree fields,
+    whose blocks partition the variables, add up to the total degree."""
+
+    def __init__(self, variables, order, bits):
+        stride = bits + 1
+        fields = _fields(order, variables, list(range(len(variables))))
+        self.bits = bits
+        self.value = (1 << bits) - 1
+        self.offsets = [0] * len(variables)  # offset of each exponent field
+        self.guard = self.flip = self.exps = 0
+        placed = set()
+        sums = []
+        for k, (pos, complemented) in enumerate(reversed(fields)):
+            off = k * stride
+            self.guard |= 1 << (off + bits)
+            if complemented:
+                self.flip |= self.value << off
+            if len(pos) == 1 and pos[0] not in placed:
+                placed.add(pos[0])
+                self.offsets[pos[0]] = off
+                self.exps |= self.value << off
+            else:
+                sums.append((pos, off))
+        # a degree field is the sum of a contiguous run of exponent fields:
+        # multiplying the run by 1 + 2^stride + ... puts the running sums in
+        # successive fields, the full sum in the run's top one, and no
+        # partial sum of an lcm reaches the next field (each is at most
+        # 2 * (2^bits - 1)); a shift then moves the full sum into place
+        self.sums = []
+        for pos, off in sums:
+            offs = sorted(self.offsets[i] for i in pos)
+            lo, top = offs[0], offs[-1]
+            assert offs == list(range(lo, top + 1, stride))
+            mult = sum(1 << (o - lo) for o in offs)
+            mask = sum(self.value << o for o in offs)
+            up, down = max(off - top, 0), max(top - off, 0)
+            self.sums.append((mask, mult << up, down,
+                              ((1 << stride) - 1) << off))
+        self.degree_offsets = tuple(off for _, off in sums)
+
+    def pack(self, e) -> int:
+        m = 0
+        for x, off in zip(e, self.offsets):
+            m |= x << off
+        return self.with_sums(m)
+
+    def unpack(self, m) -> tuple:
+        v = self.value
+        return tuple((m >> off) & v for off in self.offsets)
+
+    def with_sums(self, m):
+        for mask, mult, down, field in self.sums:
+            m |= ((m & mask) * mult >> down) & field
+        if m & self.guard:
+            raise _Overflow
+        return m
+
+    def degree(self, m) -> int:
+        v = self.value
+        return sum((m >> off) & v for off in self.degree_offsets)
+
+    def lcm(self, a, b) -> int:
+        # guard bit of a field set iff a's field >= b's; spread it over the
+        # field's value bits to select a's exponents there, b's elsewhere
+        g = self.guard
+        d = ((a | g) - b) & g
+        sel = (d - (d >> self.bits)) & self.exps
+        return self.with_sums((b ^ ((a ^ b) & sel)) & self.exps)
+
+    def fieldwise_max(self, a, b) -> int:
+        g = self.guard
+        d = ((a | g) - b) & g
+        return b ^ ((a ^ b) & (d - (d >> self.bits)))
+
+
+@lru_cache(maxsize=64)
+def _layout(variables, order, bits) -> _Layout:
+    return _Layout(variables, order, bits)
+
+
+def _start_bits(degree) -> int:
+    """Value bits for inputs of total degree <= degree: room for twice it."""
+    return max(8, (2 * degree).bit_length())
+
+
+def _reducer(lm, terms, lay):
+    """A monic basis element as (lm, tail terms, fieldwise max of the tail,
+    terms); every product shift * tail term stays inside its fields iff
+    shift * max does."""
+    tail = tuple((e, c) for e, c in terms.items() if e != lm)
+    top = 0
+    for e, _ in tail:
+        top = lay.fieldwise_max(top, e)
+    return lm, tail, top, terms
+
+
+def _monicize(terms, lay, ops):
+    """A normal form as a monic reducer; its first term is its leading one."""
+    norm, inv = ops
+    lm = next(iter(terms))
     lc = terms[lm]
     if lc != 1:
         ic = inv(lc)
-        terms = {e: mul(c, ic) for e, c in terms.items()}
-    return lm, terms
+        terms = {e: norm(c * ic) for e, c in terms.items()}
+    return _reducer(lm, terms, lay)
 
 
-def _support_mask(e) -> int:
-    """Bit i is set iff variable i occurs in the monomial e."""
-    mask = 0
-    for i, x in enumerate(e):
-        if x:
-            mask |= 1 << i
-    return mask
-
-
-def _reducer(lm, terms):
-    """A monic basis element as (lm, terms, support mask of lm, deg lm)."""
-    return lm, terms, _support_mask(lm), sum(lm)
-
-
-def _normal_form_terms(fterms, basis, key, ops):
-    """Full normal form of a term dict against reducers (lm, terms, mask,
-    deg); the first reducer in list order whose lm divides a term is used."""
-    _, sub, mul, _ = ops
+def _normal_form_terms(fterms, basis, lay, ops):
+    """Full normal form of a packed term dict against reducers; the first
+    reducer in list order whose lm divides a term is used.  The result
+    lists its terms in descending order."""
+    norm = ops[0]
     if not fterms:
         return {}
+    flip, g = lay.flip, lay.guard
+    heappush, heappop = heapq.heappush, heapq.heappop
     work = dict(fterms)
-    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    heap = [-(e ^ flip) for e in work]
     heapq.heapify(heap)
     out = {}
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heappop(heap) ^ flip
         c = work.pop(m, None)
         if c is None:
             continue
-        mmask = _support_mask(m)
-        dm = sum(m)
-        for lm, terms, lmask, ld in basis:
-            # the mask and degree reject most non-divisors before the scan
-            if lmask & ~mmask or ld > dm or not monomial_divides(lm, m):
+        mg = m | g
+        for lm, tail, top, _ in basis:
+            if (mg - lm) & g != g:  # lm does not divide m
                 continue
-            shift = monomial_div(m, lm)
-            for e2, c2 in terms.items():
-                if e2 == lm:
-                    continue
-                e = monomial_mul(shift, e2)
+            shift = m - lm
+            if (shift + top) & g:
+                raise _Overflow
+            for e2, c2 in tail:
+                e = shift + e2
                 prev = work.get(e)
                 if prev is None:
-                    nc = sub(0, mul(c, c2))
-                    if nc != 0:
-                        work[e] = nc
-                        heapq.heappush(heap, (tuple(map(neg, key(e))), e))
+                    work[e] = norm(-c * c2)
+                    heappush(heap, -(e ^ flip))
                 else:
-                    nc = sub(prev, mul(c, c2))
-                    if nc == 0:
-                        del work[e]
-                    else:
+                    nc = norm(prev - c * c2)
+                    if nc:
                         work[e] = nc
+                    else:
+                        del work[e]
             break
         else:
             out[m] = c
     return out
 
 
-def _spoly(a, b, ops):
-    """S-polynomial of two monic elements given as reducers."""
-    _, sub, _, _ = ops
-    l = monomial_lcm(a[0], b[0])
-    sa = monomial_div(l, a[0])
-    sb = monomial_div(l, b[0])
-    out = {monomial_mul(sa, e): c for e, c in a[1].items()}
-    for e, c in b[1].items():
-        e2 = monomial_mul(sb, e)
-        nc = sub(out.get(e2, 0), c)
-        if nc == 0:
-            out.pop(e2, None)
-        else:
+def _spoly(a, b, l, g, ops):
+    """S-polynomial of two monic reducers whose leading monomials have lcm
+    l; the leading terms cancel, so only the tails are multiplied."""
+    norm = ops[0]
+    sa = l - a[0]
+    sb = l - b[0]
+    if (sa + a[2]) & g or (sb + b[2]) & g:
+        raise _Overflow
+    out = {sa + e: c for e, c in a[1]}
+    for e, c in b[1]:
+        e2 = sb + e
+        nc = norm(out.get(e2, 0) - c)
+        if nc:
             out[e2] = nc
+        else:
+            out.pop(e2, None)
     return out
 
 
-def _buchberger_core(inputs, key, ops, guard):
-    """Returns (reduced monic basis as term dicts sorted by leading
-    monomial, Diagnostics)."""
+def _buchberger_core(inputs, lay, ops, guard):
+    """Returns (reduced monic basis as reducers ascending by leading
+    monomial, Diagnostics); inputs and output are packed."""
+    flip, g, exps, bits = lay.flip, lay.guard, lay.exps, lay.bits
+    lcm, degree, with_sums = lay.lcm, lay.degree, lay.with_sums
     store: list = []  # every element ever added, as a reducer
     active: list[int] = []  # indices into store of the current basis
-    reducers: list = []  # store[g] for g in active, in that order
-    # pairs as (deg lcm, key(lcm), i, j, lcm, support mask of lcm); (i, j)
-    # is unique, so heap order is the normal strategy's order with ties
-    # broken by (i, j), and the comparison never reaches the lcm
+    reducers: list = []  # store[i] for i in active, in that order
+    # pairs as (deg lcm, order key of lcm, i, j, lcm); (i, j) is unique, so
+    # heap order is the normal strategy's order with ties broken by (i, j),
+    # and the comparison never reaches the lcm
     pairs: list = []
     stats = {"s_pairs": 0, "max_degree": 0}
 
     def update(h):
         # Gebauer-Moeller pair update on arrival of a new basis element.
         nonlocal pairs, active, reducers
-        hlm, _, hmask, hdeg = store[h]
+        hlm = store[h][0]
+        he = hlm & exps
         cand = []
-        for g in active:
-            gmask = store[g][2]
-            l = monomial_lcm(hlm, store[g][0])
-            cand.append((sum(l), l, g, hmask | gmask, not hmask & gmask))
-        # Sorted by degree, then lcm, equal lcms sit next to each other in g
-        # order.  A later lcm, of no smaller degree, divides l only if it
-        # equals l, and so does an earlier one of the same degree.  Which
-        # candidates survive therefore does not depend on how the lcms of
-        # one degree are ordered, and the order key is computed only for
-        # the pairs that are kept.
+        for i in active:
+            # the lcm's exponent fields, by the select of _Layout.lcm; its
+            # degree fields are filled in only for the pairs kept
+            ie = store[i][0] & exps
+            d = ((he | g) - ie) & g
+            le = ie ^ ((he ^ ie) & (d - (d >> bits)))
+            cand.append((le, i, le == he + ie))
+        # Sorted by lcm, equal lcms sit next to each other in i order, and
+        # every proper divisor of an lcm comes before it (the packed int
+        # grows with each field).  Whether a candidate survives depends only
+        # on its divisors, so the survivors are those of any other order
+        # that refines divisibility, such as degree first.
         cand.sort()
-        kept: list = []  # (lcm, mask) of every candidate kept so far
+        kept: list = []  # lcm exponents of every candidate kept so far
         new_pairs = []
-        for pos, (d, l, g, lmask, cp) in enumerate(cand):
-            if not cp and (
-                pos + 1 < len(cand) and cand[pos + 1][1] == l
-                or any(not m2 & ~lmask and monomial_divides(l2, l)
-                       for l2, m2 in kept)
-            ):
+        for pos, (le, i, coprime) in enumerate(cand):
+            if coprime:
+                kept.append(le)
                 continue
-            kept.append((l, lmask))
-            if not cp:
-                new_pairs.append((d, key(l), g, h, l, lmask))
+            if pos + 1 < len(cand) and cand[pos + 1][0] == le:
+                continue
+            lg = le | g
+            for l2 in kept:
+                if (lg - l2) & g == g:
+                    break
+            else:
+                kept.append(le)
+                l = with_sums(le)
+                new_pairs.append((degree(l), l ^ flip, i, h, l))
         # B-criterion: drop an old pair (i, j) when h's lm divides its lcm
         # and that lcm differs from both lcm(i, h) and lcm(h, j)
         pairs = [
             t for t in pairs
-            if hmask & ~t[5] or hdeg > t[0] or not monomial_divides(hlm, t[4])
-            or monomial_lcm(store[t[2]][0], hlm) == t[4]
-            or monomial_lcm(hlm, store[t[3]][0]) == t[4]
+            if ((t[4] | g) - hlm) & g != g
+            or lcm(store[t[2]][0], hlm) == t[4]
+            or lcm(hlm, store[t[3]][0]) == t[4]
         ] + new_pairs
         heapq.heapify(pairs)
-        active = [
-            g for g in active
-            if hmask & ~store[g][2] or not monomial_divides(hlm, store[g][0])
-        ]
+        active = [i for i in active if ((store[i][0] | g) - hlm) & g != g]
         active.append(h)
-        reducers = [store[g] for g in active]
+        reducers = [store[i] for i in active]
 
     def add(h):
-        lm, terms = _monicize(h, key, ops)
-        store.append(_reducer(lm, terms))
+        store.append(_monicize(h, lay, ops))
         update(len(store) - 1)
         if len(active) > guard.max_basis:
             raise GuardExceededError(
@@ -347,17 +471,17 @@ def _buchberger_core(inputs, key, ops, guard):
                 Diagnostics(stats["s_pairs"], len(active), stats["max_degree"]),
             )
 
-    seeds = sorted(
-        (t for t in inputs if t),
-        key=lambda t: (monomial_degree(max(t, key=key)), key(max(t, key=key))),
-    )
-    for terms in seeds:
-        h = _normal_form_terms(terms, reducers, key, ops)
+    def leading(terms):
+        lm = max(e ^ flip for e in terms) ^ flip
+        return degree(lm), lm ^ flip
+
+    for terms in sorted((t for t in inputs if t), key=leading):
+        h = _normal_form_terms(terms, reducers, lay, ops)
         if h:
             add(h)
 
     while pairs:
-        deg, _, i, j, _, _ = heapq.heappop(pairs)
+        deg, _, i, j, l = heapq.heappop(pairs)
         stats["s_pairs"] += 1
         stats["max_degree"] = max(stats["max_degree"], deg)
         if deg > guard.max_degree:
@@ -365,24 +489,21 @@ def _buchberger_core(inputs, key, ops, guard):
                 f"S-pair lcm degree {deg} exceeds the guard ({guard.max_degree})",
                 Diagnostics(stats["s_pairs"], len(active), stats["max_degree"]),
             )
-        h = _normal_form_terms(_spoly(store[i], store[j], ops), reducers, key, ops)
+        h = _normal_form_terms(_spoly(store[i], store[j], l, g, ops),
+                               reducers, lay, ops)
         if h:
             add(h)
 
-    # minimalize, then tail-reduce against the final leading terms; a
-    # minimal element's monic leading term is divisible by no other, so it
-    # survives the reduction unchanged
-    order_sorted = sorted(active, key=lambda i: key(store[i][0]))
-    minimal: list = []
-    for i in order_sorted:
-        lm, _, mask, _ = store[i]
-        if not any(not m2 & ~mask and monomial_divides(lm2, lm)
-                   for lm2, _, m2, _ in minimal):
-            minimal.append(store[i])
+    # the basis is already minimal: each element arrived reduced by the
+    # active ones and evicted those its lm divides.  Tail-reduce it against
+    # the final leading terms; a minimal element's monic leading term is
+    # divisible by no other, so it survives the reduction unchanged
+    minimal = sorted(reducers, key=lambda r: r[0] ^ flip)
     reduced = []  # ascending by leading monomial, like minimal
     for r in minimal:
         others = [o for o in minimal if o is not r]
-        reduced.append(_normal_form_terms(r[1], others, key, ops))
+        reduced.append(_reducer(r[0], _normal_form_terms(r[3], others, lay, ops),
+                                lay))
     diag = Diagnostics(stats["s_pairs"], len(reduced), stats["max_degree"])
     return reduced, diag
 
@@ -399,14 +520,25 @@ class GroebnerBasis:
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     diagnostics: Diagnostics
-    # basis as reducers, derived once so normal_form need not redo it
-    _reducers: tuple = field(init=False, repr=False, compare=False)
+    # (layout, basis as packed reducers) for normal_form: handed over by
+    # buchberger or packed on first use, and widened when a normal form
+    # outgrows it
+    _packed: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
-    def __post_init__(self):
-        key = self.order.key(self.ring)
-        object.__setattr__(self, "_reducers", tuple(
-            _reducer(max(g.terms, key=key), g.terms) for g in self.basis
-        ))
+    def _packing(self, bits: int):
+        """The basis packed with at least `bits` value bits."""
+        if self._packed is None or self._packed[0].bits < bits:
+            top = max((g.total_degree() for g in self.basis), default=0)
+            bits = max(bits, _start_bits(max(DEFAULT_GUARD.max_degree, top)))
+            lay = _layout(self.ring.variables, self.order, bits)
+            reducers = []
+            for g in self.basis:
+                terms = {lay.pack(e): c for e, c in g.terms.items()}
+                lm = max(e ^ lay.flip for e in terms) ^ lay.flip
+                reducers.append(_reducer(lm, terms, lay))
+            object.__setattr__(self, "_packed", (lay, tuple(reducers)))
+        return self._packed
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self)
@@ -431,12 +563,26 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
     if hit is not None:
         return hit
     ops = _field_ops(ring.domain)
-    key = order.key(ring)
-    raw, diag = _buchberger_core(
-        [g.terms for g in ideal.generators], key, ops, guard
+    gens = [g.terms for g in ideal.generators]
+    top = max((sum(e) for terms in gens for e in terms), default=0)
+    bits = _start_bits(max(guard.max_degree, top))
+    while True:
+        lay = _layout(ring.variables, order, bits)
+        try:
+            reduced, diag = _buchberger_core(
+                [{lay.pack(e): c for e, c in terms.items()} for terms in gens],
+                lay, ops, guard,
+            )
+            break
+        except _Overflow:
+            bits *= 2
+    unpack = lay.unpack
+    basis = tuple(
+        Polynomial(ring, {unpack(e): c for e, c in r[3].items()}, _normalized=True)
+        for r in reduced
     )
-    basis = tuple(Polynomial(ring, terms, _normalized=True) for terms in raw)
     gb = GroebnerBasis(ring, order, basis, diag)
+    object.__setattr__(gb, "_packed", (lay, tuple(reduced)))
     _GB_CACHE[cache_key] = gb
     return gb
 
@@ -445,9 +591,18 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.ring != gb.ring:
         raise RingMismatchError(f"{f.ring} != {gb.ring}")
     ops = _field_ops(gb.ring.domain)
-    key = gb.order.key(gb.ring)
-    out = _normal_form_terms(f.terms, gb._reducers, key, ops)
-    return Polynomial(gb.ring, out, _normalized=True)
+    lay, reducers = gb._packing(_start_bits(f.total_degree()))
+    while True:
+        try:
+            out = _normal_form_terms(
+                {lay.pack(e): c for e, c in f.terms.items()}, reducers, lay, ops
+            )
+            break
+        except _Overflow:
+            lay, reducers = gb._packing(2 * lay.bits)
+    unpack = lay.unpack
+    return Polynomial(gb.ring, {unpack(e): c for e, c in out.items()},
+                      _normalized=True)
 
 
 def _with_relations(ideal: Ideal, rel: QuotientRing | None) -> Ideal:
@@ -498,8 +653,7 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         raise RingMismatchError(f"{g.ring} != {f.ring}")
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    ops = _field_ops(g.ring.domain)
-    _, sub, mul, inv = ops
+    norm, inv = _field_ops(g.ring.domain)
     key = DEFAULT_ORDER.key(g.ring)
     flm = max(f.terms, key=key)
     fic = inv(f.terms[flm])
@@ -510,15 +664,15 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         if not monomial_divides(flm, m):
             raise NonDivisibleError(f"{f} does not divide {g}", monomial=m)
         shift = monomial_div(m, flm)
-        qc = mul(work[m], fic)
+        qc = norm(work[m] * fic)
         quot[shift] = qc
         for e2, c2 in f.terms.items():
             e = monomial_mul(shift, e2)
-            nc = sub(work.get(e, 0), mul(qc, c2))
-            if nc == 0:
-                work.pop(e, None)
-            else:
+            nc = norm(work.get(e, 0) - qc * c2)
+            if nc:
                 work[e] = nc
+            else:
+                work.pop(e, None)
     return Polynomial(g.ring, quot, _normalized=True)
 
 

@@ -306,17 +306,6 @@ class Polynomial:
     def coefficient(self, exponents) -> object:
         return self.terms.get(tuple(exponents), self.ring.domain.normalize(0))
 
-    def variables_used(self) -> frozenset[str]:
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(self.ring.variables[i])
-        return frozenset(used)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def constant_value(self):
         """The coefficient of 1, assuming the polynomial is constant."""
         if self.is_zero:

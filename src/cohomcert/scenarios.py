@@ -151,12 +151,6 @@ def _class_from_json(d: dict) -> CechClass:
     )
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
-
-
 def _guarded_check(name, operation, expected, builder, expected_status="pass"):
     """Run a check body, turning degree-guard aborts and pipeline failures
     into failed checks with diagnostics instead of crashes."""
@@ -447,25 +441,66 @@ def _sabotaged_family(n: int) -> QnPolynomial:
     return qn_recursive(n)
 
 
+# one term of a factor as format_polynomial prints it over F_p: c*t^k, t^k,
+# c*t, t or c, with no coefficient 1 on t and no exponent 0 or 1
+_FACTOR_TERM = re.compile(r"(?:([1-9]\d*)\*)?t(?:\^([1-9]\d*))?|([1-9]\d*)")
+
+
+def _read_factor(text: str, p: int):
+    """Terms (k, c) of a polynomial in t over F_p, exponents strictly
+    decreasing and coefficients in [1, p), read from exactly the string
+    format_polynomial prints for it; None for any other string."""
+    terms = []
+    for piece in text.split(" + "):
+        m = _FACTOR_TERM.fullmatch(piece)
+        if m is None:
+            return None
+        coeff, exp, const = m.groups()
+        if const is not None:
+            k, c = 0, int(const)
+        elif coeff == "1" or exp == "1":
+            return None
+        else:
+            k = int(exp or 1)
+            c = int(coeff or 1)
+        if c >= p or terms and terms[-1][0] <= k:
+            return None
+        terms.append((k, c))
+    return terms
+
+
 def _census_rows_sound(p: int, rows) -> bool:
     """Each census row (JSON form) lists irreducible factors over F_p whose
     product is Q_n(1,t), names as new exactly its factors that no earlier
-    row has, and counts the distinct factors seen so far."""
+    row has, and counts the distinct factors seen so far.  Each distinct
+    factor string is read and certified once."""
     tring = PolyRing(("t",), GF(p))
+    read: dict = {}  # factor string -> its terms, or None if not canonical
+    certified: dict = {}  # factor string -> dense coefficients, or None
     seen: set[str] = set()
     for row in rows:
         n = int(row["n"])
-        factorization = [(tring.parse(fac), int(mult))
-                         for fac, mult in row["factorization"]]
+        factorization = []
+        for fac, mult in row["factorization"]:
+            if fac not in read:
+                read[fac] = _read_factor(fac, p)
+            if read[fac] is None:
+                return False
+            factorization.append((fac, read[fac][0][0], int(mult)))
         # degrees adding up to n bound the work before any arithmetic
-        if any(g.total_degree() < 1 or m < 1 for g, m in factorization) or \
-                sum(g.total_degree() * m for g, m in factorization) != n:
+        if any(d < 1 or m < 1 for _, d, m in factorization) or \
+                sum(d * m for _, d, m in factorization) != n:
             return False
         product = [1]
-        for g, m in factorization:
-            if not irreducibility_certified(g):
+        for fac, _, m in factorization:
+            if fac not in certified:
+                g = Polynomial(tring, {(k,): c for k, c in read[fac]},
+                               _normalized=True)
+                certified[fac] = dense_coefficients(g) \
+                    if irreducibility_certified(g) else None
+            dense = certified[fac]
+            if dense is None:
                 return False
-            dense = dense_coefficients(g)
             for _ in range(m):
                 product = mul_fp(product, dense, p)
         if product != dense_coefficients(qn_dehomogenized(n, p)):
@@ -618,7 +653,7 @@ _SCENARIOS = (
         "ann_(K[s,t]) of eta_n in the normal hypersurface S equals (Q_(n-1)); "
         "the n = q cases double as Frobenius-power witnesses",
         {"p": 2, "n_max": 3, "k": 0, "q_list": [2]},
-        {"n_max": (1, 6), "k": (0, 2)},
+        {"n_max": (1, 8), "k": (0, 2)},
         _run_singh_swanson,
     ),
     Scenario(

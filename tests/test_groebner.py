@@ -33,12 +33,20 @@ from cohomcert import groebner
 from cohomcert.cohomology import CechClass, annihilator_in_subring
 from cohomcert.groebner import (
     _GB_CACHE,
+    _Overflow,
     _field_ops,
+    _layout,
     _normal_form_terms,
     _reducer,
-    _support_mask,
 )
-from cohomcert.polyring import GrevLex, monomial_divides
+from cohomcert.polyring import (
+    BlockElimination,
+    GrevLex,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+)
 from cohomcert.scenarios import _singh_swanson_ring
 
 from helpers import (
@@ -50,6 +58,10 @@ from helpers import (
 
 RQ = PolyRing(("x", "y"), QQ)
 R5 = PolyRing(("x", "y"), GF(5))
+
+
+def variables_used(f):
+    return {f.ring.variables[i] for e in f.terms for i, x in enumerate(e) if x}
 
 
 def spoly(f, g, order, ring):
@@ -267,7 +279,7 @@ def test_eliminate_soundness_random():
             continue
         out = eliminate(ideal, {"y"})
         for g in out.generators:
-            assert "y" not in g.variables_used()
+            assert "y" not in variables_used(g)
             lifted = Polynomial(ring, {
                 (e[0], 0, e[1]): c for e, c in g.terms.items()
             })
@@ -464,10 +476,10 @@ def test_pinned_ptor2_guard_abort():
     ] * 2
 
 
-def test_mask_prefilter_agrees_with_monomial_divides():
+def test_packed_reducer_agrees_with_monomial_divides():
     rng = random.Random(46)
     ops = _field_ops(GF(101))
-    key = GrevLex().key(PolyRing(("a", "b", "c", "d", "e"), GF(101)))
+    lay = _layout(("a", "b", "c", "d", "e"), GrevLex(), 8)
     zero = (0,) * 5
     seen = {True: 0, False: 0}
     for _ in range(3000):
@@ -477,15 +489,77 @@ def test_mask_prefilter_agrees_with_monomial_divides():
         for a1, b1 in ((a, b), (zero, b), (a, zero), (zero, zero)):
             expect = monomial_divides(a1, b1)
             seen[expect] += 1
-            ma, mb = _support_mask(a1), _support_mask(b1)
-            assert ma == sum(1 << i for i, x in enumerate(a1) if x)
-            # the prefilter rejects only non-divisors
-            if expect:
-                assert not ma & ~mb and sum(a1) <= sum(b1)
+            pa, pb = lay.pack(a1), lay.pack(b1)
+            assert (((pb | lay.guard) - pa) & lay.guard == lay.guard) == expect
             # the engine's own reduction: x^b is reduced by x^a iff a | b
-            reduced = _normal_form_terms({b1: 1}, [_reducer(a1, {a1: 1})], key, ops)
+            reduced = _normal_form_terms({pb: 1}, [_reducer(pa, {pa: 1}, lay)],
+                                         lay, ops)
             assert (reduced == {}) == expect
     assert seen[True] > 1000 and seen[False] > 1000
+
+
+def _random_order(rng, names):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Lex()
+    if kind == 1:
+        return GrevLex()
+    front = tuple(rng.sample(names, rng.randint(1, len(names) - 1)))
+    return BlockElimination(front=front, inner=GrevLex() if kind == 2 else Lex())
+
+
+def test_packed_monomials_match_tuples():
+    # packed arithmetic against the tuple helpers and order keys, over every
+    # order kind the engine lays out, with zero exponents and the monomial 1
+    rng = random.Random(6)
+    kinds = set()
+    for _ in range(200):
+        names = tuple(f"x{i}" for i in range(rng.randint(2, 9)))
+        ring = PolyRing(names, GF(101))
+        order = _random_order(rng, names)
+        kinds.add(f"block over {order.inner}"
+                  if isinstance(order, BlockElimination) else str(order))
+        key = order.key(ring)
+        lay = _layout(names, order, 10)  # products reach degree 9 * 62
+        mons = [(0,) * len(names)] + [
+            tuple(rng.choice((0, 0, 1, 2, 5, 31)) for _ in names)
+            for _ in range(12)
+        ]
+        for a in mons:
+            pa = lay.pack(a)
+            assert lay.unpack(pa) == a
+            assert lay.degree(pa) == sum(a)
+            for b in mons:
+                pb = lay.pack(b)
+                assert ((pa ^ lay.flip) < (pb ^ lay.flip)) == (key(a) < key(b))
+                g = lay.guard
+                assert (((pb | g) - pa) & g == g) == monomial_divides(a, b)
+                assert lay.unpack(lay.lcm(pa, pb)) == monomial_lcm(a, b)
+                assert lay.lcm(pa, pb) == lay.pack(monomial_lcm(a, b))
+                assert pa + pb == lay.pack(monomial_mul(a, b))
+                if monomial_divides(a, b):
+                    assert pb - pa == lay.pack(monomial_div(b, a))
+    assert kinds == {"lex", "grevlex", "block over lex", "block over grevlex"}
+
+
+def test_packed_fields_overflow_instead_of_wrapping():
+    lay = _layout(("x", "y"), Lex(), 8)
+    with pytest.raises(_Overflow):
+        lay.lcm(lay.pack((200, 0)), lay.pack((0, 100)))  # degree 300 > 255
+    assert lay.lcm(lay.pack((200, 0)), lay.pack((0, 55))) == lay.pack((200, 55))
+
+
+def test_widening_restart_gives_the_same_basis():
+    # under lex, x^6 - z reduces to y^1200 - z, past the starting width
+    ring = PolyRing(("x", "y", "z"), GF(101))
+    x, y, z = ring.gens()
+    _GB_CACHE.clear()
+    gb = buchberger(Ideal(ring, (x - y ** 200, x ** 6 - z)), Lex())
+    assert gb.basis == (y ** 1200 - z, x - y ** 200)
+    assert gb.diagnostics == groebner.Diagnostics(0, 2, 0)
+    principal = buchberger(Ideal(ring, (x - y ** 200,)), Lex())
+    assert normal_form(x ** 6, principal) == y ** 1200
+    _GB_CACHE.clear()
 
 
 def _sympy_reduced_basis(sympy, gens, ring, order):

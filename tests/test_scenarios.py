@@ -1,5 +1,6 @@
 import copy
 import json
+import random
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from cohomcert import (
     PolyRing,
     UnknownScenarioError,
     MalformedReportError,
+    Polynomial,
     buchberger,
     convert,
     list_scenarios,
@@ -17,6 +19,8 @@ from cohomcert import (
     reverify,
     run_scenario,
 )
+from cohomcert.polyring import format_polynomial
+from cohomcert.scenarios import _read_factor
 
 
 def test_list_scenarios():
@@ -118,12 +122,12 @@ def test_ring_b_report():
 
 
 def test_singh_swanson_bound_tops_run_and_reverify():
-    report = run_scenario("singh-swanson-S", {"n_max": 6, "k": 2})
+    report = run_scenario("singh-swanson-S", {"n_max": 8, "k": 2})
     assert report.passed
     assert [c.name for c in report.checks] == \
-        [f"annihilator-n{n}" for n in range(1, 7)] + ["frobenius-witness-q2"]
+        [f"annihilator-n{n}" for n in range(1, 9)] + ["frobenius-witness-q2"]
     assert reverify(json.loads(json.dumps(report.to_json_dict())))
-    for over in ({"n_max": 7}, {"k": 3}):
+    for over in ({"n_max": 9}, {"k": 3}):
         with pytest.raises(ValueError):
             run_scenario("singh-swanson-S", over)
 
@@ -375,6 +379,47 @@ def test_reverify_checks_census_factor_degrees(census_report):
     assert not reverify(tampered)
     assert time.perf_counter() - t0 < 0.1
     assert reverify(census_report)
+
+
+def _census_factor_renamed(report, old, new):
+    """Replace one factor string by another in every list of every row."""
+    for row in _census_of(report)["rows"]:
+        row["factorization"] = [[new if f == old else f, m]
+                                for f, m in row["factorization"]]
+        for name in ("factors", "new_factors"):
+            row[name] = [new if f == old else f for f in row[name]]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("t + 3", "1*t + 3"),   # not the canonical form of the same factor
+    ("t", "t + 0"),
+    ("t + 3", "t + 8"),     # a coefficient >= p, congruent to the real one
+    ("t^2 + 3", "3 + t^2"),  # exponents out of order
+])
+def test_reverify_reads_census_factors_strictly(census_report, old, new):
+    # each string names the same polynomial over F_5, so only the reader
+    # can tell it from the factor the census prints
+    tampered = copy.deepcopy(census_report)
+    _census_factor_renamed(tampered, old, new)
+    assert tampered != census_report
+    t0 = time.perf_counter()
+    assert not reverify(tampered)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_census_factor_reader_round_trips():
+    rng = random.Random(13)
+    for p in (2, 5, 13, 65521):
+        ring = PolyRing(("t",), GF(p))
+        for _ in range(200):
+            terms = {(k,): rng.randrange(1, p)
+                     for k in rng.sample(range(12), rng.randint(1, 5))}
+            text = format_polynomial(Polynomial(ring, terms))
+            assert _read_factor(text, p) == \
+                sorted(((k, c) for (k,), c in terms.items()), reverse=True)
+    for text in ("0", "", "t+3", "t + 3 + 4", "t^1", "t^0", "1*t", "05",
+                 "-t", "t - 1", "t^2 + t^2", "x", " t"):
+        assert _read_factor(text, 5) is None
 
 
 def test_reverify_rejects_malformed():
