@@ -15,6 +15,7 @@ from .scenarios import (
     MalformedReportError,
     Report,
     UnknownScenarioError,
+    check_census_params,
     list_scenarios,
     overrides_for_all,
     reverify,
@@ -184,6 +185,7 @@ def _cmd_reverify(args) -> int:
 
 def _cmd_toeplitz(args) -> int:
     try:
+        check_census_params(args.n_max, args.p)
         census = factor_census(args.n_max, args.p)
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)

@@ -753,6 +753,14 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     return params
 
 
+def check_census_params(n_max, p) -> None:
+    """Raise ValueError unless toeplitz-suite would accept n_max and p as
+    its census_n_max and census_p: n_max inside its bounds, p a prime at
+    most PRIME_BOUND (the bound is checked before the primality test)."""
+    _validated_params(_REGISTRY["toeplitz-suite"],
+                      {"census_n_max": n_max, "census_p": p})
+
+
 def overrides_for_all(overrides: dict) -> dict[str, dict]:
     """The overrides of a run of every scenario, split by scenario: each key
     goes only to the scenarios whose defaults carry it.  A key that no
@@ -894,23 +902,52 @@ def _verify_colon_contraction(cert, _report):
     )
 
 
-def _verify_toeplitz_equality(cert, _report):
-    n = int(cert["n"])
+def _suite_param(report, key):
+    """The report's toeplitz-suite parameter key when it is an int inside
+    the scenario's bounds, else None."""
+    params = report.get("params")
+    value = params.get(key) if isinstance(params, dict) else None
+    lo, hi = _REGISTRY["toeplitz-suite"].bounds[key]
+    return value if type(value) is int and lo <= value <= hi else None
+
+
+def _suite_index_bounded(value, report, key) -> bool:
+    """Is value an int in [1, the report's parameter key]?  Checked before
+    any arithmetic, since the re-check's cost grows with value."""
+    top = _suite_param(report, key)
+    return top is not None and type(value) is int and 1 <= value <= top
+
+
+def _verify_toeplitz_equality(cert, report):
+    n = cert["n"]
+    if not _suite_index_bounded(n, report, "n_max"):
+        return False
     return ST_RING.parse(cert["polynomial"]) == qn_recursive(n).poly
 
 
-def _verify_generating(cert, _report):
-    return generating_check(int(cert["order"])) is bool(cert["value"]) is True
+def _generating_order_bounded(cert, report) -> bool:
+    order = cert["order"]
+    return type(order) is int and order == _suite_param(report, "generating_order")
 
 
-def _verify_generating_sabotage(cert, _report):
-    return generating_check(int(cert["order"]), family=_sabotaged_family) is False \
+def _verify_generating(cert, report):
+    return _generating_order_bounded(cert, report) \
+        and generating_check(cert["order"]) is bool(cert["value"]) is True
+
+
+def _verify_generating_sabotage(cert, report):
+    return _generating_order_bounded(cert, report) \
+        and generating_check(cert["order"], family=_sabotaged_family) is False \
         and cert["value"] is False
 
 
-def _verify_roots(cert, _report):
-    return roots_numeric_check(int(cert["n"]), float(cert["tol"])) is True \
-        and bool(cert["value"])
+def _verify_roots(cert, report):
+    n, tol = cert["n"], cert["tol"]
+    if not _suite_index_bounded(n, report, "roots_n_max") \
+            or type(tol) not in (int, float) \
+            or tol != report["params"].get("roots_tol"):
+        return False
+    return roots_numeric_check(n, tol) is True and bool(cert["value"])
 
 
 def _census_work_bounded(data, report) -> bool:
@@ -918,13 +955,9 @@ def _census_work_bounded(data, report) -> bool:
     n = 1..n_max inside the scenario's bounds?  Checked before any
     arithmetic, since the re-check's cost grows with n and p."""
     p, n_max, rows = data["p"], data["n_max"], data["rows"]
-    params = report.get("params")
-    if not isinstance(params, dict):
+    if type(n_max) is not int or n_max != _suite_param(report, "census_n_max"):
         return False
-    lo, hi = _REGISTRY["toeplitz-suite"].bounds["census_n_max"]
-    return type(p) is int and p == params.get("census_p") \
-        and type(n_max) is int and lo <= n_max <= hi \
-        and n_max == params.get("census_n_max") \
+    return type(p) is int and p == report["params"].get("census_p") \
         and isinstance(rows, list) and len(rows) == n_max \
         and all(isinstance(row, dict) and type(row.get("n")) is int
                 and row["n"] == i for i, row in enumerate(rows, 1)) \

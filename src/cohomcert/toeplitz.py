@@ -6,6 +6,12 @@ routes to Q_n -- cofactor expansion of the matrix (the oracle) and the
 two-term recursion -- plus the generating-function identity, a numeric
 check of the complex factorization, and irreducible-factor censuses over
 prime fields.  Floating point is confined to roots_numeric_check.
+
+The oracle expands each minor (bottom rows, a set of columns) once per
+call.  The census uses Q_(m-1) | Q_n for m | n+1: row n divides Q_n(1,t)
+exactly by Q_(m-1)(1,t) for the largest such m <= n, factors only the
+quotient and merges row m-1's factors into it; an inexact division is
+an engine error, never a verdict.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from itertools import zip_longest
 from .polyring import (
     GF,
     QQ,
+    NonDivisibleError,
     Polynomial,
     PolyRing,
 )
@@ -67,28 +74,37 @@ def build_matrix(n: int) -> ToeplitzMatrix:
     return ToeplitzMatrix(n, rows)
 
 
-def _det_rows(rows) -> Polynomial:
-    if not rows:
+def _det_minor(rows, cols, memo) -> Polynomial:
+    """Determinant of the bottom len(cols) rows restricted to cols, by
+    expansion along its first row; memo maps cols to values already
+    expanded."""
+    if not cols:
         return ST_RING.one()
-    if len(rows) == 1:
-        return rows[0][0]
+    if cols in memo:
+        return memo[cols]
+    row = rows[len(rows) - len(cols)]
+    if len(cols) == 1:
+        return row[cols[0]]
     total = ST_RING.zero()
     sign = 1
-    for j, head in enumerate(rows[0]):
+    for j, c in enumerate(cols):
+        head = row[c]
         if not head.is_zero:
-            minor = tuple(row[:j] + row[j + 1:] for row in rows[1:])
-            total = total + sign * head * _det_rows(minor)
+            total = total + sign * head * _det_minor(
+                rows, cols[:j] + cols[j + 1:], memo)
         sign = -sign
+    memo[cols] = total
     return total
 
 
 def det_oracle(M: ToeplitzMatrix) -> Polynomial:
     """Determinant by cofactor expansion.
 
-    Deliberately independent of the recursion it is used to check; the
-    empty matrix has determinant 1.
+    Deliberately independent of the recursion it is used to check: every
+    minor is expanded from the matrix entries, once per call, keyed on the
+    columns it keeps.  The empty matrix has determinant 1.
     """
-    return _det_rows(M.entries)
+    return _det_minor(M.entries, tuple(range(M.n)), {})
 
 
 @dataclass(frozen=True)
@@ -452,8 +468,24 @@ def _factor_dense(f, p):
         for block, d in _distinct_degree(sq, p):
             for irr in _equal_degree(block, d, p, rng):
                 out.append((tuple(irr), mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
+    out.sort(key=_factor_order)
     return out
+
+
+def _factor_order(item):
+    """Sort key of a (dense coefficient tuple, multiplicity) pair: degree,
+    then coefficient list."""
+    return len(item[0]), item[0]
+
+
+def _largest_proper_divisor(n):
+    """The largest divisor m of n with 2 <= m < n; None for n prime."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return n // d
+        d += 1
+    return None
 
 
 def _prime_divisors(n):
@@ -578,14 +610,43 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
     Q_n is homogeneous of degree n, so distinctness of the irreducible
     factors of Q_n(s,t) reduces to distinctness for Q_n(1,t); s never
     divides Q_n (the t^n coefficient is 1).
+
+    Q_n(1,t) = U_n(t/2), so Q_(m-1) divides Q_n whenever m divides n+1.
+    Row n therefore reuses row m-1 for the largest such m <= n: it divides
+    Q_n(1,t) by Q_(m-1)(1,t) exactly (a nonzero remainder raises
+    NonDivisibleError, never a verdict), factors only the quotient and adds
+    its multiplicities to row m-1's.  Only rows with n+1 prime factor all
+    of Q_n.  Factors are ordered as factor_univariate_fp orders them.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
+    ring = PolyRing(("t",), GF(p))
     seen: set[str] = set()
+    names: dict[tuple, str] = {}   # dense coefficients -> printed factor
+    dense_qn: dict[int, list] = {}
+    multiplicities: dict[int, dict] = {}  # n -> {dense factor: multiplicity}
     rows = []
     for n in range(1, n_max + 1):
         f = qn_dehomogenized(n, p)
-        factorization = tuple((str(g), m) for g, m in factor_univariate_fp(f))
+        dense_qn[n] = dense_coefficients(f)
+        counts: dict[tuple, int] = {}
+        m = _largest_proper_divisor(n + 1)
+        if m is not None:
+            quotient, remainder = _udivmod(dense_qn[n], dense_qn[m - 1], p)
+            if remainder:
+                raise NonDivisibleError(
+                    f"Q_{m - 1}(1,t) does not divide Q_{n}(1,t) over GF({p})")
+            f = Polynomial(ring, {(i,): c for i, c in enumerate(quotient) if c},
+                           _normalized=True)
+            counts.update(multiplicities[m - 1])
+        for g, mult in factor_univariate_fp(f):
+            key = tuple(dense_coefficients(g))
+            counts[key] = counts.get(key, 0) + mult
+            if key not in names:
+                names[key] = str(g)
+        multiplicities[n] = counts
+        factorization = tuple((names[key], mult) for key, mult
+                              in sorted(counts.items(), key=_factor_order))
         factors = tuple(name for name, _ in factorization)
         new = tuple(g for g in factors if g not in seen)
         seen.update(new)

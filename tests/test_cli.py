@@ -91,6 +91,19 @@ def test_toeplitz_bad_p(capsys):
     assert main(["toeplitz", "--n-max", "3", "--p", "6"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "1000000000000000000000000000057"],  # a prime above 2^64
+    ["--n-max", "400"],
+    ["--n-max", "0"],
+])
+def test_toeplitz_bounds_exit_two(capsys, argv):
+    # rejected before any primality test or factorization
+    t0 = time.perf_counter()
+    assert main(["toeplitz", *argv]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert "bad parameters" in capsys.readouterr().err
+
+
 def test_run_torsion_primes_flag(capsys):
     assert main(["run", "singh-p-torsion", "--primes", "2,3"]) == 0
     out = capsys.readouterr().out

@@ -371,6 +371,77 @@ def test_reverify_bounds_census_work(census_report, tamper):
     assert time.perf_counter() - t0 < 0.1
 
 
+def _cert_of_kind(report, kind):
+    return next(c["certificate"] for c in report["checks"]
+                if c["certificate"]["kind"] == kind)
+
+
+def _equality_n_1500(report):
+    _cert_of_kind(report, "toeplitz_equality")["n"] = 1500
+
+
+def _equality_n_and_params_1500(report):
+    # consistent with params, but past n_max's bounds
+    _equality_n_1500(report)
+    report["params"]["n_max"] = 1500
+
+
+def _equality_n_not_int(report):
+    _cert_of_kind(report, "toeplitz_equality")["n"] = 1.0
+
+
+def _generating_order_400(report):
+    _cert_of_kind(report, "generating")["order"] = 400
+
+
+def _generating_order_and_params_400(report):
+    _generating_order_400(report)
+    _cert_of_kind(report, "generating_sabotage")["order"] = 400
+    report["params"]["generating_order"] = 400
+
+
+def _sabotage_order_300(report):
+    _cert_of_kind(report, "generating_sabotage")["order"] = 300
+
+
+def _roots_n_3000(report):
+    _cert_of_kind(report, "roots")["n"] = 3000
+
+
+def _roots_n_and_params_3000(report):
+    _roots_n_3000(report)
+    report["params"]["roots_n_max"] = 3000
+
+
+def _roots_tol_1e9(report):
+    _cert_of_kind(report, "roots")["tol"] = 1e9
+
+
+def _roots_tol_string(report):
+    _cert_of_kind(report, "roots")["tol"] = "1e-08"
+    report["params"]["roots_tol"] = "1e-08"
+
+
+@pytest.mark.parametrize("tamper", [
+    _equality_n_1500,                  # n past params.n_max
+    _equality_n_and_params_1500,       # n_max past its bounds
+    _equality_n_not_int,
+    _generating_order_400,             # order is not params.generating_order
+    _generating_order_and_params_400,  # generating_order past its bounds
+    _sabotage_order_300,
+    _roots_n_3000,                     # n past params.roots_n_max
+    _roots_n_and_params_3000,          # roots_n_max past its bounds
+    _roots_tol_1e9,                    # tol is not params.roots_tol
+    _roots_tol_string,
+])
+def test_reverify_bounds_toeplitz_work(census_report, tamper):
+    tampered = copy.deepcopy(census_report)
+    tamper(tampered)
+    t0 = time.perf_counter()
+    assert not reverify(tampered)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_reverify_checks_census_factor_degrees(census_report):
     # a factor of huge degree is rejected by its degree, before any product
     tampered = copy.deepcopy(census_report)

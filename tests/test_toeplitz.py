@@ -19,7 +19,8 @@ from cohomcert import (
     qn_recursive,
     roots_numeric_check,
 )
-from cohomcert.polyring import convert, restrict_to_variables
+from cohomcert import toeplitz
+from cohomcert.polyring import NonDivisibleError, convert, restrict_to_variables
 from cohomcert.toeplitz import (
     _QN_CACHE,
     QnPolynomial,
@@ -71,7 +72,7 @@ def test_qn_recursive_examples():
 
 
 def test_recursion_matches_oracle():
-    for n in range(1, 11):
+    for n in range(1, 17):
         assert qn_recursive(n).poly == det_oracle(build_matrix(n))
 
 
@@ -209,6 +210,29 @@ def test_census_against_brute_force_oracle():
             mine = {tuple(dense_coefficients(ring.parse(name))): m
                     for name, m in row.factorization}
             assert mine == brute_factorize(qn_dehom_dense(row.n, p), p), (p, row.n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_census_rows_match_direct_factorization(p):
+    # the census factors only the part of Q_n past its largest Q_(m-1)
+    # divisor; each row must still be the factorization of all of Q_n,
+    # multiplicities included (p | n+1 gives repeated factors)
+    for row in factor_census(64, p).rows:
+        direct = factor_univariate_fp(qn_dehomogenized(row.n, p))
+        assert list(row.factorization) == [(str(g), m) for g, m in direct], \
+            (p, row.n)
+
+
+def test_census_rejects_a_divisor_that_does_not_divide(monkeypatch):
+    # Q_1 = t must divide Q_3; a wrong Q_3 raises instead of being factored
+    real = toeplitz.qn_dehomogenized
+
+    def broken(n, p=None):
+        f = real(n, p)
+        return f + f.ring.one() if n == 3 else f
+    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    with pytest.raises(NonDivisibleError):
+        factor_census(3, 5)
 
 
 def test_census_first_occurrence():
