@@ -2,7 +2,7 @@
 
 Exit codes: 0 when every executed check meets its expected outcome, 1 on
 any check failure (or a failed re-verification), 2 on usage or
-configuration errors.
+configuration errors and on internal errors of an engine.
 """
 
 from __future__ import annotations
@@ -145,6 +145,10 @@ def _cmd_run(args) -> int:
         return 2
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # an engine fault is not a failed check, so not exit code 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     payload = reports[0].to_json_dict() if len(reports) == 1 \
         else {"artifact": "cohomcert", "reports":

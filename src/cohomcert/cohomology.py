@@ -522,19 +522,26 @@ def eta_class(p: int) -> CechClass:
     return CechClass(QuotientRing(ring, (relation,)), (x, y, z), p, lam)
 
 
-def eta_torsion_check(p: int) -> TorsionCertificate:
+def eta_annihilation(p: int) -> tuple[CechClass, tuple[Polynomial, ...], Polynomial]:
+    """eta_p with the cofactors of p * lambda_p = sum_i cof_i x_i^p +
+    cof_rel * relation, the identity that kills p * eta_p at transition
+    exponent 0."""
+    cls = eta_class(p)
+    (relation,) = cls.ring.relations
+    u, v, w = (cls.ring.ring.gen(n) for n in ("u", "v", "w"))
+    return cls, (u ** p, v ** p, w ** p), -(relation ** (p - 1))
+
+
+def eta_torsion_check(p: int, annihilation=None) -> TorsionCertificate:
     """Certify that eta_p is a nonzero p-torsion class.
 
     p * eta_p = 0 holds at transition exponent 0 with explicit cofactors
     (an exact polynomial identity, re-checkable without any ideal
     machinery); nonvanishing comes from the weight pipeline.
+    `annihilation` is eta_annihilation(p), from a caller that has it.
     """
-    cls = eta_class(p)
+    cls, seq_cofactors, rel_cofactor = annihilation or eta_annihilation(p)
     (relation,) = cls.ring.relations
-    u, v, w = (cls.ring.ring.gen(n) for n in ("u", "v", "w"))
-
-    seq_cofactors = (u ** p, v ** p, w ** p)
-    rel_cofactor = -(relation ** (p - 1))
     recombined = rel_cofactor * relation
     for cof, gen in zip(seq_cofactors, cls.sequence):
         recombined = recombined + cof * gen ** p

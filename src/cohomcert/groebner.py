@@ -135,9 +135,8 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.generators
 
-    def groebner(self, order: MonomialOrder = DEFAULT_ORDER,
-                 guard: DegreeGuard = DEFAULT_GUARD) -> "GroebnerBasis":
-        return buchberger(self, order, guard)
+    def groebner(self, order: MonomialOrder = DEFAULT_ORDER) -> "GroebnerBasis":
+        return buchberger(self, order)
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
@@ -613,13 +612,12 @@ def _with_relations(ideal: Ideal, rel: QuotientRing | None) -> Ideal:
     return Ideal(ideal.ring, ideal.generators + rel.relations)
 
 
-def membership(f: Polynomial, ideal: Ideal, rel: QuotientRing | None = None,
-               guard: DegreeGuard = DEFAULT_GUARD) -> bool:
+def membership(f: Polynomial, ideal: Ideal, rel: QuotientRing | None = None) -> bool:
     """Decide f in I (mod relations when rel is given) via normal form."""
     full = _with_relations(ideal, rel)
     if full.is_zero:
         return f.is_zero
-    return buchberger(full, guard=guard).contains(f)
+    return buchberger(full).contains(f)
 
 
 def membership_monomial_plus_p(f: Polynomial, p: int, monomials) -> bool:
@@ -685,7 +683,7 @@ def _fresh_variable(ring: PolyRing) -> str:
     return name
 
 
-def intersect(I: Ideal, J: Ideal, guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the one-auxiliary-variable elimination construction."""
     if I.ring != J.ring:
         raise RingMismatchError("intersection needs a common ambient ring")
@@ -702,7 +700,7 @@ def intersect(I: Ideal, J: Ideal, guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
     gens += [lift(h, 0) - lift(h, 1) for h in J.generators]
     if not gens:
         return Ideal(ring, ())
-    elim = eliminate(Ideal(aux, tuple(gens)), {tname}, guard=guard)
+    elim = eliminate(Ideal(aux, tuple(gens)), {tname})
     # eliminate() returns the ideal in the remaining variables, which are
     # exactly the original ring's variables in declaration order
     return Ideal(ring, tuple(
@@ -710,7 +708,7 @@ def intersect(I: Ideal, J: Ideal, guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
     ))
 
 
-def eliminate(ideal: Ideal, drop, guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
+def eliminate(ideal: Ideal, drop) -> Ideal:
     """Generators of I cap K[remaining variables].
 
     Uses a block elimination order with the dropped variables in front and
@@ -723,13 +721,11 @@ def eliminate(ideal: Ideal, drop, guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
     if unknown:
         raise KeyError(f"cannot eliminate unknown variables {sorted(unknown)}")
     if not drop:
-        gb = buchberger(ideal, guard=guard)
-        return Ideal(ring, gb.basis)
+        return Ideal(ring, buchberger(ideal).basis)
     if not (set(ring.variables) - drop):
         raise ValueError("cannot eliminate every variable")
     front = tuple(v for v in ring.variables if v in drop)
-    order = BlockElimination(front=front)
-    gb = buchberger(ideal, order, guard=guard)
+    gb = buchberger(ideal, BlockElimination(front=front))
     keep_idx = [i for i, v in enumerate(ring.variables) if v not in drop]
     drop_idx = [i for i, v in enumerate(ring.variables) if v in drop]
     sub = PolyRing(tuple(ring.variables[i] for i in keep_idx), ring.domain)
@@ -745,8 +741,7 @@ def eliminate(ideal: Ideal, drop, guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
     return Ideal(sub, tuple(out))
 
 
-def colon(ideal: Ideal, f: Polynomial, rel: QuotientRing | None = None,
-          guard: DegreeGuard = DEFAULT_GUARD) -> Ideal:
+def colon(ideal: Ideal, f: Polynomial, rel: QuotientRing | None = None) -> Ideal:
     """The colon ideal (I : f) = {g : g*f in I}, mod relations when given.
 
     Computed as (I cap (f)) / f.  Colon by zero is rejected outright; it
@@ -757,11 +752,8 @@ def colon(ideal: Ideal, f: Polynomial, rel: QuotientRing | None = None,
     full = _with_relations(ideal, rel)
     if f.ring != full.ring:
         raise RingMismatchError(f"{f.ring} != {full.ring}")
-    meet = intersect(full, Ideal(full.ring, (f,)), guard=guard)
-    gens = tuple(exact_divide(g, f) for g in meet.generators)
-    if not gens:
-        gens = ()
-    return Ideal(full.ring, gens)
+    meet = intersect(full, Ideal(full.ring, (f,)))
+    return Ideal(full.ring, tuple(exact_divide(g, f) for g in meet.generators))
 
 
 def frobenius_power(ideal: Ideal, q: int) -> Ideal:
@@ -783,8 +775,7 @@ def frobenius_power(ideal: Ideal, q: int) -> Ideal:
     return Ideal(ideal.ring, tuple(g ** q for g in ideal.generators))
 
 
-def ideal_equal(I: Ideal, J: Ideal, rel: QuotientRing | None = None,
-                guard: DegreeGuard = DEFAULT_GUARD) -> bool:
+def ideal_equal(I: Ideal, J: Ideal, rel: QuotientRing | None = None) -> bool:
     """True iff the two ideals coincide (mod relations when given)."""
     if I.ring != J.ring:
         raise RingMismatchError("ideal comparison needs a common ambient ring")
@@ -792,6 +783,4 @@ def ideal_equal(I: Ideal, J: Ideal, rel: QuotientRing | None = None,
     B = _with_relations(J, rel)
     if A.is_zero or B.is_zero:
         return A.is_zero and B.is_zero
-    ga = buchberger(A, guard=guard).basis
-    gb = buchberger(B, guard=guard).basis
-    return ga == gb
+    return buchberger(A).basis == buchberger(B).basis

@@ -1,9 +1,15 @@
 """Named constructions bundled with their expected certificates.
 
-Each scenario builds a ring presentation, runs an ordered list of checks
-through the polynomial / Groebner / cohomology machinery, and returns a
-Report whose certificates carry enough data for a third party to re-check
-the verdicts offline (reverify) without re-deriving the expensive parts.
+Each scenario is a plan: a function from validated parameters to an
+ordered list of checks.  A planned check carries its name, operation,
+expected outcome and the certificate fields the parameters fix, a function
+that issues it and one that re-checks the witness fields a report adds.
+`run_scenario` validates the parameters, plans and issues every check;
+`reverify` validates the parameters a report names, plans again, and
+requires each reported check to match its planned one before it re-checks
+the witness.  So one implementation both issues and checks every
+certificate, and the only polynomials read back from a report are census
+factors.
 
 Reports are deterministic: identical runs produce identical payloads up to
 the per-check wall-clock fields.
@@ -11,8 +17,10 @@ the per-check wall-clock fields.
 
 from __future__ import annotations
 
+import json
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .cohomology import (
@@ -22,12 +30,11 @@ from .cohomology import (
     ZeroAt,
     annihilator_in_subring,
     conjecture_membership_check,
-    eta_class,
+    eta_annihilation,
     eta_torsion_check,
     is_zero_up_to,
     push_forward,
     verify_zero_at,
-    weight_reduction_nonvanishing,
 )
 from .degree_solver import CertificationError
 from .groebner import (
@@ -38,7 +45,6 @@ from .groebner import (
     colon,
     eliminate,
     frobenius_power,
-    ideal_equal,
     membership,
 )
 from .polyring import (
@@ -132,43 +138,61 @@ class Report:
         }
 
 
+@dataclass(frozen=True)
+class PlannedCheck:
+    """One check of a plan.  `fixed` holds the certificate fields the
+    parameters fix, "kind" among them.  `issue(statuses)` runs the check
+    and returns (status, actual, witness fields); `statuses` maps the
+    earlier checks of the run to their statuses.  `verify(certificate,
+    statuses)` re-checks a reported certificate whose fixed fields match;
+    without one, the check is issued again and must give the same status
+    and certificate."""
+
+    name: str
+    operation: str
+    expected: object
+    fixed: dict
+    issue: Callable
+    verify: Callable | None = None
+    expected_status: str = "pass"
+
+    def verified(self, certificate: dict, statuses: dict) -> bool:
+        if self.verify is not None:
+            return self.verify(certificate, statuses)
+        status, _, witness = self.issue(statuses)
+        return status == self.expected_status and \
+            _same({**self.fixed, **witness}, certificate)
+
+
+def _same(a, b) -> bool:
+    """Equal as JSON: unlike ==, 1 differs from 1.0 and from true."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
 def _ring_json(ring: PolyRing) -> dict:
     return {"variables": list(ring.variables), "domain": str(ring.domain)}
 
 
-def _ring_from_json(d: dict) -> PolyRing:
-    return PolyRing(tuple(d["variables"]), domain_from_string(d["domain"]))
-
-
-def _class_from_json(d: dict) -> CechClass:
-    ring = PolyRing(tuple(d["variables"]), domain_from_string(d["domain"]))
-    quotient = QuotientRing(ring, tuple(ring.parse(r) for r in d["relations"]))
-    return CechClass(
-        quotient,
-        tuple(ring.parse(x) for x in d["sequence"]),
-        int(d["m"]),
-        ring.parse(d["numerator"]),
-    )
-
-
-def _guarded_check(name, operation, expected, builder, expected_status="pass"):
-    """Run a check body, turning degree-guard aborts and pipeline failures
-    into failed checks with diagnostics instead of crashes."""
+def _guarded_check(planned: PlannedCheck, statuses: dict) -> CheckResult:
+    """Issue a planned check, turning degree-guard aborts and pipeline
+    failures into failed checks with diagnostics instead of crashes."""
     t0 = time.perf_counter()
+    diagnostics = {}
     try:
-        status, actual, certificate, diagnostics = builder()
+        status, actual, witness = planned.issue(statuses)
+        certificate = {**planned.fixed, **witness}
     except GuardExceededError as exc:
         status, actual = "fail", f"degree guard: {exc}"
         certificate, diagnostics = {"kind": "aborted"}, exc.diagnostics.as_dict()
     except (PipelineStepError, CertificationError) as exc:
         status, actual = "fail", str(exc)
-        certificate, diagnostics = {"kind": "aborted"}, {}
+        certificate = {"kind": "aborted"}
     return CheckResult(
-        name=name,
-        operation=operation,
+        name=planned.name,
+        operation=planned.operation,
         status=status,
-        expected_status=expected_status,
-        expected=expected,
+        expected_status=planned.expected_status,
+        expected=planned.expected,
         actual=actual,
         certificate=certificate,
         seconds=time.perf_counter() - t0,
@@ -177,133 +201,161 @@ def _guarded_check(name, operation, expected, builder, expected_status="pass"):
 
 
 # --------------------------------------------------------------------------
-# scenario bodies
+# scenario plans
 
 
-def _run_hartshorne(params) -> list[CheckResult]:
+def _socle_kill(name: str, cls: CechClass, k_max: int) -> PlannedCheck:
+    def issue(_statuses):
+        verdict = is_zero_up_to(cls, k_max)
+        ok = isinstance(verdict, ZeroAt) and verdict.k <= 2
+        return ("pass" if ok else "fail"), verdict.to_json_dict(), \
+            {"k": getattr(verdict, "k", None)}
+
+    def verify(cert, _statuses):
+        # the claim is k <= 2, so one membership test re-checks the witness
+        k = cert["k"]
+        return type(k) is int and 0 <= k <= 2 and verify_zero_at(cls, ZeroAt(k))
+
+    return PlannedCheck(
+        name, "is_zero_up_to", {"verdict": "zero_at", "k_at_most": 2},
+        {"kind": "zero_at", "class": cls.to_json_dict()}, issue, verify,
+    )
+
+
+def _plan_hartshorne(params) -> list[PlannedCheck]:
     p, n_max, k_max = params["p"], params["n_max"], params["k_max"]
     ring = PolyRing(("w", "x", "y", "z"), GF(p))
     w, x, y, z = ring.gens()
     quotient = QuotientRing(ring, (w * x - y * z,))
-    checks = []
+    plan = []
     for n in range(0, n_max + 1):
         base = CechClass(quotient, (x, y), n + 1, y ** n * z ** n)
         for gname, g in zip(("w", "x", "y", "z"), (w, x, y, z)):
-            def body(base=base, g=g):
-                verdict = is_zero_up_to(base.scale(g), k_max)
-                cert = {
-                    "kind": "zero_at",
-                    "class": base.scale(g).to_json_dict(),
-                    "k": getattr(verdict, "k", None),
-                }
-                ok = isinstance(verdict, ZeroAt) and verdict.k <= 2
-                return ("pass" if ok else "fail",
-                        verdict.to_json_dict(), cert, {})
-            checks.append(_guarded_check(
-                f"socle-kill-n{n}-{gname}", "is_zero_up_to",
-                {"verdict": "zero_at", "k_at_most": 2}, body,
-            ))
-        def nonzero_body(base=base):
+            plan.append(_socle_kill(f"socle-kill-n{n}-{gname}", base.scale(g), k_max))
+
+        def nonzero_issue(_statuses, base=base):
             verdict = is_zero_up_to(base, k_max)
-            cert = {
-                "kind": "unknown_up_to",
-                "class": base.to_json_dict(),
-                "k_max": k_max,
-            }
             status = "unknown" if isinstance(verdict, UnknownUpTo) else "fail"
-            return status, verdict.to_json_dict(), cert, {}
-        checks.append(_guarded_check(
+            return status, verdict.to_json_dict(), {}
+        plan.append(PlannedCheck(
             f"socle-nonzero-n{n}", "is_zero_up_to",
             {"verdict": "unknown_up_to",
              "note": "bounded search cannot certify nonvanishing; the "
                      "construction's nonzero claim is prose, reported as unknown"},
-            nonzero_body, expected_status="unknown",
+            {"kind": "unknown_up_to", "class": base.to_json_dict(), "k_max": k_max},
+            nonzero_issue, expected_status="unknown",
         ))
-    return checks
+    return plan
 
 
-def _run_singh_p_torsion(params) -> list[CheckResult]:
-    checks = []
+def _plan_singh_p_torsion(params) -> list[PlannedCheck]:
+    plan = []
     for p in params["primes"]:
-        def body(p=p):
-            cert = eta_torsion_check(p)
+        annihilation = eta_annihilation(p)
+        cls, seq_cofactors, rel_cofactor = annihilation
+
+        def issue(_statuses, p=p, annihilation=annihilation):
+            cert = eta_torsion_check(p, annihilation)
             return "pass", {
                 "p_times_class_vanishes_at": cert.annihilation.k,
                 "nonvanishing_witness":
                     cert.nonvanishing.certificate.witness_monomial,
-            }, cert.to_json_dict(), {}
-        checks.append(_guarded_check(
+            }, {"nonvanishing": cert.nonvanishing.to_json_dict()}
+        plan.append(PlannedCheck(
             f"p-torsion-p{p}", "eta_torsion_check",
-            {"p_torsion": True, "nonzero": True}, body,
+            {"p_torsion": True, "nonzero": True},
+            {"kind": "torsion", "p": p, "class": cls.to_json_dict(),
+             "annihilation": {
+                 **ZeroAt(0).to_json_dict(),
+                 "sequence_cofactors": [str(c) for c in seq_cofactors],
+                 "relation_cofactor": str(rel_cofactor),
+             }},
+            issue,
         ))
-    return checks
+    return plan
 
 
-def _run_ptor2(params) -> list[CheckResult]:
-    variables = tuple(params["variables"])
-    ring = PolyRing(variables, ZZ)
-    f_list = [ring.parse(s) for s in params["f"]]
-    g_list = [ring.parse(s) for s in params["g"]]
+def _plan_ptor2(params) -> list[PlannedCheck]:
+    # the instance is fixed: f = (x, y, z), g = (yz, zx, -2xy), sum f_i g_i = 0
+    ring = PolyRing(("x", "y", "z"), ZZ)
+    x, y, z = ring.gens()
+    f_list, g_list = [x, y, z], [y * z, z * x, -2 * x * y]
     p, e = params["p"], params["e"]
-    q = p ** e
-    k = q - 1
-    checks = []
+    k = p ** e - 1
+    plan = []
     for dom_str in params["domains"]:
-        def body(dom_str=dom_str):
-            dom = domain_from_string(dom_str)
+        def issue(_statuses, dom=domain_from_string(dom_str)):
             value = conjecture_membership_check(f_list, g_list, p, e, k, dom)
-            cert = {
-                "kind": "conjecture_instance",
-                "variables": list(variables),
-                "f": [str(t) for t in f_list],
-                "g": [str(t) for t in g_list],
-                "p": p, "e": e, "k": k,
-                "domain": dom_str,
-                "expected": True,
-                "note": (
-                    "membership verified over this domain is a necessary "
-                    "consequence of the integer-level theorem; the Z-level "
-                    "statement is stronger and not decided by this engine"
-                ),
-            }
-            return ("pass" if value else "fail"), value, cert, {}
-        checks.append(_guarded_check(
-            f"membership-k{k}-{dom_str}", "conjecture_membership_check",
-            True, body,
+            return ("pass" if value else "fail"), value, {}
+        plan.append(PlannedCheck(
+            f"membership-k{k}-{dom_str}", "conjecture_membership_check", True,
+            {"kind": "conjecture_instance",
+             "variables": list(ring.variables),
+             "f": [str(t) for t in f_list],
+             "g": [str(t) for t in g_list],
+             "p": p, "e": e, "k": k,
+             "domain": dom_str,
+             "expected": True,
+             "note": (
+                 "membership verified over this domain is a necessary "
+                 "consequence of the integer-level theorem; the Z-level "
+                 "statement is stronger and not decided by this engine"
+             )},
+            issue,
         ))
-    return checks
+    return plan
 
 
-def _colon_check(name, operation, expected_poly, contracted, cert_fields):
-    """Shared body for the colon-identity scenarios: `contracted()` yields
-    the contracted colon ideal, `cert_fields` the fields of the certificate
-    that depend on its kind."""
-    def body():
-        computed = contracted()
-        expected_ideal = Ideal(computed.ring, (convert(expected_poly, computed.ring),))
-        equal = ideal_equal(computed, expected_ideal)
-        computed_gb = [str(g) for g in buchberger(computed).basis] \
-            if not computed.is_zero else []
-        cert = {
-            **cert_fields,
-            "computed_generators": computed_gb,
-            "expected_generators":
-                [str(g) for g in buchberger(expected_ideal).basis],
-        }
-        return ("pass" if equal else "fail"), computed_gb, cert, {}
-    return _guarded_check(name, operation, [str(expected_poly)], body)
+def _inject(poly: Polynomial, target: PolyRing) -> Polynomial:
+    idx = [target.var_index(v) for v in poly.ring.variables]
+    out = {}
+    for e, c in poly.terms.items():
+        e2 = [0] * target.nvars
+        for i, x in zip(idx, e):
+            e2[i] = x
+        out[tuple(e2)] = c
+    return Polynomial(target, out)
 
 
-def _annihilator_check(name, cech, subring_vars, k, expected_poly, **extra):
-    return _colon_check(
-        name, "annihilator_in_subring", expected_poly,
-        lambda: annihilator_in_subring(cech, subring_vars, k),
-        {"kind": "annihilator", "class": cech.to_json_dict(),
-         "subring_variables": list(subring_vars), "k": k, **extra},
+def _colon_check(name, operation, expected_poly, quotient: QuotientRing,
+                 ideal: Ideal, element: Polynomial, contracted, fixed) -> PlannedCheck:
+    """A colon identity: `contracted()`, the colon (ideal : element) modulo
+    the relations contracted to K[s,t], has the monic expected_poly as its
+    reduced basis.  Re-checking multiplies that generator by the element
+    and tests membership in the ideal."""
+    ring = quotient.ring
+    # the reduced basis of (q) is q divided by its leading coefficient
+    q = convert(expected_poly, PolyRing(("s", "t"), ring.domain))
+    monic = q * ring.domain.inv(q.sorted_terms()[0][1])
+    names = [str(monic)]
+
+    def issue(_statuses):
+        basis = [str(g) for g in buchberger(contracted()).basis]
+        return ("pass" if basis == names else "fail"), basis, \
+            {"computed_generators": basis}
+
+    def verify(cert, _statuses):
+        return cert["computed_generators"] == names and \
+            membership(_inject(monic, ring) * element, ideal, rel=quotient)
+
+    return PlannedCheck(
+        name, operation, [str(expected_poly)],
+        {**fixed, "subring_variables": ["s", "t"], "expected_generators": names},
+        issue, verify,
     )
 
 
-def _run_ring_a(params) -> list[CheckResult]:
+def _annihilator_check(name, cech: CechClass, k: int, expected_poly, **extra):
+    pushed = push_forward(cech, k)
+    return _colon_check(
+        name, "annihilator_in_subring", expected_poly, cech.ring,
+        pushed.power_ideal(), pushed.numerator,
+        lambda: annihilator_in_subring(cech, ("s", "t"), k),
+        {"kind": "annihilator", "class": cech.to_json_dict(), "k": k, **extra},
+    )
+
+
+def _plan_ring_a(params) -> list[PlannedCheck]:
     p, n_max = params["p"], params["n_max"]
     ring = PolyRing(("s", "t", "a", "b"), GF(p))
     s, t, a, b = ring.gens()
@@ -314,37 +366,37 @@ def _run_ring_a(params) -> list[CheckResult]:
         "by the displayed presentation matrix (diagonals s, t, s) and by "
         "B/cB; with b^2 alone the colon comes out as (t^2 - s), not (Q_2)"
     )
-    checks = []
-    for n in range(1, n_max + 1):
-        cech = CechClass(quotient, (a, b), n, s * a * b ** (n - 1))
-        expected = qn_recursive(n - 1).poly
-        checks.append(_annihilator_check(
-            f"colon-n{n}", cech, ("s", "t"), 0, expected, note=note,
-        ))
-    return checks
+    return [
+        _annihilator_check(
+            f"colon-n{n}", CechClass(quotient, (a, b), n, s * a * b ** (n - 1)),
+            0, qn_recursive(n - 1).poly, note=note,
+        )
+        for n in range(1, n_max + 1)
+    ]
 
 
-def _run_ring_b(params) -> list[CheckResult]:
+def _plan_ring_b(params) -> list[PlannedCheck]:
     p, n_max = params["p"], params["n_max"]
     ring = PolyRing(("s", "t", "a", "b", "c"), GF(p))
     s, t, a, b, c = ring.gens()
     relation = s * a ** 2 + s * b ** 2 + t * a * b + t * c ** 2
     quotient = QuotientRing(ring, (relation,))
-    checks = []
+    plan = []
     for n in range(1, n_max + 1):
         # (a^n, b^n, c) : s a b^{n-1}, contracted to K[s,t]
         ideal = Ideal(ring, (a ** n, b ** n, c))
         element = s * a * b ** (n - 1)
-        checks.append(_colon_check(
+        plan.append(_colon_check(
             f"colon-n{n}", "colon+eliminate", qn_recursive(n - 1).poly,
+            quotient, ideal, element,
             lambda ideal=ideal, element=element: eliminate(
                 colon(ideal, element, rel=quotient), {"a", "b", "c"}),
             {"kind": "colon_contraction", "ring": _ring_json(ring),
              "relations": [str(relation)],
              "ideal_generators": [str(g) for g in ideal.generators],
-             "colon_element": str(element), "subring_variables": ["s", "t"]},
+             "colon_element": str(element)},
         ))
-    return checks
+    return plan
 
 
 def _singh_swanson_ring(p):
@@ -355,83 +407,72 @@ def _singh_swanson_ring(p):
     return ring, relation
 
 
-def _run_singh_swanson(params) -> list[CheckResult]:
+def _plan_singh_swanson(params) -> list[PlannedCheck]:
     p, n_max, k = params["p"], params["n_max"], params["k"]
     q_list = params["q_list"]
     ring, relation = _singh_swanson_ring(p)
     s, t, u, v, w, x, y, z = ring.gens()
     quotient = QuotientRing(ring, (relation,))
-    checks = []
-    needed = sorted(set(range(1, n_max + 1)) | set(q_list))
-    ann_results = {}
-    for n in needed:
-        cech = CechClass(
-            quotient, (x, y, z), n,
-            s * (u * x) * (v * y) ** (n - 1) * z ** (n - 1),
+    plan = [
+        _annihilator_check(
+            f"annihilator-n{n}",
+            CechClass(quotient, (x, y, z), n,
+                      s * (u * x) * (v * y) ** (n - 1) * z ** (n - 1)),
+            k, qn_recursive(n - 1).poly,
         )
-        expected = qn_recursive(n - 1).poly
-        check = _annihilator_check(f"annihilator-n{n}", cech, ("s", "t"), k, expected)
-        ann_results[n] = check
-        checks.append(check)
+        for n in sorted(set(range(1, n_max + 1)) | set(q_list))
+    ]
     for q in q_list:
-        def body(q=q):
-            r = q
-            while r % p == 0:
-                r //= p
-            if r != 1:
-                return "fail", f"{q} is not a power of {p}", {"kind": "aborted"}, {}
-            bracket = frobenius_power(Ideal(ring, (x, y, z)), q)
-            explicit = Ideal(ring, (x ** q, y ** q, z ** q))
-            same = ideal_equal(bracket, explicit)
-            ann_ok = ann_results[q].ok
-            cert = {
-                "kind": "frobenius_witness",
-                "ring": _ring_json(ring),
-                "q": q,
-                "bracket_generators": [str(g) for g in bracket.generators],
-                "witness_annihilator_check": f"annihilator-n{q}",
-                "note": (
-                    "the Frobenius-power systems {S/(x^q,y^q,z^q)} are cofinal "
-                    "with {S/(x^n,y^n,z^n)}, so the annihilator witness at "
-                    "n = q exhibits the associated prime as one of "
-                    "Ass S/(x,y,z)^[q]; the passage from infinitely many "
-                    "annihilators to infinitely many associated primes is a "
-                    "cited implication, not machine-checked"
-                ),
-            }
-            ok = same and ann_ok
-            return ("pass" if ok else "fail"), {
+        bracket = frobenius_power(Ideal(ring, (x, y, z)), q)
+
+        def issue(statuses, q=q, bracket=bracket):
+            same = bracket.generators == (x ** q, y ** q, z ** q)
+            ann_ok = statuses[f"annihilator-n{q}"] == "pass"
+            return ("pass" if same and ann_ok else "fail"), {
                 "bracket_power_matches": same,
                 "annihilator_witness_passes": ann_ok,
-            }, cert, {}
-        checks.append(_guarded_check(
-            f"frobenius-witness-q{q}", "frobenius_power", True, body,
+            }, {}
+        plan.append(PlannedCheck(
+            f"frobenius-witness-q{q}", "frobenius_power", True,
+            {"kind": "frobenius_witness",
+             "ring": _ring_json(ring),
+             "q": q,
+             "bracket_generators": [str(g) for g in bracket.generators],
+             "witness_annihilator_check": f"annihilator-n{q}",
+             "note": (
+                 "the Frobenius-power systems {S/(x^q,y^q,z^q)} are cofinal "
+                 "with {S/(x^n,y^n,z^n)}, so the annihilator witness at "
+                 "n = q exhibits the associated prime as one of "
+                 "Ass S/(x,y,z)^[q]; the passage from infinitely many "
+                 "annihilators to infinitely many associated primes is a "
+                 "cited implication, not machine-checked"
+             )},
+            issue,
         ))
-    return checks
+    return plan
 
 
-def _run_katzman(params) -> list[CheckResult]:
+def _plan_katzman(params) -> list[PlannedCheck]:
     ring = PolyRing(("s", "t", "u", "v", "x", "y"), QQ)
     s, t, u, v, x, y = ring.gens()
     lhs = s * u ** 2 * x ** 2 - (s + t) * u * x * v * y + t * v ** 2 * y ** 2
-    rhs = (s * u * x - t * v * y) * (u * x - v * y)
+    factors = (s * u * x - t * v * y, u * x - v * y)
 
-    def body():
-        cert = {
-            "kind": "polynomial_identity",
-            "ring": _ring_json(ring),
-            "lhs": str(lhs),
-            "rhs_factors": [str(s * u * x - t * v * y), str(u * x - v * y)],
-            "note": (
-                "the factorization shows this hypersurface is not a domain; "
-                "the infinitude of Ass for it is reported as context only"
-            ),
-        }
-        return ("pass" if lhs == rhs else "fail"), str(lhs), cert, {}
+    def issue(_statuses):
+        return ("pass" if lhs == factors[0] * factors[1] else "fail"), str(lhs), {}
 
-    return [_guarded_check(
+    return [PlannedCheck(
         "defining-equation-factors", "polynomial_identity",
-        "(s*u*x - t*v*y)*(u*x - v*y)", body,
+        "(s*u*x - t*v*y)*(u*x - v*y)",
+        {"kind": "polynomial_identity",
+         "ring": _ring_json(ring),
+         "lhs": str(lhs),
+         "rhs_factors": [str(f) for f in factors],
+         "note": (
+             "the factorization shows this hypersurface is not a domain; "
+             "the infinitude of Ass for it is reported as context only"
+         )},
+        issue,
     )]
 
 
@@ -515,67 +556,82 @@ def _census_rows_sound(p: int, rows) -> bool:
     return True
 
 
-def _run_toeplitz_suite(params) -> list[CheckResult]:
+def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
     n_max = params["n_max"]
     N = params["generating_order"]
     roots_n_max, tol = params["roots_n_max"], params["roots_tol"]
     census_p, census_n_max = params["census_p"], params["census_n_max"]
-    checks = []
+    plan = []
     for n in range(1, n_max + 1):
-        def body(n=n):
+        def issue(_statuses, n=n):
             lhs = qn_recursive(n).poly
             rhs = det_oracle(build_matrix(n))
-            cert = {"kind": "toeplitz_equality", "n": n, "polynomial": str(lhs)}
-            return ("pass" if lhs == rhs else "fail"), str(rhs), cert, {}
-        checks.append(_guarded_check(
-            f"recursion-vs-oracle-n{n}", "det_oracle", "equal", body,
+            return ("pass" if lhs == rhs else "fail"), str(rhs), \
+                {"polynomial": str(lhs)}
+
+        def verify(cert, _statuses, n=n):
+            # the recursion is linear; the determinant oracle is not re-run
+            return cert["polynomial"] == str(qn_recursive(n).poly)
+        plan.append(PlannedCheck(
+            f"recursion-vs-oracle-n{n}", "det_oracle", "equal",
+            {"kind": "toeplitz_equality", "n": n}, issue, verify,
         ))
 
-    def gen_body():
+    def gen_issue(_statuses):
         value = generating_check(N)
-        cert = {"kind": "generating", "order": N, "value": value}
-        return ("pass" if value else "fail"), value, cert, {}
-    checks.append(_guarded_check(
-        "generating-function", "generating_check", True, gen_body,
+        return ("pass" if value else "fail"), value, {"value": value}
+    plan.append(PlannedCheck(
+        "generating-function", "generating_check", True,
+        {"kind": "generating", "order": N}, gen_issue,
     ))
 
-    def sab_body():
+    def sab_issue(_statuses):
         value = generating_check(N, family=_sabotaged_family)
-        cert = {"kind": "generating_sabotage", "order": N, "value": value}
-        return ("pass" if value is False else "fail"), value, cert, {}
-    checks.append(_guarded_check(
-        "generating-sabotage", "generating_check", False, sab_body,
+        return ("pass" if value is False else "fail"), value, {"value": value}
+    plan.append(PlannedCheck(
+        "generating-sabotage", "generating_check", False,
+        {"kind": "generating_sabotage", "order": N}, sab_issue,
     ))
 
     for n in range(1, roots_n_max + 1):
-        def body(n=n):
+        def roots_issue(_statuses, n=n):
             value = roots_numeric_check(n, tol)
-            cert = {"kind": "roots", "n": n, "tol": tol, "value": value}
-            return ("pass" if value else "fail"), value, cert, {}
-        checks.append(_guarded_check(
-            f"complex-roots-n{n}", "roots_numeric_check", True, body,
+            return ("pass" if value else "fail"), value, {"value": value}
+        plan.append(PlannedCheck(
+            f"complex-roots-n{n}", "roots_numeric_check", True,
+            {"kind": "roots", "n": n, "tol": tol}, roots_issue,
         ))
 
-    def census_body():
+    def census_issue(_statuses):
         census = factor_census(census_n_max, census_p)
         monotone = all(
             a.cumulative_count <= b.cumulative_count
             for a, b in zip(census.rows, census.rows[1:])
         )
-        cert = {"kind": "census", "census": census.to_json_dict()}
-        sound = _census_rows_sound(census_p, cert["census"]["rows"])
-        ok = monotone and sound
-        return ("pass" if ok else "fail"), {
+        data = census.to_json_dict()
+        sound = _census_rows_sound(census_p, data["rows"])
+        return ("pass" if monotone and sound else "fail"), {
             "cumulative_count": census.cumulative_count,
             "monotone": monotone,
             "factors_certified_irreducible_and_reconstruct": sound,
-        }, cert, {}
-    checks.append(_guarded_check(
+        }, {"census": data}
+
+    def census_verify(cert, _statuses):
+        data = cert["census"]
+        rows = data["rows"]
+        # the census the parameters ask for, rows n = 1..n_max, before any
+        # arithmetic; the counts the row check confirms never fall
+        return data["p"] == census_p and data["n_max"] == census_n_max \
+            and len(rows) == census_n_max \
+            and all(type(row["n"]) is int and row["n"] == i
+                    for i, row in enumerate(rows, 1)) \
+            and _census_rows_sound(census_p, rows)
+    plan.append(PlannedCheck(
         "factor-census", "factor_census",
         {"monotone": True, "factors_certified_irreducible_and_reconstruct": True},
-        census_body,
+        {"kind": "census"}, census_issue, census_verify,
     ))
-    return checks
+    return plan
 
 
 # --------------------------------------------------------------------------
@@ -588,11 +644,12 @@ class Scenario:
     description: str
     defaults: dict
     bounds: dict
-    runner: object
+    plan: Callable[[dict], list[PlannedCheck]]
 
 
-# the primes singh-p-torsion runs and reverify accepts: the pipeline's
-# enumeration and lambda_p both grow with p, so p comes from a fixed range
+# the primes singh-p-torsion and ptor2-theorem accept: the torsion
+# pipeline's enumeration and lambda_p, and the ptor2 coefficients 2^(p^e),
+# all grow with p, so p comes from a fixed range
 TORSION_PRIME_BOUNDS = (2, 31)
 
 # the largest modulus a scenario or a census certificate may name (p,
@@ -607,7 +664,7 @@ _SCENARIOS = (
         "as unknown (bounded search only)",
         {"p": 101, "n_max": 4, "k_max": 6},
         {"n_max": (0, 8), "k_max": (0, 12)},
-        _run_hartshorne,
+        _plan_hartshorne,
     ),
     Scenario(
         "singh-p-torsion",
@@ -616,21 +673,15 @@ _SCENARIOS = (
         "nonvanishing certificate",
         {"primes": [2, 3, 5, 7]},
         {},
-        _run_singh_p_torsion,
+        _plan_singh_p_torsion,
     ),
     Scenario(
         "ptor2-theorem",
         "the k = q-1 membership for a regular-sequence instance, over Q and "
         "a prime field (necessary consequences of the integer statement)",
-        {
-            "variables": ["x", "y", "z"],
-            "f": ["x", "y", "z"],
-            "g": ["y*z", "z*x", "-2*x*y"],
-            "p": 3, "e": 1,
-            "domains": ["QQ", "GF(5)"],
-        },
-        {"e": (1, 3)},
-        _run_ptor2,
+        {"p": 3, "e": 1, "domains": ["QQ", "GF(5)"]},
+        {"p": TORSION_PRIME_BOUNDS, "e": (1, 3)},
+        _plan_ptor2,
     ),
     Scenario(
         "ring-A-colon",
@@ -638,7 +689,7 @@ _SCENARIOS = (
         "K[s,t,a,b]/(s a^2 + t a b + s b^2)",
         {"p": 101, "n_max": 4},
         {"n_max": (1, 8)},
-        _run_ring_a,
+        _plan_ring_a,
     ),
     Scenario(
         "ring-B-colon",
@@ -646,7 +697,7 @@ _SCENARIOS = (
         "in K[s,t,a,b,c]/(s a^2 + s b^2 + t a b + t c^2)",
         {"p": 101, "n_max": 3},
         {"n_max": (1, 6)},
-        _run_ring_b,
+        _plan_ring_b,
     ),
     Scenario(
         "singh-swanson-S",
@@ -654,7 +705,7 @@ _SCENARIOS = (
         "the n = q cases double as Frobenius-power witnesses",
         {"p": 2, "n_max": 3, "k": 0, "q_list": [2]},
         {"n_max": (1, 8), "k": (0, 2)},
-        _run_singh_swanson,
+        _plan_singh_swanson,
     ),
     Scenario(
         "katzman-factorization",
@@ -662,7 +713,7 @@ _SCENARIOS = (
         "as (s u x - t v y)(u x - v y), exactly",
         {},
         {},
-        _run_katzman,
+        _plan_katzman,
     ),
     Scenario(
         "toeplitz-suite",
@@ -675,11 +726,15 @@ _SCENARIOS = (
         },
         {"n_max": (1, 12), "generating_order": (2, 64),
          "roots_n_max": (1, 12), "census_n_max": (1, 64)},
-        _run_toeplitz_suite,
+        _plan_toeplitz_suite,
     ),
 )
 
 _REGISTRY = {s.name: s for s in _SCENARIOS}
+
+# roots_tol is a float in (0, ROOTS_TOL_MAX]: a larger one would let the
+# numeric root check pass without locating the roots
+ROOTS_TOL_MAX = 1e-6
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -711,7 +766,7 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
         params[key] = value
     for key, (lo, hi) in scenario.bounds.items():
         v = params[key]
-        if not isinstance(v, int) or not lo <= v <= hi:
+        if type(v) is not int or not lo <= v <= hi:
             raise ValueError(
                 f"parameter {key}={v!r} outside documented bounds [{lo}, {hi}]"
             )
@@ -723,6 +778,12 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
             raise ValueError(f"parameter {key}={v!r} must be an int at most 2^64")
         if not is_prime(v):
             raise ValueError(f"parameter {key}={v} must be prime")
+    if "roots_tol" in params:
+        v = params["roots_tol"]
+        if type(v) is not float or not 0 < v <= ROOTS_TOL_MAX:
+            raise ValueError(
+                f"parameter roots_tol={v!r} must be a float in (0, {ROOTS_TOL_MAX}]"
+            )
     # one check per entry: an empty list would pass with nothing checked
     for key in ("primes", "domains"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
@@ -736,7 +797,7 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     if "primes" in params:
         primes = params["primes"]
         lo, hi = TORSION_PRIME_BOUNDS
-        if not all(isinstance(p, int) and lo <= p <= hi for p in primes):
+        if not all(type(p) is int and lo <= p <= hi for p in primes):
             raise ValueError(
                 f"parameter primes={primes!r} outside documented bounds "
                 f"[{lo}, {hi}]"
@@ -747,9 +808,18 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
         if len(set(primes)) != len(primes):
             raise ValueError(f"repeated entries in primes: {primes}")
     if "q_list" in params:
-        bad = [q for q in params["q_list"] if not isinstance(q, int) or q < 1]
+        # each q is an annihilator level, so it takes the bounds of n_max
+        q_list, p = params["q_list"], params["p"]
+        lo, hi = scenario.bounds["n_max"]
+        if not isinstance(q_list, list) or len(set(q_list)) != len(q_list) or \
+                not all(type(q) is int and lo <= q <= hi for q in q_list):
+            raise ValueError(
+                f"parameter q_list={q_list!r} must list distinct ints in [{lo}, {hi}]"
+            )
+        powers = {p ** i for i in range(hi.bit_length())}  # all those up to hi
+        bad = [q for q in q_list if q not in powers]
         if bad:
-            raise ValueError(f"bad Frobenius exponents in q_list: {bad}")
+            raise ValueError(f"q_list entries that are not powers of p = {p}: {bad}")
     return params
 
 
@@ -782,7 +852,11 @@ def run_scenario(name: str, params: dict | None = None) -> Report:
     scenario = _REGISTRY[name]
     merged = _validated_params(scenario, params)
     t0 = time.perf_counter()
-    checks = scenario.runner(merged)
+    checks, statuses = [], {}
+    for planned in scenario.plan(merged):
+        check = _guarded_check(planned, statuses)
+        statuses[check.name] = check.status
+        checks.append(check)
     return Report(
         scenario=name,
         description=scenario.description,
@@ -796,219 +870,17 @@ def run_scenario(name: str, params: dict | None = None) -> Report:
 # certificate re-verification
 
 
-def _verify_zero_at_cert(cert, _report):
-    cech = _class_from_json(cert["class"])
-    return verify_zero_at(cech, ZeroAt(int(cert["k"])))
-
-
-def _verify_unknown_cert(cert, _report):
-    cech = _class_from_json(cert["class"])
-    return is_zero_up_to(cech, int(cert["k_max"])) == UnknownUpTo(int(cert["k_max"]))
-
-
-def _verify_conjecture_cert(cert, _report):
-    ring = PolyRing(tuple(cert["variables"]), ZZ)
-    f_list = [ring.parse(s) for s in cert["f"]]
-    g_list = [ring.parse(s) for s in cert["g"]]
-    value = conjecture_membership_check(
-        f_list, g_list, int(cert["p"]), int(cert["e"]), int(cert["k"]),
-        domain_from_string(cert["domain"]),
-    )
-    return value == bool(cert["expected"])
-
-
-def _verify_polynomial_identity(cert, _report):
-    ring = _ring_from_json(cert["ring"])
-    lhs = ring.parse(cert["lhs"])
-    rhs = ring.one()
-    for f in cert["rhs_factors"]:
-        rhs = rhs * ring.parse(f)
-    return lhs == rhs
-
-
-def _torsion_work_bounded(cert) -> bool:
-    """Does p stay in the documented range?  Checked before any
-    arithmetic, since the re-check's cost grows with p."""
-    lo, hi = TORSION_PRIME_BOUNDS
-    p = cert["p"]
-    return type(p) is int and lo <= p <= hi and is_prime(p)
-
-
-def _verify_torsion_cert(cert, _report):
-    """The class must be eta_p itself, the cofactors must recombine to
-    p * lambda_p, and rerunning the pipeline that issued the nonvanishing
-    certificate must reproduce it exactly."""
-    if not _torsion_work_bounded(cert):
-        return False
-    p = cert["p"]
-    cech = eta_class(p)
-    if cert["class"] != cech.to_json_dict():
-        return False
-    ring = cech.ring.ring
-    (relation,) = cech.ring.relations
-    ann = cert["annihilation"]
-    if int(ann["k"]) != 0:
-        return False
-    recombined = ring.zero()
-    for gen, cof in zip(cech.sequence, ann["sequence_cofactors"]):
-        recombined = recombined + ring.parse(cof) * gen ** cech.m
-    recombined = recombined + ring.parse(ann["relation_cofactor"]) * relation
-    if recombined != p * cech.numerator:
-        return False
-    return cert["nonvanishing"] == \
-        weight_reduction_nonvanishing(p, cech.numerator).to_json_dict()
-
-
-def _inject(poly: Polynomial, target: PolyRing) -> Polynomial:
-    idx = [target.var_index(v) for v in poly.ring.variables]
-    out = {}
-    for e, c in poly.terms.items():
-        e2 = [0] * target.nvars
-        for i, x in zip(idx, e):
-            e2[i] = x
-        out[tuple(e2)] = c
-    return Polynomial(target, out)
-
-
-def _colon_cert_holds(cert, quotient: QuotientRing, ideal: Ideal,
-                      element: Polynomial) -> bool:
-    """The reported subring generators span the expected ideal, and each
-    one multiplies `element` into `ideal` modulo the relations."""
-    ring = quotient.ring
-    sub = PolyRing(tuple(cert["subring_variables"]), ring.domain)
-    computed = [sub.parse(s) for s in cert["computed_generators"]]
-    expected = [sub.parse(s) for s in cert["expected_generators"]]
-    if not computed or not expected:
-        return False
-    if not ideal_equal(Ideal(sub, tuple(computed)), Ideal(sub, tuple(expected))):
-        return False
-    return all(membership(_inject(g, ring) * element, ideal, rel=quotient)
-               for g in computed)
-
-
-def _verify_annihilator_cert(cert, _report):
-    # the colon of the class at level k: its power ideal by its numerator
-    pushed = push_forward(_class_from_json(cert["class"]), int(cert["k"]))
-    return _colon_cert_holds(cert, pushed.ring, pushed.power_ideal(),
-                             pushed.numerator)
-
-
-def _verify_colon_contraction(cert, _report):
-    ring = _ring_from_json(cert["ring"])
-    return _colon_cert_holds(
-        cert, QuotientRing(ring, tuple(ring.parse(r) for r in cert["relations"])),
-        Ideal(ring, tuple(ring.parse(g) for g in cert["ideal_generators"])),
-        ring.parse(cert["colon_element"]),
-    )
-
-
-def _suite_param(report, key):
-    """The report's toeplitz-suite parameter key when it is an int inside
-    the scenario's bounds, else None."""
-    params = report.get("params")
-    value = params.get(key) if isinstance(params, dict) else None
-    lo, hi = _REGISTRY["toeplitz-suite"].bounds[key]
-    return value if type(value) is int and lo <= value <= hi else None
-
-
-def _suite_index_bounded(value, report, key) -> bool:
-    """Is value an int in [1, the report's parameter key]?  Checked before
-    any arithmetic, since the re-check's cost grows with value."""
-    top = _suite_param(report, key)
-    return top is not None and type(value) is int and 1 <= value <= top
-
-
-def _verify_toeplitz_equality(cert, report):
-    n = cert["n"]
-    if not _suite_index_bounded(n, report, "n_max"):
-        return False
-    return ST_RING.parse(cert["polynomial"]) == qn_recursive(n).poly
-
-
-def _generating_order_bounded(cert, report) -> bool:
-    order = cert["order"]
-    return type(order) is int and order == _suite_param(report, "generating_order")
-
-
-def _verify_generating(cert, report):
-    return _generating_order_bounded(cert, report) \
-        and generating_check(cert["order"]) is bool(cert["value"]) is True
-
-
-def _verify_generating_sabotage(cert, report):
-    return _generating_order_bounded(cert, report) \
-        and generating_check(cert["order"], family=_sabotaged_family) is False \
-        and cert["value"] is False
-
-
-def _verify_roots(cert, report):
-    n, tol = cert["n"], cert["tol"]
-    if not _suite_index_bounded(n, report, "roots_n_max") \
-            or type(tol) not in (int, float) \
-            or tol != report["params"].get("roots_tol"):
-        return False
-    return roots_numeric_check(n, tol) is True and bool(cert["value"])
-
-
-def _census_work_bounded(data, report) -> bool:
-    """Is this the census the report's parameters ask for, with rows
-    n = 1..n_max inside the scenario's bounds?  Checked before any
-    arithmetic, since the re-check's cost grows with n and p."""
-    p, n_max, rows = data["p"], data["n_max"], data["rows"]
-    if type(n_max) is not int or n_max != _suite_param(report, "census_n_max"):
-        return False
-    return type(p) is int and p == report["params"].get("census_p") \
-        and isinstance(rows, list) and len(rows) == n_max \
-        and all(isinstance(row, dict) and type(row.get("n")) is int
-                and row["n"] == i for i, row in enumerate(rows, 1)) \
-        and p <= PRIME_BOUND and is_prime(p)
-
-
-def _verify_census(cert, report):
-    data = cert["census"]
-    if not _census_work_bounded(data, report):
-        return False
-    return _census_rows_sound(data["p"], data["rows"])
-
-
-def _verify_frobenius_witness(cert, report):
-    ring = _ring_from_json(cert["ring"])
-    q = int(cert["q"])
-    x, y, z = ring.gen("x"), ring.gen("y"), ring.gen("z")
-    bracket = frobenius_power(Ideal(ring, (x, y, z)), q)
-    if [str(g) for g in bracket.generators] != cert["bracket_generators"]:
-        return False
-    target = cert["witness_annihilator_check"]
-    for check in report.get("checks", []):
-        if check["name"] == target:
-            return check["status"] == "pass" and \
-                _verify_annihilator_cert(check["certificate"], report)
-    return False
-
-
-_VERIFIERS = {
-    "zero_at": _verify_zero_at_cert,
-    "unknown_up_to": _verify_unknown_cert,
-    "conjecture_instance": _verify_conjecture_cert,
-    "polynomial_identity": _verify_polynomial_identity,
-    "torsion": _verify_torsion_cert,
-    "annihilator": _verify_annihilator_cert,
-    "colon_contraction": _verify_colon_contraction,
-    "toeplitz_equality": _verify_toeplitz_equality,
-    "generating": _verify_generating,
-    "generating_sabotage": _verify_generating_sabotage,
-    "roots": _verify_roots,
-    "census": _verify_census,
-    "frobenius_witness": _verify_frobenius_witness,
-}
-
-
 def reverify(report) -> bool:
-    """Re-check every certificate embedded in a report.
+    """Re-check a report against the plan of the scenario it names.
 
     Accepts a Report or its JSON dict form.  Raises MalformedReportError
-    when the payload is not a report of this artifact or has no checks;
-    returns False as soon as any certificate fails to re-verify.
+    when the payload is not a report of this artifact, names no known
+    scenario, has no checks, or carries a certificate of another kind than
+    its plan.  Returns False when its parameters are not exactly the
+    validated ones, when a check differs from its planned one in name,
+    operation, expected outcome, status or any certificate field the
+    parameters fix, and as soon as a witness fails to re-verify; all of
+    these are decided before any arithmetic but the witness re-check.
     """
     if isinstance(report, Report):
         report = report.to_json_dict()
@@ -1017,25 +889,42 @@ def reverify(report) -> bool:
     checks = report.get("checks")
     if not isinstance(checks, list) or not checks:
         raise MalformedReportError("report carries no checks")
-    for check in checks:
+    name = report.get("scenario")
+    if not isinstance(name, str) or name not in _REGISTRY:
+        raise MalformedReportError(f"unknown scenario {name!r}")
+    scenario = _REGISTRY[name]
+    params = report.get("params")
+    try:
+        if not isinstance(params, dict) or _validated_params(scenario, params) != params:
+            return False
+    except ValueError:
+        return False
+    plan = scenario.plan(params)
+    if len(plan) != len(checks):
+        return False
+    statuses: dict = {}
+    for planned, check in zip(plan, checks):
         try:
-            cert = check["certificate"]
+            cert, status = check["certificate"], check["status"]
             kind = cert.get("kind")
-            status = check["status"]
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, AttributeError) as exc:
             raise MalformedReportError(f"malformed check entry: {exc}") from exc
-        if status != check.get("expected_status", "pass"):
+        header = (check.get("name"), check.get("operation"), check.get("expected"),
+                  check.get("expected_status"), status)
+        if not _same(header, (planned.name, planned.operation, planned.expected,
+                              planned.expected_status, planned.expected_status)):
             return False
-        if kind == "aborted":
+        if kind != planned.fixed["kind"]:
+            raise MalformedReportError(
+                f"check {planned.name}: certificate kind {kind!r}, "
+                f"planned {planned.fixed['kind']!r}"
+            )
+        if not all(_same(cert.get(key), value) for key, value in planned.fixed.items()):
             return False
-        verifier = _VERIFIERS.get(kind)
-        if verifier is None:
-            raise MalformedReportError(f"unknown certificate kind {kind!r}")
         try:
-            if not verifier(cert, report):
+            if not planned.verified(cert, statuses):
                 return False
-        except MalformedReportError:
-            raise
         except Exception:
             return False
+        statuses[planned.name] = status
     return True

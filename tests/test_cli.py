@@ -199,3 +199,34 @@ def test_torsion_prime_bound_exit_two(capsys):
     assert main(["run", "singh-p-torsion", "--primes", "37"]) == 2
     assert "bounds" in capsys.readouterr().err
     assert main(["run", "singh-p-torsion", "--primes", "2,37"]) == 2
+
+
+@pytest.mark.parametrize("argv, params", [
+    # p = 1009, e = 3 would expand lambda_q for q = 1009^3
+    (["run", "ptor2-theorem", "--p", "1009"], {"e": 3}),
+    # q = 16 would compute the annihilator of eta_16
+    (["run", "singh-swanson-S"], {"q_list": [16]}),
+])
+def test_parameters_that_set_unbounded_work_exit_two(tmp_path, capsys, argv, params):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    t0 = time.perf_counter()
+    assert main(argv + ["--params", str(path)]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    assert "bad parameters" in capsys.readouterr().err
+
+
+def test_run_engine_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    from cohomcert import toeplitz
+    from cohomcert.polyring import NonDivisibleError
+
+    def broken(n, p=None):
+        raise NonDivisibleError(f"injected fault at n = {n}")
+
+    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"n_max": 1, "generating_order": 2,
+                                "roots_n_max": 1, "census_n_max": 3}))
+    assert main(["run", "toeplitz-suite", "--params", str(path)]) == 2
+    assert "internal error: NonDivisibleError: injected fault" in \
+        capsys.readouterr().err

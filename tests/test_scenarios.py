@@ -59,6 +59,59 @@ def test_parameter_validation():
         run_scenario("ptor2-theorem", {"domains": ["GF(18446744073709551629)"]})
 
 
+@pytest.mark.parametrize("name, params", [
+    # bounded parameters are ints, and a bool is not one
+    ("hartshorne", {"n_max": True}),
+    ("ring-A-colon", {"n_max": 2.0}),
+    ("toeplitz-suite", {"census_n_max": True}),
+    # the numeric root check needs a real tolerance
+    ("toeplitz-suite", {"roots_tol": float("inf")}),
+    ("toeplitz-suite", {"roots_tol": "x"}),
+    ("toeplitz-suite", {"roots_tol": 0.0}),
+    ("toeplitz-suite", {"roots_tol": -1e-9}),
+    ("toeplitz-suite", {"roots_tol": 1e-3}),
+    ("toeplitz-suite", {"roots_tol": 1}),
+    # ptor2's p takes the torsion prime bounds; its instance is fixed
+    ("ptor2-theorem", {"p": 1009}),
+    ("ptor2-theorem", {"p": 37}),
+    ("ptor2-theorem", {"p": 9}),
+    ("ptor2-theorem", {"f": ["x", "y", "z"]}),
+    ("ptor2-theorem", {"variables": ["x", "y", "z"]}),
+    # Frobenius exponents are distinct powers of p inside n_max's bounds
+    ("singh-swanson-S", {"q_list": [16]}),
+    ("singh-swanson-S", {"q_list": [0]}),
+    ("singh-swanson-S", {"q_list": [2, 2]}),
+    ("singh-swanson-S", {"q_list": [True]}),
+    ("singh-swanson-S", {"q_list": [3]}),
+    ("singh-swanson-S", {"q_list": 2}),
+])
+def test_parameter_validation_is_strict(name, params):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        run_scenario(name, params)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_parameters_inside_the_new_bounds_run():
+    assert run_scenario("toeplitz-suite", {
+        "n_max": 2, "generating_order": 2, "roots_n_max": 2, "roots_tol": 1e-6,
+        "census_n_max": 2}).passed
+    report = run_scenario("singh-swanson-S", {"q_list": [1, 4, 8], "n_max": 1})
+    assert [c.name for c in report.checks] == [
+        "annihilator-n1", "annihilator-n4", "annihilator-n8",
+        "frobenius-witness-q1", "frobenius-witness-q4", "frobenius-witness-q8"]
+    assert report.passed
+    report = run_scenario("ptor2-theorem", {"p": 7, "e": 1, "domains": ["GF(11)"]})
+    assert report.passed and set(report.params) == {"p", "e", "domains"}
+    cert = report.checks[0].certificate
+    assert (cert["variables"], cert["f"], cert["g"]) == \
+        (["x", "y", "z"], ["x", "y", "z"], ["y*z", "x*z", "-2*x*y"])
+    # at the top of both bounds the degree guard aborts the run at once
+    t0 = time.perf_counter()
+    assert not run_scenario("ptor2-theorem", {"p": 31, "e": 3}).passed
+    assert time.perf_counter() - t0 < 0.1
+
+
 @pytest.mark.parametrize("primes", [[37], [2, 37], [101], [1], [-2], [3, 3],
                                     3, ["7"]])
 def test_torsion_primes_are_bounded(primes):
@@ -214,6 +267,106 @@ def test_reverify_detects_tampering():
     tampered = copy.deepcopy(ann)
     tampered["checks"][2]["certificate"]["expected_generators"] = ["s^2 + 1"]
     assert not reverify(tampered)
+
+
+_FORGERY_REPORTS: dict = {}
+
+
+def _fresh_report(name, params):
+    """A deep copy of one run of the scenario, shared across the forgeries."""
+    key = (name, json.dumps(params, sort_keys=True))
+    if key not in _FORGERY_REPORTS:
+        _FORGERY_REPORTS[key] = run_scenario(name, params).to_json_dict()
+    return copy.deepcopy(_FORGERY_REPORTS[key])
+
+
+def _check(report, name):
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
+def _katzman_x_equals_x(report):
+    cert = _check(report, "defining-equation-factors")["certificate"]
+    cert["ring"] = {"variables": ["x"], "domain": "QQ"}
+    cert["lhs"], cert["rhs_factors"] = "x", ["x"]
+
+
+def _ring_a_unit_annihilates_a5(report):
+    # 1 * a^5 does lie in (a^2, b^2), so a class-driven check accepts it
+    cert = _check(report, "colon-n2")["certificate"]
+    cert["class"]["numerator"] = "a^5"
+    cert["computed_generators"] = cert["expected_generators"] = ["1"]
+
+
+def _hartshorne_witness_k5(report):
+    # vanishing at k = 1 implies vanishing at k = 5, but the claim is k <= 2
+    cert = _check(report, "socle-kill-n1-w")["certificate"]
+    assert cert["k"] == 1
+    cert["k"] = 5
+
+
+def _hartshorne_numerator_x9(report):
+    _check(report, "socle-kill-n1-w")["certificate"]["class"]["numerator"] = "x^9"
+
+
+def _ptor2_other_syzygy(report):
+    # x*y + y*(-x) = 0 is a syzygy too, and its membership holds trivially
+    for check in report["checks"]:
+        check["certificate"]["f"], check["certificate"]["g"] = ["x", "y"], ["y", "-x"]
+
+
+def _frobenius_witness_at_n1(report):
+    cert = _check(report, "frobenius-witness-q2")["certificate"]
+    cert["witness_annihilator_check"] = "annihilator-n1"
+
+
+def _relabelled_as_ring_b(report):
+    report["scenario"] = "ring-B-colon"
+
+
+def _unknown_k_max_30(report):
+    _check(report, "socle-nonzero-n0")["certificate"]["k_max"] = 30
+
+
+def _params_out_of_bounds(report):
+    report["params"]["n_max"] = 99
+
+
+def _ptor2_p1009_e3(report):
+    # q = 1009^3: expanding lambda_q alone would take minutes
+    k = 1009 ** 3 - 1
+    report["params"].update(p=1009, e=3)
+    for check in report["checks"]:
+        check["name"] = f"membership-k{k}-{check['certificate']['domain']}"
+        check["certificate"].update(p=1009, e=3, k=k)
+
+
+@pytest.mark.parametrize("name, params, forge", [
+    ("katzman-factorization", {}, _katzman_x_equals_x),
+    ("ring-A-colon", {"n_max": 3}, _ring_a_unit_annihilates_a5),
+    ("hartshorne", {"n_max": 1}, _hartshorne_witness_k5),
+    ("hartshorne", {"n_max": 1}, _hartshorne_numerator_x9),
+    ("ptor2-theorem", {}, _ptor2_other_syzygy),
+    ("singh-swanson-S", {"n_max": 2}, _frobenius_witness_at_n1),
+    ("ring-A-colon", {"n_max": 3}, _relabelled_as_ring_b),
+    ("hartshorne", {"n_max": 1}, _unknown_k_max_30),
+    ("hartshorne", {"n_max": 1}, _params_out_of_bounds),
+    ("ptor2-theorem", {}, _ptor2_p1009_e3),
+])
+def test_reverify_rejects_forgeries_against_the_plan(name, params, forge):
+    report = _fresh_report(name, params)
+    assert reverify(copy.deepcopy(report))
+    forge(report)
+    t0 = time.perf_counter()
+    assert reverify(report) is False
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_reverify_needs_a_known_scenario():
+    report = _fresh_report("katzman-factorization", {})
+    for name in ("no-such-scenario", None, ["hartshorne"]):
+        report["scenario"] = name
+        with pytest.raises(MalformedReportError):
+            reverify(report)
 
 
 @pytest.fixture(scope="module")
