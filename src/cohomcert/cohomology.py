@@ -173,13 +173,27 @@ def _vanishes_at(c: CechClass, k: int) -> bool:
 
 def is_zero_up_to(c: CechClass, k_max: int):
     """ZeroAt(k) for the least k <= k_max witnessing vanishing, else
-    UnknownUpTo(k_max); never claims nonvanishing by itself."""
+    UnknownUpTo(k_max); never claims nonvanishing by itself.
+
+    Vanishing is monotone in k (multiplying level k by x_1...x_n lands in
+    level k+1), so a galloping search tests k = 0, 1, 3, 7, ... capped at
+    k_max, then bisects between the last level that does not vanish and
+    the first that does.
+    """
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
-    for k in range(k_max + 1):
-        if _vanishes_at(c, k):
-            return ZeroAt(k)
-    return UnknownUpTo(k_max)
+    lo, hi = -1, 0  # level lo does not vanish (-1: none tested yet)
+    while not _vanishes_at(c, hi):
+        if hi == k_max:
+            return UnknownUpTo(k_max)
+        lo, hi = hi, min(2 * hi + 1, k_max)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _vanishes_at(c, mid):
+            hi = mid
+        else:
+            lo = mid
+    return ZeroAt(hi)
 
 
 def verify_zero_at(c: CechClass, verdict: ZeroAt) -> bool:

@@ -764,6 +764,8 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
                 f"accepted: {sorted(scenario.defaults)}"
             )
         params[key] = value
+    # a report's lists must not alias the registry's defaults (or the caller's)
+    params = {k: list(v) if isinstance(v, list) else v for k, v in params.items()}
     for key, (lo, hi) in scenario.bounds.items():
         v = params[key]
         if type(v) is not int or not lo <= v <= hi:

@@ -11,7 +11,9 @@ The oracle expands each minor (bottom rows, a set of columns) once per
 call.  The census uses Q_(m-1) | Q_n for m | n+1: row n divides Q_n(1,t)
 exactly by Q_(m-1)(1,t) for the largest such m <= n, factors only the
 quotient and merges row m-1's factors into it; an inexact division is
-an engine error, never a verdict.
+an engine error, never a verdict.  Every Frobenius power h^p mod f in the
+factorization and in the irreducibility certificate is one linear map,
+read from a packed table of x^(i*p) mod f built once per modulus.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from itertools import zip_longest
 from .polyring import (
     GF,
     QQ,
+    ZZ,
     NonDivisibleError,
     Polynomial,
     PolyRing,
@@ -159,16 +162,19 @@ def qn_dehomogenized(n: int, p: int | None = None) -> Polynomial:
 def generating_check(N: int, family=qn_recursive) -> bool:
     """Verify (sum_{n<=N} Q_n z^n) * (1 - t z + s^2 z^2) = 1 + O(z^{N+1}).
 
-    The check runs in truncated polynomial arithmetic with an auxiliary
-    variable z; `family` exists so tests can feed a sabotaged sequence.
+    The check runs in truncated polynomial arithmetic over Z with an
+    auxiliary variable z; `family` exists so tests can feed a sabotaged
+    sequence.  A family member with a non-integral coefficient raises
+    ValueError.
     """
     if N < 2:
         raise ValueError("truncation order must be at least 2")
-    ring = PolyRing(("s", "t", "z"), QQ)
+    ring = PolyRing(("s", "t", "z"), ZZ)
     s, t, z = ring.gens()
     # Q_n z^n for distinct n share no monomial: the sum is a union of terms
     series = Polynomial(ring, {
-        e + (n,): c for n in range(N + 1) for e, c in family(n).poly.terms.items()
+        e + (n,): ZZ.normalize(c)
+        for n in range(N + 1) for e, c in family(n).poly.terms.items()
     }, _normalized=True)
     product = series * (ring.one() - t * z + s ** 2 * z ** 2)
     truncated = Polynomial(
@@ -213,6 +219,11 @@ def roots_numeric_check(n: int, tol: float = 1e-8) -> bool:
 # into one integer, w bytes per coefficient, so a single big-integer
 # product yields every convolution sum at once, provided no sum reaches
 # 2^(8w).
+#
+# Frobenius powers h -> h^p mod f (Rabin's test, distinct-degree
+# splitting, and the norm a^((p^d-1)/2) of equal-degree splitting) go
+# through the modulus's packed table of x^(i*p) mod f, one packed sum
+# each, instead of square-and-multiply (von zur Gathen-Shoup 1992).
 
 
 _BYTEORDER = sys.byteorder
@@ -270,21 +281,26 @@ def dense_coefficients(f: Polynomial) -> list:
 
 
 class _Modulus:
-    """Multiplication modulo a monic f of degree n >= 1 over F_p.
+    """Multiplication and the Frobenius map modulo a monic f of degree
+    n >= 1 over F_p.
 
     Built once per modulus.  The slot width holds n*(p-1)^2 + p, the
-    largest sum a product of reduced operands or its fold can reach, and
-    the table holds x^k mod f for k = n..2n-2, packed, so a product is
-    reduced by adding c_k * (x^k mod f) for its high coefficients c_k into
-    one packed accumulator.
+    largest sum a product of reduced operands, its fold or a Frobenius
+    image can reach.  The fold table holds x^k mod f for k = n..2n-2,
+    packed, so a product is reduced by adding c_k * (x^k mod f) for its
+    high coefficients c_k into one packed accumulator.  The Frobenius
+    table, built on first use, holds x^(i*p) mod f for i < n, packed the
+    same way: a -> a^p is linear over F_p, so a^p mod f is the sum of
+    a_i * (x^(i*p) mod f).
     """
 
-    __slots__ = ("f", "p", "n", "width", "fold")
+    __slots__ = ("f", "p", "n", "width", "fold", "frob")
 
     def __init__(self, f, p):
         n = len(f) - 1
         self.f, self.p, self.n = f, p, n
         self.width = _slot_width(n * (p - 1) ** 2 + p)
+        self.frob = None
         r = [-c % p for c in f[:n]]  # x^n mod f
         self.fold = []
         for _ in range(n - 1):
@@ -307,6 +323,25 @@ class _Modulus:
                     acc += ck * rk
             c = _unpack(acc, n, width, p)
         return _utrim(c)
+
+    def frobenius(self, a):
+        """a^p mod f for a with entries in [0, p), of any degree."""
+        if len(a) > self.n:
+            a = _udivmod(a, self.f, self.p)[1]
+        if not a:
+            return []
+        if self.frob is None:
+            xp = _upow_mod([0, 1], self.p, self)
+            row = [1]
+            self.frob = [_pack(row, self.width)]
+            for _ in range(self.n - 1):
+                row = self.mul(row, xp)
+                self.frob.append(_pack(row, self.width))
+        acc = 0
+        for ai, row in zip(a, self.frob):
+            if ai:
+                acc += ai * row
+        return _utrim(_unpack(acc, self.n, self.width, self.p))
 
 
 def _utrim(f):
@@ -401,29 +436,38 @@ def _uadd(f, g, p):
 def _distinct_degree(f, p):
     """Split a squarefree monic f into (product, d) blocks."""
     out = []
+    # h = x^(p^d) stays reduced mod the input f: the f left after each
+    # split divides it, so gcd(h - x, f) is unchanged
+    mod = _Modulus(f, p)
     h = [0, 1]  # x
-    mod = None
     d = 0
     while _udeg(f) > 0:
         d += 1
         if 2 * d > _udeg(f):
             out.append((f, _udeg(f)))
             break
-        if mod is None or mod.f is not f:
-            mod = _Modulus(f, p)
-        h = _upow_mod(h, p, mod)
+        h = mod.frobenius(h)
         g = _ugcd(_minus_x(h, p), f, p)
         if _udeg(g) > 0:
             out.append((g, d))
             f = _udivmod(f, g, p)[0]
-            if _udeg(f) > 0:
-                h = _udivmod(h, f, p)[1]
     return out
 
 
 def _random_poly(deg_bound, p, rng):
     f = [rng.randrange(p) for _ in range(deg_bound)]
     return _utrim(f)
+
+
+def _split_power(a, d, mod):
+    """The Cantor-Zassenhaus splitting power a^((p^d-1)/2) mod f for odd
+    p, as c^(1+p+...+p^(d-1)) with c = a^((p-1)/2): d-1 Frobenius images
+    and d-1 products."""
+    c = _upow_mod(a, (mod.p - 1) // 2, mod)
+    b = c
+    for _ in range(d - 1):
+        b = mod.mul(mod.frobenius(b), c)
+    return b
 
 
 def _equal_degree(f, d, p, rng):
@@ -436,9 +480,6 @@ def _equal_degree(f, d, p, rng):
         a = _random_poly(n, p, rng)
         if _udeg(a) < 1:
             continue
-        g = _ugcd(a, f, p)
-        if 0 < _udeg(g) < n:
-            break
         if p == 2:
             # trace map: a + a^2 + a^4 + ... + a^(2^(d-1)) splits f
             b = []
@@ -448,7 +489,7 @@ def _equal_degree(f, d, p, rng):
                 t = mod.mul(t, t)
             g = _ugcd(b, f, p) if b else []
         else:
-            b = _upow_mod(a, (p ** d - 1) // 2, mod)
+            b = _split_power(a, d, mod)
             if b:
                 b[0] = (b[0] - 1) % p
             else:
@@ -522,7 +563,7 @@ def irreducibility_certified(f: Polynomial) -> bool:
     checkpoints = {n // l for l in _prime_divisors(n)}
     h = [0, 1]
     for k in range(1, n + 1):
-        h = _upow_mod(h, p, mod)
+        h = mod.frobenius(h)
         if k in checkpoints and _udeg(_ugcd(_minus_x(h, p), dense, p)) != 0:
             return False
     hx = _minus_x(h, p)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cohomcert import cohomology
 from cohomcert import (
     CechClass,
     DomainNotSupportedError,
@@ -90,6 +91,29 @@ def test_is_zero_examples():
     w, X_, Y_, Z_ = ring.gens()
     c = CechClass(quotient, (X_, Y_), 2, Y_ * Z_).scale(w)
     assert is_zero_up_to(c, 4) == ZeroAt(1)
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 2, 5, 12])
+def test_is_zero_up_to_gallops_to_the_least_level(monkeypatch, k_max):
+    # vanishing is monotone in k; a stand-in class first vanishing at
+    # level least (never, past k_max) counts the levels the search tests
+    for least in range(k_max + 2):
+        tested = []
+
+        def vanishes(_c, k, least=least, tested=tested):
+            tested.append(k)
+            return k >= least
+        monkeypatch.setattr(cohomology, "_vanishes_at", vanishes)
+        verdict = is_zero_up_to(None, k_max)
+        if least > k_max:
+            assert verdict == UnknownUpTo(k_max)
+            # k = 0, 1, 3, 7, ..., k_max: five levels for k_max = 12
+            assert k_max in tested and len(tested) <= k_max.bit_length() + 1
+        else:
+            assert verdict == ZeroAt(least)
+        assert all(0 <= k <= k_max for k in tested)
+        if least <= 1:
+            assert len(tested) <= least + 1  # never more than the linear scan
 
 
 def test_zero_at_witness_reverifies():

@@ -125,6 +125,15 @@ def test_torsion_primes_up_to_the_bound_run_and_reverify():
     assert reverify(json.loads(json.dumps(report.to_json_dict())))
 
 
+def test_report_params_do_not_alias_the_defaults():
+    # mutating one report's parameter lists must not change later defaults
+    report = run_scenario("singh-p-torsion")
+    report.params["primes"].append(37)
+    assert run_scenario("singh-p-torsion").passed
+    assert run_scenario("ptor2-theorem").params["domains"] is not \
+        run_scenario("ptor2-theorem").params["domains"]
+
+
 def test_hartshorne_report():
     report = run_scenario("hartshorne", {"n_max": 2})
     assert report.passed

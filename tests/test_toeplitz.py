@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,6 +7,7 @@ from cohomcert import (
     GF,
     Multigrading,
     PolyRing,
+    Polynomial,
     QQ,
     build_matrix,
     det_oracle,
@@ -28,6 +30,7 @@ from cohomcert.toeplitz import (
     ToeplitzMatrix,
     _Modulus,
     _slot_width,
+    _split_power,
     _udivmod,
     _upow_mod,
     dense_coefficients,
@@ -101,6 +104,15 @@ def test_generating_function():
 
     assert not generating_check(6, family=sabotage)
 
+    def fractional(n):
+        if n == 3:
+            return QnPolynomial(3, qn_recursive(3).poly * Fraction(1, 2))
+        return qn_recursive(n)
+
+    # the series lives over Z: a non-integral member is an engine error
+    with pytest.raises(ValueError):
+        generating_check(6, family=fractional)
+
 
 def test_roots_numeric():
     for n in range(1, 13):
@@ -149,15 +161,34 @@ def test_factor_reconstruction_random():
 
 def test_factor_against_brute_force():
     for p in (3, 5):
-        ring = PolyRing(("t",), GF(p))
         for n in range(1, 9):
-            mine = {
-                tuple(0 if (i,) not in g.terms else g.terms[(i,)]
-                      for i in range(g.total_degree() + 1)): m
-                for g, m in factor_univariate_fp(qn_dehomogenized(n, p))
-            }
+            f = qn_dehomogenized(n, p)
             brute = brute_factorize(qn_dehom_dense(n, p), p)
-            assert {tuple(k): v for k, v in brute.items()} == mine
+            assert _dense_factors(f) == {tuple(k): v for k, v in brute.items()}
+    # products of two or three distinct irreducibles of one degree d >= 2:
+    # distinct-degree splitting leaves them in one block, so equal-degree
+    # splitting (the Frobenius norm for odd p) must separate them
+    rng = random.Random(4242)
+    for p in (3, 5, 13):
+        ring = PolyRing(("t",), GF(p))
+        for d in (2, 3):
+            for count in ((2,) if p ** d > 1000 else (2, 3)):
+                irreducibles = set()
+                while len(irreducibles) < count:
+                    g = _random_monic(d, p, rng)
+                    if smallest_factor(g, p)[0] is None:
+                        irreducibles.add(tuple(g))
+                product = [1]
+                for g in irreducibles:
+                    product = _umul(product, list(g), p)
+                f = Polynomial(ring, {(i,): c for i, c in enumerate(product) if c})
+                brute = brute_factorize(product, p)
+                assert brute == {g: 1 for g in irreducibles}
+                assert _dense_factors(f) == brute, (p, d, count)
+
+
+def _dense_factors(f):
+    return {tuple(dense_coefficients(g)): m for g, m in factor_univariate_fp(f)}
 
 
 def test_irreducibility_certified():
@@ -358,6 +389,34 @@ def test_upow_mod_matches_schoolbook():
             for e in (0, 1, 2, 3, 7, 16, 29):
                 a = _random_dense(n + 2, p, rng)  # unreduced base too
                 assert _upow_mod(a, e, mod) == _oracle_powmod(a, e, f, p), (p, n, e)
+
+
+def test_frobenius_matches_powering():
+    # a^p mod f from the packed x^(i*p) table against square-and-multiply,
+    # for p >= n (a genuine power) and p < n, on unreduced and worst-case a
+    rng = random.Random(1992)
+    for p in KERNEL_PRIMES:
+        sizes = {1, 2, 3, 17, 33} | {n for n in (p - 1, p + 1) if 1 <= n <= 300}
+        for n in sorted(sizes):
+            for f in ([p - 1] * n + [1], _random_monic(n, p, rng)):
+                mod = _Modulus(f, p)
+                for a in ([p - 1] * n, [p - 1] * (2 * n + 1),
+                          _random_dense(n, p, rng), _random_dense(n + 3, p, rng),
+                          [], [0, 1]):
+                    assert mod.frobenius(a) == _upow_mod(a, p, mod), (p, n)
+
+
+def test_split_power_matches_powering():
+    # the equal-degree split element a^((p^d-1)/2) through d-1 Frobenius maps
+    rng = random.Random(1981)
+    for p in (3, 5, 13, 257, 65521, 2 ** 61 - 1):
+        for n in (2, 4, 6, 9):
+            f = _random_monic(n, p, rng)
+            mod = _Modulus(f, p)
+            for d in (1, 2, 3, 4):
+                for a in (_random_dense(n, p, rng), [p - 1] * n):
+                    assert _split_power(a, d, mod) == \
+                        _upow_mod(a, (p ** d - 1) // 2, mod), (p, n, d)
 
 
 def test_mul_fp_matches_schoolbook():
