@@ -66,6 +66,7 @@ from .toeplitz import (
     factor_census,
     generating_check,
     irreducibility_certified,
+    mirror_fp,
     mul_fp,
     qn_dehomogenized,
     qn_recursive,
@@ -513,11 +514,15 @@ def _read_factor(text: str, p: int):
 def _census_rows_sound(p: int, rows) -> bool:
     """Each census row (JSON form) lists irreducible factors over F_p whose
     product is Q_n(1,t), names as new exactly its factors that no earlier
-    row has, and counts the distinct factors seen so far.  Each distinct
-    factor string is read and certified once."""
+    row has, and counts the distinct factors seen so far; multiplicities
+    and counts are ints.  Each distinct factor string is read and
+    certified once.  t -> -t is a ring automorphism of F_p[t], so a factor
+    whose mirror (-1)^deg g * g(-t) is already certified irreducible is
+    irreducible without Rabin's test."""
     tring = PolyRing(("t",), GF(p))
     read: dict = {}  # factor string -> its terms, or None if not canonical
     certified: dict = {}  # factor string -> dense coefficients, or None
+    irreducible: set = set()  # dense coefficient tuples certified so far
     seen: set[str] = set()
     for row in rows:
         n = int(row["n"])
@@ -525,9 +530,9 @@ def _census_rows_sound(p: int, rows) -> bool:
         for fac, mult in row["factorization"]:
             if fac not in read:
                 read[fac] = _read_factor(fac, p)
-            if read[fac] is None:
+            if read[fac] is None or type(mult) is not int:
                 return False
-            factorization.append((fac, read[fac][0][0], int(mult)))
+            factorization.append((fac, read[fac][0][0], mult))
         # degrees adding up to n bound the work before any arithmetic
         if any(d < 1 or m < 1 for _, d, m in factorization) or \
                 sum(d * m for _, d, m in factorization) != n:
@@ -537,8 +542,13 @@ def _census_rows_sound(p: int, rows) -> bool:
             if fac not in certified:
                 g = Polynomial(tring, {(k,): c for k, c in read[fac]},
                                _normalized=True)
-                certified[fac] = dense_coefficients(g) \
-                    if irreducibility_certified(g) else None
+                dense = dense_coefficients(g)
+                if tuple(mirror_fp(dense, p)) in irreducible or \
+                        irreducibility_certified(g):
+                    irreducible.add(tuple(dense))
+                    certified[fac] = dense
+                else:
+                    certified[fac] = None
             dense = certified[fac]
             if dense is None:
                 return False
@@ -551,7 +561,8 @@ def _census_rows_sound(p: int, rows) -> bool:
                 row["new_factors"] != [f for f in factors if f not in seen]:
             return False
         seen.update(factors)
-        if int(row["cumulative_count"]) != len(seen):
+        count = row["cumulative_count"]
+        if type(count) is not int or count != len(seen):
             return False
     return True
 

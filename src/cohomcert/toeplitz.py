@@ -8,10 +8,16 @@ check of the complex factorization, and irreducible-factor censuses over
 prime fields.  Floating point is confined to roots_numeric_check.
 
 The oracle expands each minor (bottom rows, a set of columns) once per
-call.  The census uses Q_(m-1) | Q_n for m | n+1: row n divides Q_n(1,t)
-exactly by Q_(m-1)(1,t) for the largest such m <= n, factors only the
-quotient and merges row m-1's factors into it; an inexact division is
-an engine error, never a verdict.  Every Frobenius power h^p mod f in the
+call.  The census uses Q_(m-1) | Q_n for m | n+1: odd row n divides
+Q_n(1,t) exactly by Q_(m-1)(1,t) for the largest such m <= n, factors
+only the quotient and merges row m-1's factors into it.  Even row n = 2j
+uses U_2j = U_j^2 - U_(j-1)^2: Q_n(1,t) = A_j * mirror(A_j) with
+A_j = Q_j(1,t) - Q_(j-1)(1,t) and mirror(g) = (-1)^deg g * g(-t), so it
+factors only A_j (past A_i for 2i+1 | 2j+1) and mirrors each factor.  An
+inexact division or a wrong product is an engine error, never a verdict.
+The row check certifies one factor of each mirror pair by Rabin's test:
+t -> -t is a ring automorphism, so the other is irreducible with it.
+Every Frobenius power h^p mod f in the
 factorization and in the irreducibility certificate is one linear map,
 read from a packed table of x^(i*p) mod f built once per modulus.
 """
@@ -270,6 +276,17 @@ def mul_fp(a, b, p):
         return []
     width = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
     return _utrim(_convolve(a, b, width, p))
+
+
+def mirror_fp(f, p):
+    """(-1)^deg f * f(-t) for a dense coefficient list over F_p.
+
+    t -> -t is a ring automorphism of F_p[t], so mirror_fp maps
+    irreducibles to irreducibles; it is an involution, keeps a monic f
+    monic, and is the identity at p = 2.
+    """
+    d = len(f) - 1
+    return [c if (d - i) % 2 == 0 else -c % p for i, c in enumerate(f)]
 
 
 def dense_coefficients(f: Polynomial) -> list:
@@ -653,39 +670,82 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
     divides Q_n (the t^n coefficient is 1).
 
     Q_n(1,t) = U_n(t/2), so Q_(m-1) divides Q_n whenever m divides n+1.
-    Row n therefore reuses row m-1 for the largest such m <= n: it divides
-    Q_n(1,t) by Q_(m-1)(1,t) exactly (a nonzero remainder raises
-    NonDivisibleError, never a verdict), factors only the quotient and adds
-    its multiplicities to row m-1's.  Only rows with n+1 prime factor all
-    of Q_n.  Factors are ordered as factor_univariate_fp orders them.
+    An odd row n reuses row m-1 for the largest such m <= n: it divides
+    Q_n(1,t) by Q_(m-1)(1,t) exactly, factors only the quotient and adds
+    its multiplicities to row m-1's.
+
+    An even row n = 2j is a product of two halves, U_2j = U_j^2 - U_(j-1)^2:
+    Q_n(1,t) = A_j * mirror(A_j) with A_j = Q_j(1,t) - Q_(j-1)(1,t), Q_0 = 1,
+    and mirror(g) = (-1)^deg g * g(-t) (so mirror(A_j) = Q_j + Q_(j-1)).
+    The row checks that product against Q_n(1,t), factors A_j and takes
+    each factor's mirror with the same multiplicity; at p = 2 the mirror
+    is the identity and multiplicities double.  A_j itself is factored
+    past its largest known divisor: A_i divides A_j whenever 2i+1 divides
+    2j+1, so for the largest proper divisor m of n+1 (odd) A_j is divided
+    exactly by A_((m-1)/2) and only the quotient is factored.
+
+    A product or a division that comes out wrong raises NonDivisibleError,
+    never a verdict.  Only odd rows with n+1 prime, and halves with n+1
+    prime, are factored whole.  Factors are ordered as
+    factor_univariate_fp orders them.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     ring = PolyRing(("t",), GF(p))
     seen: set[str] = set()
     names: dict[tuple, str] = {}   # dense coefficients -> printed factor
-    dense_qn: dict[int, list] = {}
+    dense_qn: dict[int, list] = {0: [1]}
+    halves: dict[int, list] = {}   # j -> dense A_j
     multiplicities: dict[int, dict] = {}  # n -> {dense factor: multiplicity}
-    rows = []
-    for n in range(1, n_max + 1):
-        f = qn_dehomogenized(n, p)
-        dense_qn[n] = dense_coefficients(f)
+    half_multiplicities: dict[int, dict] = {}  # j -> the same for A_j
+
+    def poly(f):
+        return Polynomial(ring, {(i,): c for i, c in enumerate(f) if c},
+                          _normalized=True)
+
+    def factor_past(f, known, known_counts, d, what):
+        """{dense factor: multiplicity} of a dense f; for d not None,
+        known[d] divides f, known_counts[d] factors it, and only the
+        quotient is factored."""
         counts: dict[tuple, int] = {}
-        m = _largest_proper_divisor(n + 1)
-        if m is not None:
-            quotient, remainder = _udivmod(dense_qn[n], dense_qn[m - 1], p)
+        if d is not None:
+            f, remainder = _udivmod(f, known[d], p)
             if remainder:
-                raise NonDivisibleError(
-                    f"Q_{m - 1}(1,t) does not divide Q_{n}(1,t) over GF({p})")
-            f = Polynomial(ring, {(i,): c for i, c in enumerate(quotient) if c},
-                           _normalized=True)
-            counts.update(multiplicities[m - 1])
-        for g, mult in factor_univariate_fp(f):
+                raise NonDivisibleError(f"{what} over GF({p})")
+            counts.update(known_counts[d])
+        for g, mult in factor_univariate_fp(poly(f)):
             key = tuple(dense_coefficients(g))
             counts[key] = counts.get(key, 0) + mult
-            if key not in names:
-                names[key] = str(g)
+        return counts
+
+    rows = []
+    for n in range(1, n_max + 1):
+        dense_qn[n] = dense_coefficients(qn_dehomogenized(n, p))
+        m = _largest_proper_divisor(n + 1)
+        if n % 2:
+            d = None if m is None else m - 1
+            counts = factor_past(dense_qn[n], dense_qn, multiplicities, d,
+                                 f"Q_{d}(1,t) does not divide Q_{n}(1,t)")
+        else:
+            j = n // 2
+            half = _uadd(dense_qn[j], [-c % p for c in dense_qn[j - 1]], p)
+            if mul_fp(half, mirror_fp(half, p), p) != dense_qn[n]:
+                raise NonDivisibleError(
+                    f"(Q_{j} - Q_{j - 1})(Q_{j} + Q_{j - 1}) is not "
+                    f"Q_{n}(1,t) over GF({p})")
+            halves[j] = half
+            i = None if m is None else (m - 1) // 2
+            half_multiplicities[j] = factor_past(
+                half, halves, half_multiplicities, i,
+                f"A_{i} does not divide A_{j}")
+            counts = {}
+            for key, mult in half_multiplicities[j].items():
+                for k in (key, tuple(mirror_fp(key, p))):
+                    counts[k] = counts.get(k, 0) + mult
         multiplicities[n] = counts
+        for key in counts:
+            if key not in names:
+                names[key] = str(poly(key))
         factorization = tuple((names[key], mult) for key, mult
                               in sorted(counts.items(), key=_factor_order))
         factors = tuple(name for name, _ in factorization)

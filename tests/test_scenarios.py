@@ -19,8 +19,15 @@ from cohomcert import (
     reverify,
     run_scenario,
 )
+from cohomcert import scenarios
 from cohomcert.polyring import format_polynomial
 from cohomcert.scenarios import _read_factor
+from cohomcert.toeplitz import (
+    dense_coefficients,
+    factor_census,
+    irreducibility_certified,
+    mirror_fp,
+)
 
 
 def test_list_scenarios():
@@ -611,6 +618,70 @@ def test_reverify_checks_census_factor_degrees(census_report):
     t0 = time.perf_counter()
     assert not reverify(tampered)
     assert time.perf_counter() - t0 < 0.1
+    assert reverify(census_report)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("multiplicity", 1.25),          # read with int() this counted as 1
+    ("multiplicity", True),
+    ("multiplicity", "1"),
+    ("cumulative_count", 1.5),
+    ("cumulative_count", True),
+    ("cumulative_count", "1"),
+])
+def test_reverify_requires_int_census_counts(census_report, field, value):
+    # row n = 1 is Q_1 = t: multiplicity 1, cumulative count 1
+    tampered = copy.deepcopy(census_report)
+    row = _census_of(tampered)["rows"][0]
+    if field == "multiplicity":
+        row["factorization"][0][1] = value
+    else:
+        row[field] = value
+    assert not reverify(tampered)
+
+
+def test_census_check_certifies_one_factor_per_mirror_pair(monkeypatch):
+    p = 5
+    rows = factor_census(64, p).to_json_dict()["rows"]
+    tring = PolyRing(("t",), GF(p))
+    factors = {tuple(dense_coefficients(tring.parse(f)))
+               for row in rows for f in row["factors"]}
+    classes = {min(f, tuple(mirror_fp(list(f), p))) for f in factors}
+    assert len(classes) < len(factors)
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return irreducibility_certified(g)
+    monkeypatch.setattr(scenarios, "irreducibility_certified", counted)
+    assert scenarios._census_rows_sound(p, rows)
+    assert len(calls) == len(classes)
+
+
+def test_reverify_rejects_a_merged_mirror_pair(census_report):
+    # t + 1 and its mirror t + 4 always occur together, with equal
+    # multiplicities; their product t^2 + 4 keeps every row's product and
+    # degrees, so only its irreducibility certificate can reject it
+    tampered = copy.deepcopy(census_report)
+    merged = False
+    for row in _census_of(tampered)["rows"]:
+        mults = dict(row["factorization"])
+        if "t + 1" not in mults:
+            assert "t + 4" not in mults
+            row["cumulative_count"] -= merged
+            continue
+        assert mults["t + 1"] == mults["t + 4"]
+        row["factorization"] = [[f, m] for f, m in row["factorization"]
+                                if f not in ("t + 1", "t + 4")] + \
+            [["t^2 + 4", mults["t + 1"]]]
+        row["factors"] = [f for f, _ in row["factorization"]]
+        if "t + 1" in row["new_factors"]:
+            row["new_factors"] = [f for f in row["new_factors"]
+                                  if f not in ("t + 1", "t + 4")] + ["t^2 + 4"]
+            merged = True
+        row["cumulative_count"] -= merged
+    assert merged
+    assert not reverify(tampered)
     assert reverify(census_report)
 
 

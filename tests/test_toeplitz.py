@@ -9,6 +9,7 @@ from cohomcert import (
     PolyRing,
     Polynomial,
     QQ,
+    ZZ,
     build_matrix,
     det_oracle,
     exact_divide,
@@ -34,6 +35,7 @@ from cohomcert.toeplitz import (
     _udivmod,
     _upow_mod,
     dense_coefficients,
+    mirror_fp,
     mul_fp,
 )
 
@@ -243,11 +245,12 @@ def test_census_against_brute_force_oracle():
             assert mine == brute_factorize(qn_dehom_dense(row.n, p), p), (p, row.n)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521])
 def test_census_rows_match_direct_factorization(p):
     # the census factors only the part of Q_n past its largest Q_(m-1)
-    # divisor; each row must still be the factorization of all of Q_n,
-    # multiplicities included (p | n+1 gives repeated factors)
+    # divisor, and an even row only through its half Q_j - Q_(j-1); each
+    # row must still be the factorization of all of Q_n, multiplicities
+    # included (p | n+1 gives repeated factors)
     for row in factor_census(64, p).rows:
         direct = factor_univariate_fp(qn_dehomogenized(row.n, p))
         assert list(row.factorization) == [(str(g), m) for g, m in direct], \
@@ -264,6 +267,61 @@ def test_census_rejects_a_divisor_that_does_not_divide(monkeypatch):
     monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
     with pytest.raises(NonDivisibleError):
         factor_census(3, 5)
+
+
+def test_census_rejects_a_wrong_even_row_identity(monkeypatch):
+    # Q_4 = (Q_2 - Q_1)(Q_2 + Q_1); a wrong Q_4 (5 is prime, so no Q_(m-1)
+    # divides it) raises instead of being factored
+    real = toeplitz.qn_dehomogenized
+
+    def broken(n, p=None):
+        f = real(n, p)
+        return f + f.ring.one() if n == 4 else f
+    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    with pytest.raises(NonDivisibleError):
+        factor_census(4, 5)
+
+
+def _half(j, p=None):
+    """A_j = Q_j(1,t) - Q_(j-1)(1,t), with Q_0 = 1."""
+    return qn_dehomogenized(j, p) - qn_dehomogenized(j - 1, p)
+
+
+def test_even_row_is_a_product_of_halves():
+    # U_2j = U_j^2 - U_(j-1)^2, over ZZ
+    zt = PolyRing(("t",), ZZ)
+    for j in range(1, 33):
+        q = [convert(qn_dehomogenized(n), zt) for n in (j - 1, j, 2 * j)]
+        assert q[2] == (q[1] - q[0]) * (q[1] + q[0]), j
+
+
+def test_halves_divide_along_odd_divisors():
+    # A_i | A_j whenever 2i+1 | 2j+1, over Q and over F_5
+    for p in (None, 5):
+        for j in range(1, 33):
+            for i in range(1, j):
+                if (2 * j + 1) % (2 * i + 1) == 0:
+                    quotient = exact_divide(_half(j, p), _half(i, p))
+                    assert quotient * _half(i, p) == _half(j, p), (p, i, j)
+
+
+def test_mirror_fp():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 13, 65521):
+        for _ in range(50):
+            f = _random_monic(rng.randrange(8), p, rng)
+            g = mirror_fp(f, p)
+            assert mirror_fp(g, p) == f
+            assert len(g) == len(f) and g[-1] == 1
+            if p == 2:
+                assert g == f
+        assert mirror_fp([], p) == []
+    # the second half of Q_2j is the mirror of the first
+    for p in (3, 5, 13):
+        for j in range(1, 17):
+            plus = qn_dehomogenized(j, p) + qn_dehomogenized(j - 1, p)
+            assert mirror_fp(dense_coefficients(_half(j, p)), p) == \
+                dense_coefficients(plus), (p, j)
 
 
 def test_census_first_occurrence():
