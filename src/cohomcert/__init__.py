@@ -55,6 +55,7 @@ from .toeplitz import (
     QnPolynomial,
     ToeplitzMatrix,
     build_matrix,
+    chebyshev_identity_check,
     det_oracle,
     factor_census,
     factor_univariate_fp,
@@ -62,7 +63,6 @@ from .toeplitz import (
     irreducibility_certified,
     qn_dehomogenized,
     qn_recursive,
-    roots_numeric_check,
 )
 from .cohomology import (
     CechClass,

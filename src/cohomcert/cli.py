@@ -190,9 +190,14 @@ def _cmd_reverify(args) -> int:
 def _cmd_toeplitz(args) -> int:
     try:
         check_census_params(args.n_max, args.p)
-        census = factor_census(args.n_max, args.p)
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
+        return 2
+    try:
+        census = factor_census(args.n_max, args.p)
+    except Exception as exc:
+        # an engine fault is an internal error, not a census
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     payload = {"cumulative_count": census.cumulative_count,
                **census.to_json_dict()}

@@ -61,6 +61,7 @@ from .toeplitz import (
     ST_RING,
     QnPolynomial,
     build_matrix,
+    chebyshev_identity_check,
     dense_coefficients,
     det_oracle,
     factor_census,
@@ -70,7 +71,6 @@ from .toeplitz import (
     mul_fp,
     qn_dehomogenized,
     qn_recursive,
-    roots_numeric_check,
 )
 
 ARTIFACT_VERSION = "0.1.0"
@@ -570,7 +570,7 @@ def _census_rows_sound(p: int, rows) -> bool:
 def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
     n_max = params["n_max"]
     N = params["generating_order"]
-    roots_n_max, tol = params["roots_n_max"], params["roots_tol"]
+    roots_n_max = params["roots_n_max"]
     census_p, census_n_max = params["census_p"], params["census_n_max"]
     plan = []
     for n in range(1, n_max + 1):
@@ -606,11 +606,11 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
 
     for n in range(1, roots_n_max + 1):
         def roots_issue(_statuses, n=n):
-            value = roots_numeric_check(n, tol)
+            value = chebyshev_identity_check(n)
             return ("pass" if value else "fail"), value, {"value": value}
         plan.append(PlannedCheck(
-            f"complex-roots-n{n}", "roots_numeric_check", True,
-            {"kind": "roots", "n": n, "tol": tol}, roots_issue,
+            f"chebyshev-identity-n{n}", "chebyshev_identity_check", True,
+            {"kind": "chebyshev", "n": n}, roots_issue,
         ))
 
     def census_issue(_statuses):
@@ -728,24 +728,19 @@ _SCENARIOS = (
     ),
     Scenario(
         "toeplitz-suite",
-        "recursion vs determinant oracle, generating function, numeric "
-        "complex-root check, and the irreducible-factor census over F_p",
+        "recursion vs determinant oracle, generating function, exact "
+        "complex-root identity, and the irreducible-factor census over F_p",
         {
-            "n_max": 10, "generating_order": 12,
-            "roots_n_max": 10, "roots_tol": 1e-8,
+            "n_max": 10, "generating_order": 12, "roots_n_max": 10,
             "census_p": 5, "census_n_max": 16,
         },
         {"n_max": (1, 12), "generating_order": (2, 64),
-         "roots_n_max": (1, 12), "census_n_max": (1, 64)},
+         "roots_n_max": (1, 64), "census_n_max": (1, 64)},
         _plan_toeplitz_suite,
     ),
 )
 
 _REGISTRY = {s.name: s for s in _SCENARIOS}
-
-# roots_tol is a float in (0, ROOTS_TOL_MAX]: a larger one would let the
-# numeric root check pass without locating the roots
-ROOTS_TOL_MAX = 1e-6
 
 
 def list_scenarios() -> list[tuple[str, str]]:
@@ -791,12 +786,6 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
             raise ValueError(f"parameter {key}={v!r} must be an int at most 2^64")
         if not is_prime(v):
             raise ValueError(f"parameter {key}={v} must be prime")
-    if "roots_tol" in params:
-        v = params["roots_tol"]
-        if type(v) is not float or not 0 < v <= ROOTS_TOL_MAX:
-            raise ValueError(
-                f"parameter roots_tol={v!r} must be a float in (0, {ROOTS_TOL_MAX}]"
-            )
     # one check per entry: an empty list would pass with nothing checked
     for key in ("primes", "domains"):
         if key in params and (not isinstance(params[key], list) or not params[key]):

@@ -3,9 +3,10 @@
 Q_n is the determinant of the n x n Toeplitz matrix with t on the main
 diagonal and s on the two adjacent ones.  The module keeps two independent
 routes to Q_n -- cofactor expansion of the matrix (the oracle) and the
-two-term recursion -- plus the generating-function identity, a numeric
-check of the complex factorization, and irreducible-factor censuses over
-prime fields.  Floating point is confined to roots_numeric_check.
+two-term recursion -- plus the generating-function identity, the exact
+Chebyshev identity that pins the complex roots of Q_n(1,t), and
+irreducible-factor censuses over prime fields.  The family lives over ZZ;
+there is no floating point.
 
 The oracle expands each minor (bottom rows, a set of columns) once per
 call.  The census uses Q_(m-1) | Q_n for m | n+1: odd row n divides
@@ -24,7 +25,6 @@ read from a packed table of x^(i*p) mod f built once per modulus.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from array import array
@@ -33,14 +33,13 @@ from itertools import zip_longest
 
 from .polyring import (
     GF,
-    QQ,
     ZZ,
     NonDivisibleError,
     Polynomial,
     PolyRing,
 )
 
-ST_RING = PolyRing(("s", "t"), QQ)
+ST_RING = PolyRing(("s", "t"), ZZ)
 
 _EDF_SEED = 271828182845
 
@@ -147,20 +146,14 @@ def qn_recursive(n: int) -> QnPolynomial:
     return _QN_CACHE[n]
 
 
-def qn_dehomogenized(n: int, p: int | None = None) -> Polynomial:
-    """Q_n(1, t) as a univariate polynomial, over Q or over F_p.
+def qn_dehomogenized(n: int, p: int) -> Polynomial:
+    """Q_n(1, t) as a univariate polynomial over F_p.
 
     Q_n is homogeneous of degree n, so s^i t^j -> t^j only relabels
     exponents: no two terms collide and no coefficient changes.
     """
-    terms = qn_recursive(n).poly.terms
-    if p is None:
-        ring = PolyRing(("t",), QQ)
-        return Polynomial(ring, {(j,): c for (_, j), c in terms.items()},
-                          _normalized=True)
     ring = PolyRing(("t",), GF(p))
-    # the coefficients of Q_n are integers
-    images = {(j,): c.numerator % p for (_, j), c in terms.items()}
+    images = {(j,): c % p for (_, j), c in qn_recursive(n).poly.terms.items()}
     return Polynomial(ring, {e: c for e, c in images.items() if c},
                       _normalized=True)
 
@@ -189,28 +182,31 @@ def generating_check(N: int, family=qn_recursive) -> bool:
     return truncated == ring.one()
 
 
-def roots_numeric_check(n: int, tol: float = 1e-8) -> bool:
-    """Check the complex factorization of Q_n numerically.
+def chebyshev_identity_check(n: int) -> bool:
+    """Check x^n * Q_n(1, x + 1/x) = 1 + x^2 + ... + x^(2n) over ZZ.
 
-    Q_n(1, t) must vanish at t = 2 cos(r pi / (n+1)) for r = 1..n; each
-    value is evaluated in floating point and compared against tol.
+    The right side is (x^(2n+2) - 1)/(x^2 - 1), so the identity pins the
+    complex factorization exactly: the roots of Q_n(1,t) are x + 1/x for
+    the 2(n+1)-th roots of unity x other than +-1, that is
+    t = 2 cos(r pi / (n+1)) for r = 1..n.  The left side is
+    sum_j c_j x^(n-j) (x^2 + 1)^j over the coefficients c_j of t^j in
+    Q_n(1,t), expanded by binomials.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    f = qn_dehomogenized(n)
-    coeffs = [0.0] * (n + 1)
-    for e, c in f.terms.items():
-        coeffs[e[0]] = float(c)
-    for r in range(1, n + 1):
-        t_val = 2.0 * math.cos(r * math.pi / (n + 1))
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * t_val + c
-        if abs(acc) >= tol:
+    coeffs = [0] * (n + 1)
+    # summed at s = 1, so a member that is not homogeneous is judged too
+    for (_, j), c in qn_recursive(n).poly.terms.items():
+        if j > n:
             return False
-    return True
+        coeffs[j] += c
+    lhs = [0] * (2 * n + 1)
+    binomials = [1]  # row j of Pascal's triangle
+    for j, c in enumerate(coeffs):
+        for i, b in enumerate(binomials):
+            lhs[n - j + 2 * i] += c * b
+        binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
+    return lhs == [1 - k % 2 for k in range(2 * n + 1)]
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from cohomcert import (
     ZeroAt,
     build_matrix,
     buchberger,
+    chebyshev_identity_check,
     colon,
     conjecture_membership_check,
     convert,
@@ -38,7 +39,6 @@ from cohomcert import (
     normal_form,
     qn_recursive,
     reverify,
-    roots_numeric_check,
     run_scenario,
     verify_zero_at,
 )
@@ -98,10 +98,11 @@ def test_criterion_02_generating_function():
 
 def test_criterion_03_complex_factorization_roots():
     t0 = time.perf_counter()
-    for n in range(1, 11):
-        assert roots_numeric_check(n, 1e-8), n
+    for n in range(1, 65):
+        assert chebyshev_identity_check(n), n
     elapsed = time.perf_counter() - t0
-    _report(3, elapsed, 5, "Q_n(1, 2cos(r pi/(n+1))) < 1e-8 for n = 1..10")
+    _report(3, elapsed, 5,
+            "x^n Q_n(1, x + 1/x) = 1 + x^2 + ... + x^(2n) exactly for n = 1..64")
 
 
 def test_criterion_04_factor_census_matches_oracle():

@@ -230,3 +230,18 @@ def test_run_engine_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
     assert main(["run", "toeplitz-suite", "--params", str(path)]) == 2
     assert "internal error: NonDivisibleError: injected fault" in \
         capsys.readouterr().err
+
+
+def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
+    from cohomcert import toeplitz
+
+    real = toeplitz.qn_dehomogenized
+
+    def broken(n, p):
+        # Q_3 + 1 is not divisible by Q_1 = t
+        return real(n, p) + 1 if n == 3 else real(n, p)
+
+    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    assert main(["toeplitz", "--n-max", "6", "--p", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error: NonDivisibleError" in err and "Traceback" not in err

@@ -71,13 +71,14 @@ def test_parameter_validation():
     ("hartshorne", {"n_max": True}),
     ("ring-A-colon", {"n_max": 2.0}),
     ("toeplitz-suite", {"census_n_max": True}),
-    # the numeric root check needs a real tolerance
-    ("toeplitz-suite", {"roots_tol": float("inf")}),
-    ("toeplitz-suite", {"roots_tol": "x"}),
-    ("toeplitz-suite", {"roots_tol": 0.0}),
-    ("toeplitz-suite", {"roots_tol": -1e-9}),
-    ("toeplitz-suite", {"roots_tol": 1e-3}),
-    ("toeplitz-suite", {"roots_tol": 1}),
+    # the root check is exact: a tolerance is an unknown parameter
+    ("toeplitz-suite", {"roots_tol": 1e-8}),
+    # roots_n_max is an int in [1, 64]
+    ("toeplitz-suite", {"roots_n_max": 65}),
+    ("toeplitz-suite", {"roots_n_max": 0}),
+    ("toeplitz-suite", {"roots_n_max": 12.0}),
+    ("toeplitz-suite", {"roots_n_max": True}),
+    ("toeplitz-suite", {"roots_n_max": "12"}),
     # ptor2's p takes the torsion prime bounds; its instance is fixed
     ("ptor2-theorem", {"p": 1009}),
     ("ptor2-theorem", {"p": 37}),
@@ -101,7 +102,7 @@ def test_parameter_validation_is_strict(name, params):
 
 def test_parameters_inside_the_new_bounds_run():
     assert run_scenario("toeplitz-suite", {
-        "n_max": 2, "generating_order": 2, "roots_n_max": 2, "roots_tol": 1e-6,
+        "n_max": 2, "generating_order": 2, "roots_n_max": 64,
         "census_n_max": 2}).passed
     report = run_scenario("singh-swanson-S", {"q_list": [1, 4, 8], "n_max": 1})
     assert [c.name for c in report.checks] == [
@@ -574,21 +575,12 @@ def _sabotage_order_300(report):
 
 
 def _roots_n_3000(report):
-    _cert_of_kind(report, "roots")["n"] = 3000
+    _cert_of_kind(report, "chebyshev")["n"] = 3000
 
 
 def _roots_n_and_params_3000(report):
     _roots_n_3000(report)
     report["params"]["roots_n_max"] = 3000
-
-
-def _roots_tol_1e9(report):
-    _cert_of_kind(report, "roots")["tol"] = 1e9
-
-
-def _roots_tol_string(report):
-    _cert_of_kind(report, "roots")["tol"] = "1e-08"
-    report["params"]["roots_tol"] = "1e-08"
 
 
 @pytest.mark.parametrize("tamper", [
@@ -600,8 +592,6 @@ def _roots_tol_string(report):
     _sabotage_order_300,
     _roots_n_3000,                     # n past params.roots_n_max
     _roots_n_and_params_3000,          # roots_n_max past its bounds
-    _roots_tol_1e9,                    # tol is not params.roots_tol
-    _roots_tol_string,
 ])
 def test_reverify_bounds_toeplitz_work(census_report, tamper):
     tampered = copy.deepcopy(census_report)

@@ -11,6 +11,7 @@ from cohomcert import (
     QQ,
     ZZ,
     build_matrix,
+    chebyshev_identity_check,
     det_oracle,
     exact_divide,
     factor_census,
@@ -20,7 +21,6 @@ from cohomcert import (
     multidegree,
     qn_dehomogenized,
     qn_recursive,
-    roots_numeric_check,
 )
 from cohomcert import toeplitz
 from cohomcert.polyring import NonDivisibleError, convert, restrict_to_variables
@@ -106,9 +106,12 @@ def test_generating_function():
 
     assert not generating_check(6, family=sabotage)
 
+    st_over_q = PolyRing(("s", "t"), QQ)
+
     def fractional(n):
         if n == 3:
-            return QnPolynomial(3, qn_recursive(3).poly * Fraction(1, 2))
+            half_q3 = convert(qn_recursive(3).poly, st_over_q) * Fraction(1, 2)
+            return QnPolynomial(3, half_q3)
         return qn_recursive(n)
 
     # the series lives over Z: a non-integral member is an engine error
@@ -116,13 +119,34 @@ def test_generating_function():
         generating_check(6, family=fractional)
 
 
-def test_roots_numeric():
-    for n in range(1, 13):
-        assert roots_numeric_check(n, 1e-8)
+def test_chebyshev_identity(monkeypatch):
+    assert all(chebyshev_identity_check(n) for n in range(1, 65))
     with pytest.raises(ValueError):
-        roots_numeric_check(0)
-    with pytest.raises(ValueError):
-        roots_numeric_check(3, -1.0)
+        chebyshev_identity_check(0)
+    real = toeplitz.qn_recursive
+    one = ST_RING.one()
+    for n in (1, 2, 7, 64):
+        # Q_n + 1: its constant term breaks the identity
+        monkeypatch.setattr(toeplitz, "qn_recursive", lambda m, n=n: QnPolynomial(
+            m, real(m).poly + one) if m == n else real(m))
+        assert not chebyshev_identity_check(n), n
+    # right degree, wrong roots (t^2 - 3 vanishes at +-sqrt(3), not +-1),
+    # then the wrong degree
+    for wrong in ("t^2 - 3", "t^3 - t"):
+        monkeypatch.setattr(toeplitz, "qn_recursive", lambda m, w=wrong: QnPolynomial(
+            m, ST_RING.parse(w)) if m == 2 else real(m))
+        assert not chebyshev_identity_check(2), wrong
+        assert chebyshev_identity_check(3)
+
+
+def test_qn_is_chebyshev_u_of_half_t():
+    # an independent oracle: Q_n(1, t) = U_n(t/2)
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for n in range(65):
+        want = sympy.Poly(sympy.chebyshevu(n, t / 2), t)
+        got = {(j,): c for (_, j), c in qn_recursive(n).poly.terms.items()}
+        assert want.as_dict() == got, n
 
 
 def test_factor_examples():
@@ -282,16 +306,24 @@ def test_census_rejects_a_wrong_even_row_identity(monkeypatch):
         factor_census(4, 5)
 
 
+def _dehomogenized(n, p=None):
+    """Q_n(1,t) over F_p, or over Q for p None by substituting s = 1."""
+    if p is not None:
+        return qn_dehomogenized(n, p)
+    q_n = restrict_to_variables(qn_recursive(n).poly.substitute({"s": 1}), ("t",))
+    return convert(q_n, PolyRing(("t",), QQ))
+
+
 def _half(j, p=None):
     """A_j = Q_j(1,t) - Q_(j-1)(1,t), with Q_0 = 1."""
-    return qn_dehomogenized(j, p) - qn_dehomogenized(j - 1, p)
+    return _dehomogenized(j, p) - _dehomogenized(j - 1, p)
 
 
 def test_even_row_is_a_product_of_halves():
     # U_2j = U_j^2 - U_(j-1)^2, over ZZ
     zt = PolyRing(("t",), ZZ)
     for j in range(1, 33):
-        q = [convert(qn_dehomogenized(n), zt) for n in (j - 1, j, 2 * j)]
+        q = [convert(_dehomogenized(n), zt) for n in (j - 1, j, 2 * j)]
         assert q[2] == (q[1] - q[0]) * (q[1] + q[0]), j
 
 
@@ -339,8 +371,8 @@ def test_divisibility_ladder():
         for n in range(1, 17):
             for m in range(1, n + 1):
                 if n % m == 0 and m > 1:
-                    top = qn_dehomogenized(n - 1, p)
-                    bottom = qn_dehomogenized(m - 1, p)
+                    top = _dehomogenized(n - 1, p)
+                    bottom = _dehomogenized(m - 1, p)
                     quotient = exact_divide(top, bottom)
                     assert quotient * bottom == top
 
@@ -521,12 +553,11 @@ def test_qn_recursion_resumes_out_of_order():
 
 
 def test_qn_dehomogenized_matches_substitution():
-    for p in (None, 5, 13):
+    for p in (2, 5, 13):
         for n in range(65):
             old = restrict_to_variables(
                 qn_recursive(n).poly.substitute({"s": 1}), ("t",))
-            if p is not None:
-                old = convert(old, PolyRing(("t",), GF(p)))
+            old = convert(old, PolyRing(("t",), GF(p)))
             new = qn_dehomogenized(n, p)
             assert new.ring == old.ring and new == old, (n, p)
 
