@@ -83,6 +83,7 @@ from .cohomology import (
     weight_reduction_nonvanishing,
 )
 from .scenarios import (
+    BadParametersError,
     MalformedReportError,
     Report,
     UnknownScenarioError,

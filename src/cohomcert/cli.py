@@ -12,6 +12,7 @@ import json
 import sys
 
 from .scenarios import (
+    BadParametersError,
     MalformedReportError,
     Report,
     UnknownScenarioError,
@@ -143,7 +144,7 @@ def _cmd_run(args) -> int:
     except UnknownScenarioError as exc:
         print(f"unknown scenario: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except BadParametersError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -80,6 +80,10 @@ class UnknownScenarioError(KeyError):
     pass
 
 
+class BadParametersError(ValueError):
+    """Parameters that a scenario's bounds or types reject."""
+
+
 class MalformedReportError(ValueError):
     pass
 
@@ -765,7 +769,7 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     params = dict(scenario.defaults)
     for key, value in (overrides or {}).items():
         if key not in scenario.defaults:
-            raise ValueError(
+            raise BadParametersError(
                 f"unknown parameter {key!r} for scenario {scenario.name!r}; "
                 f"accepted: {sorted(scenario.defaults)}"
             )
@@ -775,7 +779,7 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     for key, (lo, hi) in scenario.bounds.items():
         v = params[key]
         if type(v) is not int or not lo <= v <= hi:
-            raise ValueError(
+            raise BadParametersError(
                 f"parameter {key}={v!r} outside documented bounds [{lo}, {hi}]"
             )
     for key in ("p", "census_p"):
@@ -783,45 +787,45 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
             continue
         v = params[key]
         if type(v) is not int or v > PRIME_BOUND:
-            raise ValueError(f"parameter {key}={v!r} must be an int at most 2^64")
+            raise BadParametersError(f"parameter {key}={v!r} must be an int at most 2^64")
         if not is_prime(v):
-            raise ValueError(f"parameter {key}={v} must be prime")
+            raise BadParametersError(f"parameter {key}={v} must be prime")
     # one check per entry: an empty list would pass with nothing checked
     for key in ("primes", "domains"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
-            raise ValueError(f"parameter {key}={params[key]!r} must be a nonempty list")
+            raise BadParametersError(f"parameter {key}={params[key]!r} must be a nonempty list")
     if "domains" in params:
         bad = [d for d in params["domains"] if not _is_field_name(d)]
         if bad:
-            raise ValueError(
+            raise BadParametersError(
                 f"domains entries must name QQ or GF(p), p a prime at most 2^64: {bad}"
             )
     if "primes" in params:
         primes = params["primes"]
         lo, hi = TORSION_PRIME_BOUNDS
         if not all(type(p) is int and lo <= p <= hi for p in primes):
-            raise ValueError(
+            raise BadParametersError(
                 f"parameter primes={primes!r} outside documented bounds "
                 f"[{lo}, {hi}]"
             )
         bad = [p for p in primes if not is_prime(p)]
         if bad:
-            raise ValueError(f"non-prime entries in primes: {bad}")
+            raise BadParametersError(f"non-prime entries in primes: {bad}")
         if len(set(primes)) != len(primes):
-            raise ValueError(f"repeated entries in primes: {primes}")
+            raise BadParametersError(f"repeated entries in primes: {primes}")
     if "q_list" in params:
         # each q is an annihilator level, so it takes the bounds of n_max
         q_list, p = params["q_list"], params["p"]
         lo, hi = scenario.bounds["n_max"]
         if not isinstance(q_list, list) or len(set(q_list)) != len(q_list) or \
                 not all(type(q) is int and lo <= q <= hi for q in q_list):
-            raise ValueError(
+            raise BadParametersError(
                 f"parameter q_list={q_list!r} must list distinct ints in [{lo}, {hi}]"
             )
         powers = {p ** i for i in range(hi.bit_length())}  # all those up to hi
         bad = [q for q in q_list if q not in powers]
         if bad:
-            raise ValueError(f"q_list entries that are not powers of p = {p}: {bad}")
+            raise BadParametersError(f"q_list entries that are not powers of p = {p}: {bad}")
     return params
 
 

@@ -9,18 +9,12 @@ irreducible-factor censuses over prime fields.  The family lives over ZZ;
 there is no floating point.
 
 The oracle expands each minor (bottom rows, a set of columns) once per
-call.  The census uses Q_(m-1) | Q_n for m | n+1: odd row n divides
-Q_n(1,t) exactly by Q_(m-1)(1,t) for the largest such m <= n, factors
-only the quotient and merges row m-1's factors into it.  Even row n = 2j
-uses U_2j = U_j^2 - U_(j-1)^2: Q_n(1,t) = A_j * mirror(A_j) with
-A_j = Q_j(1,t) - Q_(j-1)(1,t) and mirror(g) = (-1)^deg g * g(-t), so it
-factors only A_j (past A_i for 2i+1 | 2j+1) and mirrors each factor.  An
-inexact division or a wrong product is an engine error, never a verdict.
-The row check certifies one factor of each mirror pair by Rabin's test:
-t -> -t is a ring automorphism, so the other is irreducible with it.
-Every Frobenius power h^p mod f in the
-factorization and in the irreducibility certificate is one linear map,
-read from a packed table of x^(i*p) mod f built once per modulus.
+call.  The census factors Q_n(1,t) one cyclotomic piece Psi_d at a time,
+each an exact quotient split once at a degree that d and p fix and
+Frobenius iterates certify; an inexact division, a wrong product or a
+wrong degree is an engine error, never a verdict.  The row check
+certifies one factor of each mirror pair by Rabin's test: t -> -t is a
+ring automorphism, so the other is irreducible with it.
 """
 
 from __future__ import annotations
@@ -28,6 +22,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -215,14 +210,15 @@ def chebyshev_identity_check(n: int) -> bool:
 # Dense little-endian coefficient lists internally; squarefree
 # decomposition, then distinct-degree splitting, then equal-degree
 # splitting (Cantor-Zassenhaus for odd p, the trace map for p = 2) with a
-# fixed-seed generator so runs are reproducible bit for bit.
+# fixed-seed generator so runs are reproducible bit for bit.  The census
+# knows each degree in advance and certifies it instead of the first two.
 #
 # Products go through Kronecker substitution: a coefficient list is packed
 # into one integer, w bytes per coefficient, so a single big-integer
 # product yields every convolution sum at once, provided no sum reaches
 # 2^(8w).
 #
-# Frobenius powers h -> h^p mod f (Rabin's test, distinct-degree
+# Frobenius powers h -> h^p mod f (the degree certificate, distinct-degree
 # splitting, and the norm a^((p^d-1)/2) of equal-degree splitting) go
 # through the modulus's packed table of x^(i*p) mod f, one packed sum
 # each, instead of square-and-multiply (von zur Gathen-Shoup 1992).
@@ -275,12 +271,9 @@ def mul_fp(a, b, p):
 
 
 def mirror_fp(f, p):
-    """(-1)^deg f * f(-t) for a dense coefficient list over F_p.
-
-    t -> -t is a ring automorphism of F_p[t], so mirror_fp maps
-    irreducibles to irreducibles; it is an involution, keeps a monic f
-    monic, and is the identity at p = 2.
-    """
+    """(-1)^deg f * f(-t) for a dense coefficient list over F_p: an
+    involution that maps irreducibles to irreducibles (t -> -t is a ring
+    automorphism), keeps a monic f monic, and is the identity at p = 2."""
     d = len(f) - 1
     return [c if (d - i) % 2 == 0 else -c % p for i, c in enumerate(f)]
 
@@ -344,17 +337,31 @@ class _Modulus:
         if not a:
             return []
         if self.frob is None:
-            xp = _upow_mod([0, 1], self.p, self)
-            row = [1]
-            self.frob = [_pack(row, self.width)]
-            for _ in range(self.n - 1):
-                row = self.mul(row, xp)
-                self.frob.append(_pack(row, self.width))
+            self.frob = self._frobenius_table()
         acc = 0
         for ai, row in zip(a, self.frob):
             if ai:
                 acc += ai * row
         return _utrim(_unpack(acc, self.n, self.width, self.p))
+
+    def _frobenius_table(self):
+        """x^(i*p) mod f for i < n, packed.  For p < n each row is the
+        one before shifted by p slots, its p high coefficients folded
+        back; otherwise each row is the one before times x^p mod f."""
+        n, width, p = self.n, self.width, self.p
+        row, table = [1], [1]
+        xp = _upow_mod([0, 1], p, self) if p >= n else None
+        for _ in range(n - 1):
+            if xp is not None:
+                row = self.mul(row, xp)
+            else:
+                acc = table[-1] << 8 * width * p & (1 << 8 * width * n) - 1
+                for ck, rk in zip(row[n - p:], self.fold):
+                    if ck:
+                        acc += ck * rk
+                row = _unpack(acc, n, width, p)
+            table.append(_pack(row, width))
+        return table
 
 
 def _utrim(f):
@@ -372,20 +379,17 @@ def _umonic(f, p):
     return [c * inv % p for c in f]
 
 def _udivmod(f, g, p):
-    f = list(f)
     dg = _udeg(g)
     if dg < 0:
         raise ZeroDivisionError("division by the zero polynomial")
     inv = pow(g[-1], p - 2, p)
-    q = [0] * max(len(f) - dg, 0)
-    while _udeg(f) >= dg:
-        c = f[-1] * inv % p
-        k = _udeg(f) - dg
-        q[k] = c
-        for i, b in enumerate(g):
-            f[k + i] = (f[k + i] - c * b) % p
-        _utrim(f)
-    return _utrim(q), f
+    low, r = g[:-1], list(f)
+    q = [0] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] * inv % p
+        if c:
+            r[k:k + dg] = [(a - c * b) % p for a, b in zip(r[k:k + dg], low)]
+    return _utrim(q), _utrim(r[:dg])
 
 def _ugcd(f, g, p):
     f, g = list(f), list(g)
@@ -442,8 +446,7 @@ def _squarefree(f, p):
 
 
 def _uadd(f, g, p):
-    out = [(x + y) % p for x, y in zip_longest(f, g, fillvalue=0)]
-    return _utrim(out)
+    return _utrim([(x + y) % p for x, y in zip_longest(f, g, fillvalue=0)])
 
 
 def _distinct_degree(f, p):
@@ -467,11 +470,6 @@ def _distinct_degree(f, p):
     return out
 
 
-def _random_poly(deg_bound, p, rng):
-    f = [rng.randrange(p) for _ in range(deg_bound)]
-    return _utrim(f)
-
-
 def _split_power(a, d, mod):
     """The Cantor-Zassenhaus splitting power a^((p^d-1)/2) mod f for odd
     p, as c^(1+p+...+p^(d-1)) with c = a^((p-1)/2): d-1 Frobenius images
@@ -483,87 +481,74 @@ def _split_power(a, d, mod):
     return b
 
 
-def _equal_degree(f, d, p, rng):
-    """Factor a monic squarefree product of degree-d irreducibles."""
+def _equal_degree(f, d, p, rng, mod=None):
+    """Factor a monic squarefree product of degree-d irreducibles; mod,
+    when given, is f's modulus.  Each random element is raised to the
+    splitting power mod f once and splits every piece found so far, so no
+    piece needs a modulus of its own.  At a wrong d it need not end."""
     n = _udeg(f)
-    if n == d:
-        return [f]
-    mod = _Modulus(f, p)
-    while True:
-        a = _random_poly(n, p, rng)
+    pieces = [f]
+    if n > d and mod is None:
+        mod = _Modulus(f, p)
+    while len(pieces) < n // d:
+        a = _utrim([rng.randrange(p) for _ in range(n)])
         if _udeg(a) < 1:
             continue
         if p == 2:
             # trace map: a + a^2 + a^4 + ... + a^(2^(d-1)) splits f
             b = []
-            t = a
             for _ in range(d):
-                b = _uadd(b, t, p)
-                t = mod.mul(t, t)
-            g = _ugcd(b, f, p) if b else []
+                b = _uadd(b, a, p)
+                a = mod.mul(a, a)
         else:
-            b = _split_power(a, d, mod)
-            if b:
-                b[0] = (b[0] - 1) % p
-            else:
-                b = [p - 1]
-            g = _ugcd(_utrim(b), f, p)
-        if 0 < _udeg(g) < n:
-            break
-    rest = _udivmod(f, g, p)[0]
-    return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
-
-
-def _factor_dense(f, p):
-    """Monic irreducible factors with multiplicities, sorted; f monic."""
-    rng = random.Random(_EDF_SEED)
-    out = []
-    for sq, mult in _squarefree(f, p):
-        for block, d in _distinct_degree(sq, p):
-            for irr in _equal_degree(block, d, p, rng):
-                out.append((tuple(irr), mult))
-    out.sort(key=_factor_order)
-    return out
+            b = _uadd(_split_power(a, d, mod), [p - 1], p)
+        split = []
+        for g in pieces:
+            h = _ugcd(b, g, p) if _udeg(g) > d else g
+            split += [h, _udivmod(g, h, p)[0]] if 0 < _udeg(h) < _udeg(g) else [g]
+        pieces = split
+    return pieces
 
 
 def _factor_order(item):
-    """Sort key of a (dense coefficient tuple, multiplicity) pair: degree,
-    then coefficient list."""
+    """Sort key of a (coefficient tuple, multiplicity) pair: degree, then
+    coefficients."""
     return len(item[0]), item[0]
 
 
-def _largest_proper_divisor(n):
-    """The largest divisor m of n with 2 <= m < n; None for n prime."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return n // d
-        d += 1
-    return None
+def _degree_certified(mod, e):
+    """Is the monic f = mod.f a product of distinct irreducibles of degree
+    exactly e?  Yes iff f divides x^(p^e) - x (f is squarefree, each factor
+    degree divides e) and gcd(x^(p^(e/l)) - x, f) = 1 for each prime l | e
+    (no factor degree divides e/l).  The iterates x^(p^k) mod f are
+    computed once, k = 1..e in turn, each gcd taken when k reaches e/l."""
+    f, p = mod.f, mod.p
+    checkpoints = {e // l for l in range(2, e + 1)
+                   if e % l == 0 and all(l % k for k in range(2, l))}
+    h = [0, 1]
+    for k in range(1, e + 1):
+        h = mod.frobenius(h)
+        if k in checkpoints and _udeg(_ugcd(_minus_x(h, p), f, p)) != 0:
+            return False
+    hx = _minus_x(h, p)
+    return not hx or _udivmod(hx, f, p)[1] == []
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _split_certified(f, e, p, rng):
+    """The irreducible factors of a monic f over F_p claimed to be distinct
+    and all of degree e.  The claim is certified first: at a wrong e,
+    ArithmeticError instead of an equal-degree search that never ends."""
+    mod = _Modulus(f, p)
+    if not _degree_certified(mod, e):
+        raise ArithmeticError(f"coefficients {f} over GF({p}): not distinct "
+                              f"irreducibles of degree {e}")
+    return _equal_degree(f, e, p, rng, mod)
 
 
 def irreducibility_certified(f: Polynomial) -> bool:
-    """Deterministic irreducibility certificate over F_p (Rabin's test).
-
-    f of degree n is irreducible iff x^(p^n) = x mod f and, for every
-    prime divisor l of n, gcd(x^(p^(n/l)) - x, f) = 1.  The Frobenius
-    iterates x^(p^k) mod f are computed once, for k = 1..n in turn, and
-    each gcd is taken when k reaches n/l.
-    """
+    """Deterministic irreducibility certificate over F_p (Rabin's test):
+    f of degree n >= 1 is irreducible iff it is a product of distinct
+    irreducibles of degree exactly n."""
     ring = f.ring
     if ring.domain.kind != "prime_field" or ring.nvars != 1:
         raise ValueError("irreducibility test expects one variable over F_p")
@@ -571,16 +556,7 @@ def irreducibility_certified(f: Polynomial) -> bool:
     n = f.total_degree()
     if n < 1:
         return False
-    dense = _umonic(dense_coefficients(f), p)
-    mod = _Modulus(dense, p)
-    checkpoints = {n // l for l in _prime_divisors(n)}
-    h = [0, 1]
-    for k in range(1, n + 1):
-        h = mod.frobenius(h)
-        if k in checkpoints and _udeg(_ugcd(_minus_x(h, p), dense, p)) != 0:
-            return False
-    hx = _minus_x(h, p)
-    return not hx or _udivmod(hx, dense, p)[1] == []
+    return _degree_certified(_Modulus(_umonic(dense_coefficients(f), p), p), n)
 
 
 def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -598,11 +574,13 @@ def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     p = ring.domain.p
+    rng = random.Random(_EDF_SEED)
     out = []
-    for coeffs, mult in _factor_dense(_umonic(dense_coefficients(f), p), p):
-        poly = Polynomial(ring, {(i,): c for i, c in enumerate(coeffs) if c})
-        out.append((poly, mult))
-    return out
+    for sq, mult in _squarefree(_umonic(dense_coefficients(f), p), p):
+        for block, d in _distinct_degree(sq, p):
+            out.extend((tuple(g), mult) for g in _equal_degree(block, d, p, rng))
+    return [(Polynomial(ring, {(i,): c for i, c in enumerate(g) if c}), mult)
+            for g, mult in sorted(out, key=_factor_order)]
 
 
 # --------------------------------------------------------------------------
@@ -658,6 +636,15 @@ class FactorCensus:
         }
 
 
+def _split_degree(d, p):
+    """The least e >= 1 with p^e = +-1 mod d, for d >= 3 prime to p: the
+    degree over F_p of every irreducible factor of Psi_d."""
+    e, r = 1, p % d
+    while r not in (1, d - 1):
+        e, r = e + 1, r * p % d
+    return e
+
+
 def factor_census(n_max: int, p: int) -> FactorCensus:
     """Factor Q_n(1,t) over F_p for n = 1..n_max and track distinct factors.
 
@@ -665,80 +652,92 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
     factors of Q_n(s,t) reduces to distinctness for Q_n(1,t); s never
     divides Q_n (the t^n coefficient is 1).
 
-    Q_n(1,t) = U_n(t/2), so Q_(m-1) divides Q_n whenever m divides n+1.
-    An odd row n reuses row m-1 for the largest such m <= n: it divides
-    Q_n(1,t) by Q_(m-1)(1,t) exactly, factors only the quotient and adds
-    its multiplicities to row m-1's.
-
-    An even row n = 2j is a product of two halves, U_2j = U_j^2 - U_(j-1)^2:
-    Q_n(1,t) = A_j * mirror(A_j) with A_j = Q_j(1,t) - Q_(j-1)(1,t), Q_0 = 1,
-    and mirror(g) = (-1)^deg g * g(-t) (so mirror(A_j) = Q_j + Q_(j-1)).
-    The row checks that product against Q_n(1,t), factors A_j and takes
-    each factor's mirror with the same multiplicity; at p = 2 the mirror
-    is the identity and multiplicities double.  A_j itself is factored
-    past its largest known divisor: A_i divides A_j whenever 2i+1 divides
-    2j+1, so for the largest proper divisor m of n+1 (odd) A_j is divided
-    exactly by A_((m-1)/2) and only the quotient is factored.
-
-    A product or a division that comes out wrong raises NonDivisibleError,
-    never a verdict.  Only odd rows with n+1 prime, and halves with n+1
-    prime, are factored whole.  Factors are ordered as
+    By the Chebyshev identity Q_n(1,t) is the product of Psi_d over
+    d | D = 2(n+1), d >= 3, where Psi_d is the minimal polynomial of
+    zeta_d + 1/zeta_d.  Each Psi_d is factored once, at the first row whose
+    D it divides, and a row's factorization is the sum of its Psi_d's.
+    Row n meets d = D, and d = n+1 too for n even:
+    - odd n: Psi_D is Q_n(1,t) divided exactly by the older Psi_d;
+    - even n = 2j: the row checks Q_n(1,t) = A_j * mirror(A_j), with
+      A_j = Q_j(1,t) - Q_(j-1)(1,t), Q_0 = 1, and mirror(g) =
+      (-1)^deg g * g(-t).  A_j is the product of Psi_2d over d | n+1,
+      d >= 3, so Psi_D is A_j divided exactly by the older ones, and the
+      factors of Psi_(n+1) = mirror(Psi_D) are mirrored into Psi_D's.
+    For p prime to d, Psi_d is split at the degree of _split_degree,
+    certified first by Frobenius iterates.  For d = p^a * d' with p prime
+    to d', Psi_d is Psi_(d')^phi(p^a) when d' >= 3 and
+    (t -+ 2)^(phi(p^a)/2) when d' is 1 or 2, checked by multiplying out.
+    A division, product or degree that comes out wrong raises
+    ArithmeticError, never a verdict.  Factors are ordered as
     factor_univariate_fp orders them.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     ring = PolyRing(("t",), GF(p))
+    rng = random.Random(_EDF_SEED)
     seen: set[str] = set()
     names: dict[tuple, str] = {}   # dense coefficients -> printed factor
     dense_qn: dict[int, list] = {0: [1]}
-    halves: dict[int, list] = {}   # j -> dense A_j
-    multiplicities: dict[int, dict] = {}  # n -> {dense factor: multiplicity}
-    half_multiplicities: dict[int, dict] = {}  # j -> the same for A_j
+    psi: dict[int, list] = {}      # d -> dense Psi_d
+    psi_counts: dict[int, dict] = {}  # d -> {dense factor: multiplicity}
 
     def poly(f):
         return Polynomial(ring, {(i,): c for i, c in enumerate(f) if c},
                           _normalized=True)
 
-    def factor_past(f, known, known_counts, d, what):
-        """{dense factor: multiplicity} of a dense f; for d not None,
-        known[d] divides f, known_counts[d] factors it, and only the
-        quotient is factored."""
-        counts: dict[tuple, int] = {}
-        if d is not None:
-            f, remainder = _udivmod(f, known[d], p)
-            if remainder:
-                raise NonDivisibleError(f"{what} over GF({p})")
-            counts.update(known_counts[d])
-        for g, mult in factor_univariate_fp(poly(f)):
-            key = tuple(dense_coefficients(g))
-            counts[key] = counts.get(key, 0) + mult
+    def quotient(f, older, d):
+        """Psi_d: f divided exactly by psi[k] for the k in older dividing d."""
+        g = [1]
+        for k in older:
+            if d % k == 0:
+                g = mul_fp(g, psi[k], p)
+        q, remainder = _udivmod(f, g, p)
+        if remainder:
+            raise NonDivisibleError(f"Psi_{d} is not an exact quotient over GF({p})")
+        return q
+
+    def factor_psi(d):
+        if d % p:
+            return {tuple(g): 1 for g in
+                    _split_certified(psi[d], _split_degree(d, p), p, rng)}
+        q, rest = 1, d
+        while rest % p == 0:
+            q, rest = q * p, rest // p
+        phi = q - q // p
+        if rest >= 3:
+            counts = {g: m * phi for g, m in psi_counts[rest].items()}
+        else:
+            counts = {(-2 % p if rest == 1 else 2 % p, 1): phi // 2}
+        product = [1]
+        for g, m in counts.items():
+            for _ in range(m):
+                product = mul_fp(product, g, p)
+        if product != psi[d]:
+            raise NonDivisibleError(f"Psi_{rest}^{phi} is not Psi_{d} over GF({p})")
         return counts
 
     rows = []
     for n in range(1, n_max + 1):
         dense_qn[n] = dense_coefficients(qn_dehomogenized(n, p))
-        m = _largest_proper_divisor(n + 1)
+        top = 2 * (n + 1)
         if n % 2:
-            d = None if m is None else m - 1
-            counts = factor_past(dense_qn[n], dense_qn, multiplicities, d,
-                                 f"Q_{d}(1,t) does not divide Q_{n}(1,t)")
+            psi[top] = quotient(dense_qn[n], range(3, top), top)
+            psi_counts[top] = factor_psi(top)
         else:
             j = n // 2
             half = _uadd(dense_qn[j], [-c % p for c in dense_qn[j - 1]], p)
             if mul_fp(half, mirror_fp(half, p), p) != dense_qn[n]:
-                raise NonDivisibleError(
-                    f"(Q_{j} - Q_{j - 1})(Q_{j} + Q_{j - 1}) is not "
-                    f"Q_{n}(1,t) over GF({p})")
-            halves[j] = half
-            i = None if m is None else (m - 1) // 2
-            half_multiplicities[j] = factor_past(
-                half, halves, half_multiplicities, i,
-                f"A_{i} does not divide A_{j}")
-            counts = {}
-            for key, mult in half_multiplicities[j].items():
-                for k in (key, tuple(mirror_fp(key, p))):
-                    counts[k] = counts.get(k, 0) + mult
-        multiplicities[n] = counts
+                raise NonDivisibleError(f"(Q_{j} - Q_{j - 1})(Q_{j} + Q_{j - 1}) "
+                                        f"is not Q_{n}(1,t) over GF({p})")
+            psi[top] = quotient(half, range(6, top, 2), top)
+            psi[n + 1] = mirror_fp(psi[top], p)
+            psi_counts[n + 1] = factor_psi(n + 1)
+            psi_counts[top] = {tuple(mirror_fp(g, p)): m
+                               for g, m in psi_counts[n + 1].items()}
+        counts = Counter()
+        for d in range(3, top + 1):
+            if top % d == 0:
+                counts.update(psi_counts[d])
         for key in counts:
             if key not in names:
                 names[key] = str(poly(key))

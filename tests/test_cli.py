@@ -232,6 +232,21 @@ def test_run_engine_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
         capsys.readouterr().err
 
 
+def test_run_engine_value_error_is_not_bad_parameters(capsys, monkeypatch):
+    # a ValueError raised after the parameters were validated is an engine
+    # fault, not a parameter the user can fix
+    from cohomcert import scenarios
+
+    def broken(*_args, **_kwargs):
+        raise ValueError("3/2 is not an integer coefficient")
+
+    monkeypatch.setattr(scenarios, "generating_check", broken)
+    assert main(["run", "toeplitz-suite"]) == 2
+    err = capsys.readouterr().err
+    assert "internal error: ValueError: 3/2 is not an integer coefficient" in err
+    assert "bad parameters" not in err
+
+
 def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
     from cohomcert import toeplitz
 

@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,9 @@ from cohomcert.toeplitz import (
     ST_RING,
     ToeplitzMatrix,
     _Modulus,
+    _degree_certified,
     _slot_width,
+    _split_certified,
     _split_power,
     _udivmod,
     _upow_mod,
@@ -42,6 +45,7 @@ from cohomcert.toeplitz import (
 from census_oracle import (
     brute_census_counts,
     brute_factorize,
+    census_shape,
     qn_dehom_dense,
     smallest_factor,
 )
@@ -271,10 +275,9 @@ def test_census_against_brute_force_oracle():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 65521])
 def test_census_rows_match_direct_factorization(p):
-    # the census factors only the part of Q_n past its largest Q_(m-1)
-    # divisor, and an even row only through its half Q_j - Q_(j-1); each
-    # row must still be the factorization of all of Q_n, multiplicities
-    # included (p | n+1 gives repeated factors)
+    # the census factors each Psi_d once and sums them over d | 2(n+1);
+    # each row must still be the factorization of all of Q_n,
+    # multiplicities included (p | n+1 gives repeated factors)
     for row in factor_census(64, p).rows:
         direct = factor_univariate_fp(qn_dehomogenized(row.n, p))
         assert list(row.factorization) == [(str(g), m) for g, m in direct], \
@@ -282,7 +285,8 @@ def test_census_rows_match_direct_factorization(p):
 
 
 def test_census_rejects_a_divisor_that_does_not_divide(monkeypatch):
-    # Q_1 = t must divide Q_3; a wrong Q_3 raises instead of being factored
+    # Psi_4 = Q_1 = t must divide Q_3; a wrong Q_3 raises instead of
+    # being factored
     real = toeplitz.qn_dehomogenized
 
     def broken(n, p=None):
@@ -294,8 +298,8 @@ def test_census_rejects_a_divisor_that_does_not_divide(monkeypatch):
 
 
 def test_census_rejects_a_wrong_even_row_identity(monkeypatch):
-    # Q_4 = (Q_2 - Q_1)(Q_2 + Q_1); a wrong Q_4 (5 is prime, so no Q_(m-1)
-    # divides it) raises instead of being factored
+    # Q_4 = (Q_2 - Q_1)(Q_2 + Q_1); a wrong Q_4 breaks that product and
+    # raises before any Psi_d is divided out
     real = toeplitz.qn_dehomogenized
 
     def broken(n, p=None):
@@ -304,6 +308,100 @@ def test_census_rejects_a_wrong_even_row_identity(monkeypatch):
     monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
     with pytest.raises(NonDivisibleError):
         factor_census(4, 5)
+
+
+def test_census_rejects_a_wrong_odd_row_past_its_older_divisors(monkeypatch):
+    # Q_5 = Psi_3 Psi_4 Psi_6 Psi_12; Q_5 + 1 leaves a remainder on division
+    # by the older Psi_3 Psi_4 Psi_6 = t^3 - t
+    real = toeplitz.qn_dehomogenized
+
+    def broken(n, p=None):
+        f = real(n, p)
+        return f + f.ring.one() if n == 5 else f
+    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    with pytest.raises(NonDivisibleError):
+        factor_census(5, 5)
+
+
+def test_census_checks_the_power_rule(monkeypatch):
+    # over GF(5), Psi_20 = Psi_4^4 = t^4; a Q_9 that keeps the older
+    # Psi_4 Psi_5 Psi_10 as a divisor but turns Psi_20 into t^4 + 1 passes
+    # the division and must fail the power-rule product
+    real = toeplitz.qn_dehomogenized
+    t4 = PolyRing(("t",), GF(5)).parse("t^4")
+    older = exact_divide(real(9, 5), t4)
+
+    def broken(n, p=None):
+        f = real(n, p)
+        return f + older if n == 9 else f
+    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    with pytest.raises(NonDivisibleError):
+        factor_census(9, 5)
+
+
+def _raised_within(seconds, fn, *args):
+    """The exception fn(*args) raises, or None.  fn runs in a daemon thread,
+    so a search that never ends fails the test instead of hanging it."""
+    raised = []
+
+    def target():
+        try:
+            fn(*args)
+        except Exception as exc:
+            raised.append(exc)
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    return raised[0] if raised else None
+
+
+def test_split_at_a_wrong_degree_raises_promptly():
+    # t^4 + 2 is irreducible over GF(5); equal-degree splitting at degree 2
+    # would search forever, so the degree certificate must refuse it first
+    t5 = PolyRing(("t",), GF(5))
+    assert irreducibility_certified(t5.parse("t^4 + 2"))
+    f = [2, 0, 0, 0, 1]
+    assert isinstance(_raised_within(1, _split_certified, f, 2, 5, random.Random(0)),
+                      ArithmeticError)
+    assert _split_certified(f, 4, 5, random.Random(0)) == [f]
+
+
+@pytest.mark.parametrize("wrong", [lambda e: e + 1, lambda e: 2 * e,
+                                   lambda e: max(1, e - 1)],
+                         ids=["e+1", "2e", "e-1"])
+def test_census_rejects_a_wrong_split_degree(monkeypatch, wrong):
+    real = toeplitz._split_degree
+    monkeypatch.setattr(toeplitz, "_split_degree", lambda d, p: wrong(real(d, p)))
+    assert isinstance(_raised_within(5, factor_census, 16, 5), ArithmeticError)
+
+
+def test_degree_certificate_matches_trial_division():
+    # True iff f is squarefree and every irreducible factor has degree e
+    rng = random.Random(2026)
+    for p in (2, 3, 5):
+        for _ in range(60):
+            f = [1]
+            for _ in range(rng.randrange(1, 4)):
+                f = _umul(f, _random_monic(rng.randrange(1, 4), p, rng), p)
+            factors = brute_factorize(f, p)
+            for e in range(1, 7):
+                want = all(m == 1 and len(g) - 1 == e for g, m in factors.items())
+                assert _degree_certified(_Modulus(f, p), e) is want, (p, f, e)
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 62)
+                               if all(q % k for k in range(2, q))])
+def test_census_matches_the_shape_oracle(p):
+    # degrees, multiplicities and cumulative counts from d and p alone
+    ring = PolyRing(("t",), GF(p))
+    census = factor_census(64, p)
+    for row, (shape, cumulative) in zip(census.rows, census_shape(64, p),
+                                        strict=True):
+        got = sorted((ring.parse(name).total_degree(), m)
+                     for name, m in row.factorization)
+        assert got == shape, (p, row.n)
+        assert row.cumulative_count == cumulative, (p, row.n)
 
 
 def _dehomogenized(n, p=None):
