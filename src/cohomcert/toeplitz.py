@@ -3,10 +3,10 @@
 Q_n is the determinant of the n x n Toeplitz matrix with t on the main
 diagonal and s on the two adjacent ones.  The module keeps two independent
 routes to Q_n -- cofactor expansion of the matrix (the oracle) and the
-two-term recursion -- plus the generating-function identity, the exact
-Chebyshev identity that pins the complex roots of Q_n(1,t), and
-irreducible-factor censuses over prime fields.  The family lives over ZZ;
-there is no floating point.
+two-term recursion -- plus the generating-function identity, checked one
+z-coefficient at a time, the exact Chebyshev identity that pins the complex
+roots of Q_n(1,t), and irreducible-factor censuses over prime fields.  The
+family lives over ZZ as one dense int row per n; there is no floating point.
 
 The oracle expands each minor (bottom rows, a set of columns) once per
 call.  The census factors Q_n(1,t) one cyclotomic piece Psi_d at a time,
@@ -24,7 +24,9 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import zip_longest
+from math import comb
 
 from .polyring import (
     GF,
@@ -116,65 +118,57 @@ class QnPolynomial:
     poly: Polynomial
 
 
-_QN_CACHE: dict[int, QnPolynomial] = {}
+# row n: the coefficient of s^(n-j) t^j at index j (Q_n is homogeneous), so
+# Q_{n+2}[j] = Q_{n+1}[j-1] - Q_n[j]
+_QN_ROWS: list[list[int]] = [[1], [0, 1]]
+
+
+def _qn_row(n: int) -> list[int]:
+    """Row n of the store.  It always holds the rows of Q_0..Q_top; a miss
+    resumes the recursion from the top row, so building the family up to n
+    costs n steps in total."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"index must be a non-negative integer, got {n}")
+    rows = _QN_ROWS
+    while len(rows) <= n:
+        rows.append([b - a for b, a in zip([0] + rows[-1], rows[-2] + [0, 0])])
+    return rows[n]
 
 
 def qn_recursive(n: int) -> QnPolynomial:
-    """Q_0 = 1, Q_1 = t, Q_{n+2} = t*Q_{n+1} - s^2*Q_n, memoized.
-
-    The cache always holds Q_0..Q_top; a miss resumes the recursion from
-    Q_top, so building the family up to n costs n steps in total.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"index must be a non-negative integer, got {n}")
-    if n not in _QN_CACHE:
-        t = ST_RING.gen("t")
-        if not _QN_CACHE:
-            _QN_CACHE[0] = QnPolynomial(0, ST_RING.one())
-            _QN_CACHE[1] = QnPolynomial(1, t)
-        s2 = ST_RING.gen("s") ** 2
-        top = len(_QN_CACHE) - 1
-        a, b = _QN_CACHE[top - 1].poly, _QN_CACHE[top].poly
-        for m in range(top + 1, n + 1):
-            a, b = b, t * b - s2 * a
-            _QN_CACHE[m] = QnPolynomial(m, b)
-    return _QN_CACHE[n]
+    """Q_0 = 1, Q_1 = t, Q_{n+2} = t*Q_{n+1} - s^2*Q_n, memoized as dense
+    rows; each call builds a fresh polynomial from row n."""
+    terms = {(n - j, j): c for j, c in reversed(list(enumerate(_qn_row(n)))) if c}
+    return QnPolynomial(n, Polynomial(ST_RING, terms, _normalized=True))
 
 
 def qn_dehomogenized(n: int, p: int) -> Polynomial:
-    """Q_n(1, t) as a univariate polynomial over F_p.
-
-    Q_n is homogeneous of degree n, so s^i t^j -> t^j only relabels
-    exponents: no two terms collide and no coefficient changes.
-    """
-    ring = PolyRing(("t",), GF(p))
-    images = {(j,): c % p for (_, j), c in qn_recursive(n).poly.terms.items()}
-    return Polynomial(ring, {e: c for e, c in images.items() if c},
-                      _normalized=True)
+    """Q_n(1, t) as a univariate polynomial over F_p: row n, reduced mod p."""
+    terms = {(j,): c % p for j, c in enumerate(_qn_row(n)) if c % p}
+    return Polynomial(PolyRing(("t",), GF(p)), terms, _normalized=True)
 
 
 def generating_check(N: int, family=qn_recursive) -> bool:
     """Verify (sum_{n<=N} Q_n z^n) * (1 - t z + s^2 z^2) = 1 + O(z^{N+1}).
 
-    The check runs in truncated polynomial arithmetic over Z with an
-    auxiliary variable z; `family` exists so tests can feed a sabotaged
-    sequence.  A family member with a non-integral coefficient raises
-    ValueError.
+    One z-coefficient at a time: Q_n - t*Q_{n-1} + s^2*Q_{n-2} must be 1 at
+    n = 0 and 0 for n = 1..N, in sparse arithmetic over Z.  `family` exists
+    so tests can feed a sabotaged sequence; a member with a non-integral
+    coefficient raises ValueError.
     """
     if N < 2:
         raise ValueError("truncation order must be at least 2")
-    ring = PolyRing(("s", "t", "z"), ZZ)
-    s, t, z = ring.gens()
-    # Q_n z^n for distinct n share no monomial: the sum is a union of terms
-    series = Polynomial(ring, {
-        e + (n,): ZZ.normalize(c)
-        for n in range(N + 1) for e, c in family(n).poly.terms.items()
-    }, _normalized=True)
-    product = series * (ring.one() - t * z + s ** 2 * z ** 2)
-    truncated = Polynomial(
-        ring, {e: c for e, c in product.terms.items() if e[2] <= N}, _normalized=True
-    )
-    return truncated == ring.one()
+    # members[n + 2] is Q_n, after Q_-2 = Q_-1 = 0
+    members = [{}, {}] + [
+        {e: ZZ.normalize(c) for e, c in family(n).poly.terms.items()}
+        for n in range(N + 1)]
+    for n in range(N + 1):
+        coeff = Counter(members[n + 2])
+        coeff.subtract({(i, j + 1): c for (i, j), c in members[n + 1].items()})
+        coeff.update({(i + 2, j): c for (i, j), c in members[n].items()})
+        if {e: c for e, c in coeff.items() if c} != ({} if n else {(0, 0): 1}):
+            return False
+    return True
 
 
 def chebyshev_identity_check(n: int) -> bool:
@@ -196,12 +190,16 @@ def chebyshev_identity_check(n: int) -> bool:
             return False
         coeffs[j] += c
     lhs = [0] * (2 * n + 1)
-    binomials = [1]  # row j of Pascal's triangle
     for j, c in enumerate(coeffs):
-        for i, b in enumerate(binomials):
-            lhs[n - j + 2 * i] += c * b
-        binomials = [a + b for a, b in zip([0] + binomials, binomials + [0])]
+        if c:
+            for i, b in enumerate(_binomial_row(j)):
+                lhs[n - j + 2 * i] += c * b
     return lhs == [1 - k % 2 for k in range(2 * n + 1)]
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(j: int) -> tuple:
+    return tuple(comb(j, i) for i in range(j + 1))
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -260,3 +262,20 @@ def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
     assert main(["toeplitz", "--n-max", "6", "--p", "5"]) == 2
     err = capsys.readouterr().err
     assert "internal error: NonDivisibleError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p, digest", [(5, "f58335ab79db58ce"),
+                                       (13, "d280ada9fc626401")])
+def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
+    # the census benchmark's parameters; the report as --out writes it, with
+    # every "seconds" value set to 0, must not change by a byte
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"n_max": 12, "generating_order": 64,
+                                  "roots_n_max": 12, "census_n_max": 64,
+                                  "census_p": p}))
+    out = tmp_path / "report.json"
+    assert main(["run", "toeplitz-suite", "--params", str(params),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = re.sub(r'"seconds": [-+.\deE]+', '"seconds": 0', out.read_text())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

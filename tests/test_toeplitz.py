@@ -1,6 +1,7 @@
 import random
 import threading
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,7 +27,7 @@ from cohomcert import (
 from cohomcert import toeplitz
 from cohomcert.polyring import NonDivisibleError, convert, restrict_to_variables
 from cohomcert.toeplitz import (
-    _QN_CACHE,
+    _QN_ROWS,
     QnPolynomial,
     ST_RING,
     ToeplitzMatrix,
@@ -119,8 +120,77 @@ def test_generating_function():
         return qn_recursive(n)
 
     # the series lives over Z: a non-integral member is an engine error
-    with pytest.raises(ValueError):
-        generating_check(6, family=fractional)
+    for check in (generating_check, series_generating_check):
+        with pytest.raises(ValueError):
+            check(6, family=fractional)
+
+
+def series_generating_check(N, family=qn_recursive):
+    """Oracle: the generating identity as one truncated series product
+    (sum_{n<=N} Q_n z^n) * (1 - t z + s^2 z^2) in Z[s, t, z], with no
+    coefficient taken apart."""
+    if N < 2:
+        raise ValueError("truncation order must be at least 2")
+    ring = PolyRing(("s", "t", "z"), ZZ)
+    s, t, z = ring.gens()
+    # Q_n z^n for distinct n share no monomial: the sum is a union of terms
+    series = Polynomial(ring, {
+        e + (n,): ZZ.normalize(c)
+        for n in range(N + 1) for e, c in family(n).poly.terms.items()
+    }, _normalized=True)
+    product = series * (ring.one() - t * z + s ** 2 * z ** 2)
+    truncated = Polynomial(
+        ring, {e: c for e, c in product.terms.items() if e[2] <= N}, _normalized=True
+    )
+    return truncated == ring.one()
+
+
+def _family_with(m, poly):
+    """The true family with Q_m replaced by poly."""
+    return lambda n: QnPolynomial(n, poly) if n == m else qn_recursive(n)
+
+
+def _sabotages(N, rng):
+    """Seeded (name, family) pairs, each wrong at some n <= N."""
+    n = rng.randrange(N + 1)
+    j = rng.randrange(n + 1)
+    bumped = dict(qn_recursive(n).poly.terms)
+    bumped[n - j, j] = bumped.get((n - j, j), 0) + rng.choice((1, -1))
+    yield f"Q_{n} with s^{n - j} t^{j} moved by 1", _family_with(
+        n, Polynomial(ST_RING, bumped))
+    yield "Q_0 = 2", _family_with(0, 2 * ST_RING.one())
+    yield "Q_1 = t + s", _family_with(1, T + S)
+    m = rng.randrange(2, N + 1)
+    yield f"Q_{m} + s", _family_with(m, qn_recursive(m).poly + S)
+    m = rng.randrange(N + 1)
+    dropped = dict(qn_recursive(m).poly.terms)
+    del dropped[rng.choice(sorted(dropped))]
+    yield f"Q_{m} with a term dropped", _family_with(
+        m, Polynomial(ST_RING, dropped))
+
+
+def test_generating_check_agrees_with_series_oracle():
+    rng = random.Random(13)
+    for N in (2, 3, 12, 64):
+        assert generating_check(N) is series_generating_check(N) is True, N
+        for _ in range(4):
+            for name, family in _sabotages(N, rng):
+                assert generating_check(N, family) is \
+                    series_generating_check(N, family) is False, (N, name)
+        # the series is truncated at z^N: a wrong Q_N fails, a wrong Q_(N+1)
+        # is never read
+        for n, verdict in ((N, False), (N + 1, True)):
+            family = _family_with(n, qn_recursive(n).poly + ST_RING.one())
+            assert generating_check(N, family) is \
+                series_generating_check(N, family) is verdict, (N, n)
+
+
+def test_qn_closed_form():
+    # independent of the recursion: Q_n = sum_k (-1)^k C(n-k, k) s^(2k) t^(n-2k)
+    for n in range(65):
+        assert qn_recursive(n).poly.terms == {
+            (2 * k, n - 2 * k): (-1) ** k * comb(n - k, k)
+            for k in range(n // 2 + 1)}, n
 
 
 def test_chebyshev_identity(monkeypatch):
@@ -637,9 +707,9 @@ def test_irreducibility_matches_trial_division():
 
 
 def test_qn_recursion_resumes_out_of_order():
-    _QN_CACHE.clear()
+    del _QN_ROWS[2:]  # back to the rows of Q_0 and Q_1
     got = {n: qn_recursive(n).poly for n in (40, 7, 64, 3)}
-    assert sorted(_QN_CACHE) == list(range(65))
+    assert [len(row) for row in _QN_ROWS] == list(range(1, 66))
     a, b = ST_RING.one(), T
     fresh = [a, b]
     for _ in range(2, 65):
@@ -647,7 +717,9 @@ def test_qn_recursion_resumes_out_of_order():
         fresh.append(b)
     for n, poly in got.items():
         assert poly == fresh[n], n
-    assert all(_QN_CACHE[n].poly == fresh[n] for n in range(65))
+    for n, row in enumerate(_QN_ROWS):
+        as_poly = Polynomial(ST_RING, {(n - j, j): c for j, c in enumerate(row)})
+        assert as_poly == fresh[n], n
 
 
 def test_qn_dehomogenized_matches_substitution():
