@@ -29,7 +29,6 @@ from .polyring import (
     multidegree,
     parse_polynomial,
     reduce_mod_p,
-    restrict_to_variables,
 )
 from .groebner import (
     DegreeGuard,

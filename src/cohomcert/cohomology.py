@@ -24,18 +24,18 @@ from .groebner import (
     colon,
     membership,
     membership_monomial_plus_p,
+    outside_monomial_ideal,
 )
 from .polyring import (
     Multigrading,
     Polynomial,
     PolyRing,
     ZZ,
+    convert,
     divide_exact_by_integer,
     is_prime,
-    monomial_divides,
     multidegree,
     reduce_mod_p,
-    restrict_to_variables,
 )
 
 
@@ -156,7 +156,7 @@ def _monomial_membership_zz(f: Polynomial, gens) -> bool:
         if c not in (1, -1):
             raise DomainNotSupportedError("monomial generators over Z must be unit multiples")
         exps.append(e)
-    return all(any(monomial_divides(e, t) for e in exps) for t in f.terms)
+    return outside_monomial_ideal(f, exps).is_zero
 
 
 def _vanishes_at(c: CechClass, k: int) -> bool:
@@ -254,14 +254,10 @@ def conjecture_membership_check(f_list, g_list, p: int, e: int, k: int, domain) 
         raise DomainNotSupportedError("membership needs a field domain")
     q = p ** e
     ring = PolyRing(lam.ring.variables, domain)
-
-    def conv(poly):
-        return Polynomial(ring, dict(poly.terms))
-
-    product = conv(lam)
+    product = convert(lam, ring)
     for g in g_list:
-        product = product * conv(g) ** k
-    gens = tuple(conv(g) ** (q + k) for g in g_list)
+        product = product * convert(g, ring) ** k
+    gens = tuple(convert(g, ring) ** (q + k) for g in g_list)
     return membership(product, Ideal(ring, gens))
 
 
@@ -436,13 +432,13 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
     subst = {"u": 1, "v": 1, "w": 1, "z": -(x + y)}
     if not relation.substitute(subst).is_zero:
         raise PipelineStepError("specialization", "the map does not kill the relation")
-    lam_bar = restrict_to_variables(lam.substitute(subst), ("x", "y"))
-    zxy = lam_bar.ring
+    zxy = PolyRing(("x", "y"), ZZ)
+    lam_bar = convert(lam.substitute(subst), zxy)
     xb, yb = zxy.gens()
     images = {
-        "u^p*x^p": restrict_to_variables((u ** p * x ** p).substitute(subst), ("x", "y")),
-        "v^p*y^p": restrict_to_variables((v ** p * y ** p).substitute(subst), ("x", "y")),
-        "w^p*z^p": restrict_to_variables((w ** p * z ** p).substitute(subst), ("x", "y")),
+        "u^p*x^p": convert((u ** p * x ** p).substitute(subst), zxy),
+        "v^p*y^p": convert((v ** p * y ** p).substitute(subst), zxy),
+        "w^p*z^p": convert((w ** p * z ** p).substitute(subst), zxy),
     }
     if images["u^p*x^p"] != xb ** p or images["v^p*y^p"] != yb ** p:
         raise PipelineStepError("specialization", "generator images are wrong")
@@ -470,11 +466,7 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
             "the specialized numerator lies in (p, x^p, y^p); the class "
             "could be zero",
         )
-    fbar = reduce_mod_p(lam_bar, p)
-    residual = Polynomial(fbar.ring, {
-        e2: c for e2, c in fbar.terms.items()
-        if not (monomial_divides((p, 0), e2) or monomial_divides((0, p), e2))
-    }, _normalized=True)
+    residual = outside_monomial_ideal(reduce_mod_p(lam_bar, p), [(p, 0), (0, p)])
     witness = residual.sorted_terms()[0][0]
     witness_str = "*".join(
         n if e2 == 1 else f"{n}^{e2}"
@@ -512,19 +504,6 @@ class TorsionCertificate:
     sequence_cofactors: tuple[Polynomial, ...]
     relation_cofactor: Polynomial
     nonvanishing: NonzeroCertified
-
-    def to_json_dict(self):
-        return {
-            "kind": "torsion",
-            "p": self.p,
-            "class": self.cech_class.to_json_dict(),
-            "annihilation": {
-                **self.annihilation.to_json_dict(),
-                "sequence_cofactors": [str(c) for c in self.sequence_cofactors],
-                "relation_cofactor": str(self.relation_cofactor),
-            },
-            "nonvanishing": self.nonvanishing.to_json_dict(),
-        }
 
 
 def eta_class(p: int) -> CechClass:

@@ -47,14 +47,24 @@ def _vscale(a, c):
     return tuple(c * x for x in a)
 
 
-def positive_functional(weights) -> tuple[int, ...]:
-    """An integer covector c with c . w >= 1 for every variable weight w."""
-    d = len(weights[0])
+def _small_covector(d, accept):
+    """The first integer covector of length d with accept(c), searching the
+    boxes of radius 1, 2 and 3 in turn, each in lexicographic order; None
+    when there is none."""
     for radius in range(1, 4):
         for cand in product(range(-radius, radius + 1), repeat=d):
-            if all(_dot(cand, w) >= 1 for w in weights):
+            if accept(cand):
                 return cand
-    raise CertificationError("no small positive functional for this weight table")
+    return None
+
+
+def positive_functional(weights) -> tuple[int, ...]:
+    """An integer covector c with c . w >= 1 for every variable weight w."""
+    c = _small_covector(len(weights[0]),
+                        lambda cand: all(_dot(cand, w) >= 1 for w in weights))
+    if c is None:
+        raise CertificationError("no small positive functional for this weight table")
+    return c
 
 
 @dataclass(frozen=True)
@@ -192,41 +202,9 @@ def _nullspace_int(rows, ncols):
         v[j] = Fraction(1)
         for i, col in enumerate(pivots):
             v[col] = -red[i][j]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in v))
         basis.append(tuple(int(x * denom) for x in v))
     return basis
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _solve_square(rows, rhs):
-    """Solve a D x D rational system; None when singular."""
-    D = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
-    for col in range(D):
-        pivot = next((i for i in range(col, D) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(D):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][D] for i in range(D)]
-
-
-def _matrix_rank(rows):
-    if not rows:
-        return 0
-    return len(_rref(rows)[0])
 
 
 def _cone_is_trivial(rows, D) -> bool:
@@ -238,7 +216,7 @@ def _cone_is_trivial(rows, D) -> bool:
     """
     if D == 0:
         return True
-    if _matrix_rank(rows) < D:
+    if len(_rref(rows)[1]) < D:
         return False  # a full line satisfies every constraint
     if D == 1:
         for cand in ((1,), (-1,)):
@@ -247,7 +225,7 @@ def _cone_is_trivial(rows, D) -> bool:
         return True
     for subset in combinations(range(len(rows)), D - 1):
         sub = [rows[i] for i in subset]
-        if _matrix_rank(sub) != D - 1:
+        if len(_rref(sub)[1]) != D - 1:
             continue
         for ray in _nullspace_int(sub, D):
             for cand in (ray, tuple(-x for x in ray)):
@@ -272,10 +250,11 @@ def _polyhedron_nonzero_points(constraints, basis, weights, nvars):
     rhs = [c[1] for c in constraints]
     vertices = []
     for subset in combinations(range(len(rows)), D):
-        sub = [rows[i] for i in subset]
-        sol = _solve_square(sub, [rhs[i] for i in subset])
-        if sol is None:
+        # the square system is nonsingular iff the pivots are 0..D-1
+        red, pivots = _rref([list(rows[i]) + [rhs[i]] for i in subset])
+        if pivots != list(range(D)):
             continue
+        sol = [row[D] for row in red]
         if all(_dot(r, sol) >= b for r, b in zip(rows, rhs)):
             vertices.append(sol)
     if not vertices:
@@ -305,9 +284,13 @@ def _polyhedron_nonzero_points(constraints, basis, weights, nvars):
     return found
 
 
+# parameter values past k = 0, 1 at which the family is checked against a
+# fresh enumeration
+_PROBES = (2, 3)
+
+
 def unique_monomial_family(weights, base, slope,
-                           expected: MonomialFamily | None = None,
-                           probes=(0, 1, 2, 3)) -> MonomialFamily:
+                           expected: MonomialFamily | None = None) -> MonomialFamily:
     """Certify that degree base + k*slope is hit by exactly one monomial
     family for every k >= 0, and return it.
 
@@ -348,9 +331,7 @@ def unique_monomial_family(weights, base, slope,
         extra = _polyhedron_nonzero_points(constraints, basis, weights, n)
         if extra:
             raise CertificationError(f"second solution family exists: {extra[0]}")
-    for k in probes:
-        if k in (0, 1):
-            continue  # sols0 and sols1 are the family at k = 0, 1
+    for k in _PROBES:
         target = _vadd(base, _vscale(slope, k))
         if monomials_of_degree(weights, target) != [family.at(k)]:
             raise CertificationError(f"probe at k={k} does not match the family")
@@ -366,13 +347,11 @@ def certify_no_solutions(weights, base, slope) -> tuple[int, ...]:
     for k in (0, 1):
         if monomials_of_degree(weights, _vadd(base, _vscale(slope, k))):
             raise CertificationError("solutions exist; emptiness is false")
-    d = len(base)
-    for radius in range(1, 4):
-        for cand in product(range(-radius, radius + 1), repeat=d):
-            if (
-                all(_dot(cand, w) >= 0 for w in weights)
-                and _dot(cand, slope) <= 0
-                and _dot(cand, base) < 0
-            ):
-                return cand
-    raise CertificationError("no small Farkas certificate found")
+    psi = _small_covector(len(base), lambda c: (
+        all(_dot(c, w) >= 0 for w in weights)
+        and _dot(c, slope) <= 0
+        and _dot(c, base) < 0
+    ))
+    if psi is None:
+        raise CertificationError("no small Farkas certificate found")
+    return psi

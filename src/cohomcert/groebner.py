@@ -25,13 +25,12 @@ by XOR with all-ones, so the order key is the int P ^ X and the heaps hold
 exponent field by the same subtraction and then recomputes the degree
 fields by one multiplication per block.
 
-Width: the value bits start with room for twice the larger of
-guard.max_degree and the largest input total degree, and never fewer than
-8.  Every product (through the fieldwise maximum of a reducer's tail) and
-the degree fields of every lcm kept are checked against the guard bits;
-on overflow the computation restarts with twice the width.  The engine is
-deterministic, so a restart changes nothing but the time taken, and
-nothing wraps.
+Width: the value bits start with room for twice the largest input total
+degree, and never fewer than 8.  Every product (through the fieldwise
+maximum of a reducer's tail) and the degree fields of every lcm kept are
+checked against the guard bits; on overflow the computation restarts with
+twice the width.  The engine is deterministic, so a restart changes
+nothing but the time taken, and nothing wraps.
 
 Bookkeeping: pairs wait in a heap keyed (deg lcm, order key of lcm, i, j),
 each key computed once when the pair is kept; (i, j) is unique, so the
@@ -46,7 +45,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .polyring import (
@@ -59,6 +57,7 @@ from .polyring import (
     RingMismatchError,
     NonDivisibleError,
     ZZ,
+    convert,
     is_prime,
     monomial_div,
     monomial_divides,
@@ -177,28 +176,13 @@ class QuotientRing:
 # engine internals: terms are dicts {packed monomial: coefficient}
 
 
-def _field_ops(domain):
-    """(norm, inv): norm maps an integer or rational combination of field
-    elements to its canonical value, inv inverts a nonzero element."""
-    if domain.kind == "prime_field":
-        p = domain.p
-
-        def inv(a):
-            return pow(a, p - 2, p)
-
-        return p.__rmod__, inv
-    if domain.kind == "rational":
-
-        def norm(a):
-            return a
-
-        def inv(a):
-            return Fraction(1) / a
-
-        return norm, inv
-    raise DomainNotSupportedError(
-        f"Groebner computations need field coefficients, not {domain}"
-    )
+def _field(domain):
+    """The domain itself, once it is known to be a field."""
+    if not domain.is_field:
+        raise DomainNotSupportedError(
+            f"Groebner computations need field coefficients, not {domain}"
+        )
+    return domain
 
 
 class _Overflow(Exception):
@@ -326,22 +310,22 @@ def _reducer(lm, terms, lay):
     return lm, tail, top, terms
 
 
-def _monicize(terms, lay, ops):
+def _monicize(terms, lay, dom):
     """A normal form as a monic reducer; its first term is its leading one."""
-    norm, inv = ops
+    norm = dom.norm
     lm = next(iter(terms))
     lc = terms[lm]
     if lc != 1:
-        ic = inv(lc)
+        ic = dom.inv(lc)
         terms = {e: norm(c * ic) for e, c in terms.items()}
     return _reducer(lm, terms, lay)
 
 
-def _normal_form_terms(fterms, basis, lay, ops):
+def _normal_form_terms(fterms, basis, lay, dom):
     """Full normal form of a packed term dict against reducers; the first
     reducer in list order whose lm divides a term is used.  The result
     lists its terms in descending order."""
-    norm = ops[0]
+    norm = dom.norm
     if not fterms:
         return {}
     flip, g = lay.flip, lay.guard
@@ -380,10 +364,10 @@ def _normal_form_terms(fterms, basis, lay, ops):
     return out
 
 
-def _spoly(a, b, l, g, ops):
+def _spoly(a, b, l, g, dom):
     """S-polynomial of two monic reducers whose leading monomials have lcm
     l; the leading terms cancel, so only the tails are multiplied."""
-    norm = ops[0]
+    norm = dom.norm
     sa = l - a[0]
     sb = l - b[0]
     if (sa + a[2]) & g or (sb + b[2]) & g:
@@ -399,7 +383,7 @@ def _spoly(a, b, l, g, ops):
     return out
 
 
-def _buchberger_core(inputs, lay, ops, guard):
+def _buchberger_core(inputs, lay, dom, guard):
     """Returns (reduced monic basis as reducers ascending by leading
     monomial, Diagnostics); inputs and output are packed."""
     flip, g, exps, bits = lay.flip, lay.guard, lay.exps, lay.bits
@@ -462,7 +446,7 @@ def _buchberger_core(inputs, lay, ops, guard):
         reducers = [store[i] for i in active]
 
     def add(h):
-        store.append(_monicize(h, lay, ops))
+        store.append(_monicize(h, lay, dom))
         update(len(store) - 1)
         if len(active) > guard.max_basis:
             raise GuardExceededError(
@@ -475,7 +459,7 @@ def _buchberger_core(inputs, lay, ops, guard):
         return degree(lm), lm ^ flip
 
     for terms in sorted((t for t in inputs if t), key=leading):
-        h = _normal_form_terms(terms, reducers, lay, ops)
+        h = _normal_form_terms(terms, reducers, lay, dom)
         if h:
             add(h)
 
@@ -488,8 +472,8 @@ def _buchberger_core(inputs, lay, ops, guard):
                 f"S-pair lcm degree {deg} exceeds the guard ({guard.max_degree})",
                 Diagnostics(stats["s_pairs"], len(active), stats["max_degree"]),
             )
-        h = _normal_form_terms(_spoly(store[i], store[j], l, g, ops),
-                               reducers, lay, ops)
+        h = _normal_form_terms(_spoly(store[i], store[j], l, g, dom),
+                               reducers, lay, dom)
         if h:
             add(h)
 
@@ -501,7 +485,7 @@ def _buchberger_core(inputs, lay, ops, guard):
     reduced = []  # ascending by leading monomial, like minimal
     for r in minimal:
         others = [o for o in minimal if o is not r]
-        reduced.append(_reducer(r[0], _normal_form_terms(r[3], others, lay, ops),
+        reduced.append(_reducer(r[0], _normal_form_terms(r[3], others, lay, dom),
                                 lay))
     diag = Diagnostics(stats["s_pairs"], len(reduced), stats["max_degree"])
     return reduced, diag
@@ -529,7 +513,7 @@ class GroebnerBasis:
         """The basis packed with at least `bits` value bits."""
         if self._packed is None or self._packed[0].bits < bits:
             top = max((g.total_degree() for g in self.basis), default=0)
-            bits = max(bits, _start_bits(max(DEFAULT_GUARD.max_degree, top)))
+            bits = max(bits, _start_bits(top))
             lay = _layout(self.ring.variables, self.order, bits)
             reducers = []
             for g in self.basis:
@@ -557,20 +541,19 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
                guard: DegreeGuard = DEFAULT_GUARD) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal over a field."""
     ring = ideal.ring
-    cache_key = (ring, order, _canonical_gens(ideal.generators))
+    cache_key = (ring, order, guard, _canonical_gens(ideal.generators))
     hit = _GB_CACHE.get(cache_key)
     if hit is not None:
         return hit
-    ops = _field_ops(ring.domain)
+    dom = _field(ring.domain)
     gens = [g.terms for g in ideal.generators]
-    top = max((sum(e) for terms in gens for e in terms), default=0)
-    bits = _start_bits(max(guard.max_degree, top))
+    bits = _start_bits(max((sum(e) for terms in gens for e in terms), default=0))
     while True:
         lay = _layout(ring.variables, order, bits)
         try:
             reduced, diag = _buchberger_core(
                 [{lay.pack(e): c for e, c in terms.items()} for terms in gens],
-                lay, ops, guard,
+                lay, dom, guard,
             )
             break
         except _Overflow:
@@ -589,12 +572,12 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.ring != gb.ring:
         raise RingMismatchError(f"{f.ring} != {gb.ring}")
-    ops = _field_ops(gb.ring.domain)
+    dom = _field(gb.ring.domain)
     lay, reducers = gb._packing(_start_bits(f.total_degree()))
     while True:
         try:
             out = _normal_form_terms(
-                {lay.pack(e): c for e, c in f.terms.items()}, reducers, lay, ops
+                {lay.pack(e): c for e, c in f.terms.items()}, reducers, lay, dom
             )
             break
         except _Overflow:
@@ -620,6 +603,15 @@ def membership(f: Polynomial, ideal: Ideal, rel: QuotientRing | None = None) -> 
     return buchberger(full).contains(f)
 
 
+def outside_monomial_ideal(f: Polynomial, exponents) -> Polynomial:
+    """The terms of f that no x^e, e in exponents, divides: f's normal form
+    modulo that monomial ideal, over any coefficient domain."""
+    return Polynomial(f.ring, {
+        t: c for t, c in f.terms.items()
+        if not any(monomial_divides(e, t) for e in exponents)
+    }, _normalized=True)
+
+
 def membership_monomial_plus_p(f: Polynomial, p: int, monomials) -> bool:
     """Decide f in (p, m_1, ..., m_r) inside Z[vars].
 
@@ -639,10 +631,7 @@ def membership_monomial_plus_p(f: Polynomial, p: int, monomials) -> bool:
         ((e, c),) = m.terms.items()
         if c % p != 0:
             exps.append(e)
-    fbar = reduce_mod_p(f, p)
-    return all(
-        any(monomial_divides(e, term) for e in exps) for term in fbar.terms
-    )
+    return outside_monomial_ideal(reduce_mod_p(f, p), exps).is_zero
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
@@ -651,10 +640,11 @@ def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
         raise RingMismatchError(f"{g.ring} != {f.ring}")
     if f.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    norm, inv = _field_ops(g.ring.domain)
+    dom = _field(g.ring.domain)
+    norm = dom.norm
     key = DEFAULT_ORDER.key(g.ring)
     flm = max(f.terms, key=key)
-    fic = inv(f.terms[flm])
+    fic = dom.inv(f.terms[flm])
     work = dict(g.terms)
     quot: dict = {}
     while work:
@@ -691,21 +681,13 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     tname = _fresh_variable(ring)
     aux = PolyRing((tname,) + ring.variables, ring.domain)
 
-    def lift(p: Polynomial, tpow: int) -> Polynomial:
-        return Polynomial(
-            aux, {(tpow,) + e: c for e, c in p.terms.items()}, _normalized=True
-        )
-
-    gens = [lift(g, 1) for g in I.generators]
-    gens += [lift(h, 0) - lift(h, 1) for h in J.generators]
+    t = aux.gen(tname)
+    gens = [t * convert(g, aux) for g in I.generators]
+    gens += [(1 - t) * convert(h, aux) for h in J.generators]
     if not gens:
         return Ideal(ring, ())
-    elim = eliminate(Ideal(aux, tuple(gens)), {tname})
-    # eliminate() returns the ideal in the remaining variables, which are
-    # exactly the original ring's variables in declaration order
-    return Ideal(ring, tuple(
-        Polynomial(ring, g.terms, _normalized=True) for g in elim.generators
-    ))
+    # the remaining variables are the original ring's, in declaration order
+    return eliminate(Ideal(aux, tuple(gens)), {tname})
 
 
 def eliminate(ideal: Ideal, drop) -> Ideal:
@@ -726,19 +708,12 @@ def eliminate(ideal: Ideal, drop) -> Ideal:
         raise ValueError("cannot eliminate every variable")
     front = tuple(v for v in ring.variables if v in drop)
     gb = buchberger(ideal, BlockElimination(front=front))
-    keep_idx = [i for i, v in enumerate(ring.variables) if v not in drop]
     drop_idx = [i for i, v in enumerate(ring.variables) if v in drop]
-    sub = PolyRing(tuple(ring.variables[i] for i in keep_idx), ring.domain)
-    out = []
-    for g in gb.basis:
-        if any(e[i] for e in g.terms for i in drop_idx):
-            continue
-        out.append(Polynomial(
-            sub,
-            {tuple(e[i] for i in keep_idx): c for e, c in g.terms.items()},
-            _normalized=True,
-        ))
-    return Ideal(sub, tuple(out))
+    sub = PolyRing(tuple(v for v in ring.variables if v not in drop), ring.domain)
+    return Ideal(sub, tuple(
+        convert(g, sub) for g in gb.basis
+        if not any(e[i] for e in g.terms for i in drop_idx)
+    ))
 
 
 def colon(ideal: Ideal, f: Polynomial, rel: QuotientRing | None = None) -> Ideal:

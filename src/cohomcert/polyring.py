@@ -10,7 +10,7 @@ ring's variable count.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -80,6 +80,9 @@ class CoefficientDomain:
 
     kind: str
     p: int | None = None
+    # the canonical value of a sum or product of coefficients: x mod p over
+    # F_p, the identity over Q and Z
+    norm: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("rational", "prime_field", "integer"):
@@ -89,6 +92,7 @@ class CoefficientDomain:
                 raise ValueError(f"prime field modulus must be prime, got {self.p}")
         elif self.p is not None:
             raise ValueError(f"{self.kind} domain takes no modulus")
+        object.__setattr__(self, "norm", self.p.__rmod__ if self.p else _identity)
 
     @property
     def is_field(self) -> bool:
@@ -102,7 +106,10 @@ class CoefficientDomain:
         """Coerce an int / Fraction into this domain's representation."""
         if self.kind == "prime_field":
             if isinstance(c, Fraction):
-                return self.from_fraction(c)
+                den = c.denominator % self.p
+                if den == 0:
+                    raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
+                return c.numerator * pow(den, self.p - 2, self.p) % self.p
             return c % self.p
         if self.kind == "rational":
             return Fraction(c)
@@ -111,25 +118,6 @@ class CoefficientDomain:
                 raise ValueError(f"{c} is not an integer coefficient")
             return c.numerator
         return int(c)
-
-    def from_fraction(self, c: Fraction):
-        if self.kind == "rational":
-            return c
-        if self.kind == "integer":
-            return self.normalize(c)
-        den = c.denominator % self.p
-        if den == 0:
-            raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
-        return c.numerator * pow(den, self.p - 2, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "prime_field" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "prime_field" else a * b
-
-    def neg(self, a):
-        return -a % self.p if self.kind == "prime_field" else -a
 
     def inv(self, a):
         if self.kind == "prime_field":
@@ -140,6 +128,10 @@ class CoefficientDomain:
 
     def __str__(self):
         return {"rational": "QQ", "integer": "ZZ"}.get(self.kind) or f"GF({self.p})"
+
+
+def _identity(a):
+    return a
 
 
 QQ = CoefficientDomain("rational")
@@ -330,10 +322,10 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        dom = self.ring.domain
+        norm = self.ring.domain.norm
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = dom.add(out.get(e, 0), c)
+            s = norm(out.get(e, 0) + c)
             if s == 0:
                 out.pop(e, None)
             else:
@@ -343,9 +335,9 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        dom = self.ring.domain
+        norm = self.ring.domain.norm
         return Polynomial(
-            self.ring, {e: dom.neg(c) for e, c in self.terms.items()}, _normalized=True
+            self.ring, {e: norm(-c) for e, c in self.terms.items()}, _normalized=True
         )
 
     def __sub__(self, other):
@@ -361,12 +353,12 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        dom = self.ring.domain
+        norm = self.ring.domain.norm
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = dom.add(out.get(e, 0), dom.mul(c1, c2))
+                s = norm(out.get(e, 0) + c1 * c2)
                 if s == 0:
                     out.pop(e, None)
                 else:
@@ -470,47 +462,32 @@ def reduce_mod_p(f: Polynomial, p: int) -> Polynomial:
     """Coefficient-wise reduction Z[x] -> F_p[x]; terms that vanish drop out."""
     if f.ring.domain != ZZ:
         raise ValueError("reduce_mod_p expects integer coefficients")
-    target = PolyRing(f.ring.variables, GF(p))
-    return Polynomial(target, dict(f.terms))
+    return convert(f, PolyRing(f.ring.variables, GF(p)))
 
 
 def convert(f: Polynomial, target: PolyRing) -> Polynomial:
-    """Move a polynomial to a ring with the same variables, new domain.
+    """Move a polynomial to another ring, mapping variables by name.
 
-    Z -> Q and Z -> F_p always work; Q -> F_p works when no denominator is
-    divisible by p; Q -> Z requires all coefficients integral.
+    Every variable that occurs in f must be one of target's.  The target
+    domain normalizes each coefficient: Z -> Q and Z -> F_p always work;
+    Q -> F_p works when no denominator is divisible by p; Q -> Z requires
+    all coefficients integral.
     """
-    if f.ring.variables != target.variables:
-        raise RingMismatchError("convert requires identical variable lists")
     if f.ring == target:
         return f
-    dom = target.domain
+    names = f.ring.variables
+    where = [target.variables.index(v) if v in target.variables else None
+             for v in names]
     out = {}
     for e, c in f.terms.items():
-        c2 = dom.from_fraction(Fraction(c))
-        if c2 != 0:
-            out[e] = c2
-    return Polynomial(target, out, _normalized=True)
-
-
-def restrict_to_variables(f: Polynomial, variables) -> Polynomial:
-    """Re-express f in the subring on the given variables.
-
-    Every term of f must be supported on those variables.
-    """
-    variables = tuple(variables)
-    sub = PolyRing(variables, f.ring.domain)
-    idx = [f.ring.var_index(v) for v in variables]
-    keep = set(idx)
-    out = {}
-    for e, c in f.terms.items():
-        for i, x in enumerate(e):
-            if x and i not in keep:
-                raise ValueError(
-                    f"{f} involves {f.ring.variables[i]}, outside {variables}"
-                )
-        out[tuple(e[i] for i in idx)] = c
-    return Polynomial(sub, out, _normalized=True)
+        e2 = [0] * target.nvars
+        for i, x, name in zip(where, e, names):
+            if x:
+                if i is None:
+                    raise RingMismatchError(f"{f} involves {name}, which {target} lacks")
+                e2[i] = x
+        out[tuple(e2)] = c
+    return Polynomial(target, out)
 
 
 # --------------------------------------------------------------------------
@@ -592,8 +569,9 @@ class MonomialOrder:
     """Total multiplicative order on monomials with 1 minimal.
 
     Subclasses provide key(ring) -> function mapping an exponent tuple to a
-    flat tuple of ints; bigger key means bigger monomial, and negating every
-    entry reverses the order (used by heap-based reduction).
+    flat tuple of ints; bigger key means bigger monomial.  The Groebner
+    engine compares packed monomials instead; the keys serve exact_divide
+    and the reference implementations in the tests.
     """
 
     def key(self, ring: PolyRing):

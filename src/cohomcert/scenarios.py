@@ -311,17 +311,6 @@ def _plan_ptor2(params) -> list[PlannedCheck]:
     return plan
 
 
-def _inject(poly: Polynomial, target: PolyRing) -> Polynomial:
-    idx = [target.var_index(v) for v in poly.ring.variables]
-    out = {}
-    for e, c in poly.terms.items():
-        e2 = [0] * target.nvars
-        for i, x in zip(idx, e):
-            e2[i] = x
-        out[tuple(e2)] = c
-    return Polynomial(target, out)
-
-
 def _colon_check(name, operation, expected_poly, quotient: QuotientRing,
                  ideal: Ideal, element: Polynomial, contracted, fixed) -> PlannedCheck:
     """A colon identity: `contracted()`, the colon (ideal : element) modulo
@@ -341,7 +330,7 @@ def _colon_check(name, operation, expected_poly, quotient: QuotientRing,
 
     def verify(cert, _statuses):
         return cert["computed_generators"] == names and \
-            membership(_inject(monic, ring) * element, ideal, rel=quotient)
+            membership(convert(monic, ring) * element, ideal, rel=quotient)
 
     return PlannedCheck(
         name, operation, [str(expected_poly)],

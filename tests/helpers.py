@@ -35,7 +35,7 @@ class LinearSpan:
         return (sum(e),) + tuple(-x for x in reversed(e))
 
     def _reduce(self, vec):
-        dom = self.domain
+        norm = self.domain.norm
         vec = dict(vec)
         while vec:
             pivot = max(vec, key=self._pivot_key)
@@ -44,7 +44,7 @@ class LinearSpan:
                 return vec
             c = vec[pivot]
             for e, rc in row.items():
-                nv = dom.add(vec.get(e, 0), dom.neg(dom.mul(c, rc)))
+                nv = norm(vec.get(e, 0) - c * rc)
                 if nv == 0:
                     vec.pop(e, None)
                 else:
@@ -58,7 +58,7 @@ class LinearSpan:
         dom = self.domain
         pivot = max(vec, key=self._pivot_key)
         inv = dom.inv(vec[pivot])
-        self.rows[pivot] = {e: dom.mul(c, inv) for e, c in vec.items()}
+        self.rows[pivot] = {e: dom.norm(c * inv) for e, c in vec.items()}
         return True
 
     def contains(self, vec) -> bool:

@@ -264,11 +264,16 @@ def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
     assert "internal error: NonDivisibleError" in err and "Traceback" not in err
 
 
+def _masked_digest(path):
+    # the report as --out writes it, with every "seconds" value set to 0
+    text = re.sub(r'"seconds": [-+.\deE]+', '"seconds": 0', path.read_text())
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("p, digest", [(5, "f58335ab79db58ce"),
                                        (13, "d280ada9fc626401")])
 def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
-    # the census benchmark's parameters; the report as --out writes it, with
-    # every "seconds" value set to 0, must not change by a byte
+    # the census benchmark's parameters: the report must not change by a byte
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"n_max": 12, "generating_order": 64,
                                   "roots_n_max": 12, "census_n_max": 64,
@@ -277,5 +282,24 @@ def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
     assert main(["run", "toeplitz-suite", "--params", str(params),
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    text = re.sub(r'"seconds": [-+.\deE]+', '"seconds": 0', out.read_text())
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert _masked_digest(out) == digest
+
+
+@pytest.mark.parametrize("scenario, params, digest", [
+    ("all", None, "e482dcfe92f9978a"),
+    ("singh-p-torsion", {"primes": [2, 3, 5, 7, 11]}, "df160d1f44ac4307"),
+    ("singh-swanson-S", {"n_max": 4, "k": 1}, "9e70dc5259f25cb8"),
+    ("ring-A-colon", {"n_max": 8, "p": 101}, "c8ad8f2a6d21a993"),
+    ("ring-B-colon", {"n_max": 6, "p": 101}, "d0d27597ba805616"),
+    ("hartshorne", {"n_max": 8, "k_max": 12, "p": 101}, "480d3c1994e57995"),
+    ("ptor2-theorem", {"e": 2}, "27db5bb9976dbd92"),
+])
+def test_report_digest(tmp_path, capsys, scenario, params, digest):
+    # every report but for its timings must not change by a byte
+    argv = ["run", scenario, "--out", str(tmp_path / "report.json")]
+    if params is not None:
+        (tmp_path / "params.json").write_text(json.dumps(params))
+        argv += ["--params", str(tmp_path / "params.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert _masked_digest(tmp_path / "report.json") == digest

@@ -34,7 +34,6 @@ from cohomcert.cohomology import CechClass, annihilator_in_subring
 from cohomcert.groebner import (
     _GB_CACHE,
     _Overflow,
-    _field_ops,
     _layout,
     _normal_form_terms,
     _reducer,
@@ -361,12 +360,21 @@ def test_integer_domain_rejected():
 def test_degree_guard_aborts():
     ring = PolyRing(("x", "y", "z"), GF(5))
     x, y, z = ring.gens()
-    _GB_CACHE.clear()
     gens = (x ** 2 * y - z, x * y ** 2 - 1)  # first S-pair lcm has degree 4
     with pytest.raises(GuardExceededError) as info:
         buchberger(Ideal(ring, gens), guard=DegreeGuard(max_basis=5000, max_degree=3))
     assert info.value.diagnostics.s_pairs >= 1
-    _GB_CACHE.clear()
+
+
+def test_cached_basis_does_not_bypass_a_tighter_guard():
+    # the basis under the default guard is cached; the same ideal under a
+    # guard it exceeds must still abort, not return the cached basis
+    ring = PolyRing(("x", "y", "z"), GF(7))
+    x, y, z = ring.gens()
+    ideal = Ideal(ring, (x ** 2 * y - z, x * y ** 2 - 1))
+    assert buchberger(ideal).diagnostics.max_degree == 4
+    with pytest.raises(GuardExceededError):
+        buchberger(ideal, guard=DegreeGuard(max_basis=5000, max_degree=3))
 
 
 def test_exact_divide():
@@ -478,7 +486,6 @@ def test_pinned_ptor2_guard_abort():
 
 def test_packed_reducer_agrees_with_monomial_divides():
     rng = random.Random(46)
-    ops = _field_ops(GF(101))
     lay = _layout(("a", "b", "c", "d", "e"), GrevLex(), 8)
     zero = (0,) * 5
     seen = {True: 0, False: 0}
@@ -493,7 +500,7 @@ def test_packed_reducer_agrees_with_monomial_divides():
             assert (((pb | lay.guard) - pa) & lay.guard == lay.guard) == expect
             # the engine's own reduction: x^b is reduced by x^a iff a | b
             reduced = _normal_form_terms({pb: 1}, [_reducer(pa, {pa: 1}, lay)],
-                                         lay, ops)
+                                         lay, GF(101))
             assert (reduced == {}) == expect
     assert seen[True] > 1000 and seen[False] > 1000
 

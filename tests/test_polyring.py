@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -17,10 +18,10 @@ from cohomcert import (
     QQ,
     RingMismatchError,
     ZZ,
+    convert,
     divide_exact_by_integer,
     multidegree,
     reduce_mod_p,
-    restrict_to_variables,
 )
 from cohomcert.polyring import is_prime
 
@@ -201,12 +202,64 @@ def test_substitute_examples():
 
 
 def test_restrict_to_variables():
+    # convert restricts to a subring, mapping variables by name
     u, v, w, x, y, z = R6.gens()
     f = x ** 2 + 3 * y
-    g = restrict_to_variables(f, ("x", "y"))
+    g = convert(f, PolyRing(("x", "y"), ZZ))
     assert g.ring.variables == ("x", "y") and str(g) == "x^2 + 3*y"
     with pytest.raises(ValueError):
-        restrict_to_variables(u + x, ("x",))
+        convert(u + x, PolyRing(("x",), ZZ))
+
+
+def _old_coefficient_map(c, dom):
+    # the per-coefficient map convert used before it went through the
+    # Polynomial constructor
+    c = Fraction(c)
+    if dom == QQ:
+        return c
+    den = c.denominator % dom.p
+    if den == 0:
+        raise ZeroDivisionError(c)
+    return c.numerator * pow(den, dom.p - 2, dom.p) % dom.p
+
+
+def test_convert_properties_random():
+    rng = random.Random(37)
+    names = ("a", "b", "c", "d", "e")
+    for _ in range(200):
+        small = tuple(rng.sample(names, rng.randint(1, 3)))
+        rest = [v for v in names if v not in small]
+        big = list(small) + rng.sample(rest, rng.randint(1, len(rest)))
+        rng.shuffle(big)
+        src_dom = rng.choice((ZZ, QQ))
+        src, wide = PolyRing(small, src_dom), PolyRing(tuple(big), src_dom)
+        f = Polynomial(src, {
+            tuple(rng.randint(0, 3) for _ in small):
+                Fraction(rng.randint(-9, 9), 1 if src_dom == ZZ else rng.randint(1, 6))
+            for _ in range(rng.randint(0, 5))
+        })
+        # inject, then restrict: the identity
+        up = convert(f, wide)
+        assert convert(up, src) == f
+        assert sorted(up.terms.values()) == sorted(f.terms.values())
+        # a variable the target lacks must not occur
+        outside = wide.gen(next(v for v in big if v not in small))
+        with pytest.raises(RingMismatchError):
+            convert(up + outside, src)
+        # ZZ -> QQ, ZZ -> GF(p), QQ -> GF(p): the old coefficient map
+        for dom in (QQ, GF(2), GF(3), GF(7), GF(101)):
+            if dom == src_dom:
+                continue
+            target = PolyRing(small, dom)
+            try:
+                want = {e: _old_coefficient_map(c, dom) for e, c in f.terms.items()}
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    convert(f, target)
+                continue
+            got = convert(f, target)
+            assert got.terms == {e: c for e, c in want.items() if c != 0}
+            assert all(type(c) is type(dom.normalize(0)) for c in got.terms.values())
 
 
 # -- text form ----------------------------------------------------------------
