@@ -110,14 +110,13 @@ def _print_report(report: Report, full: bool, stream) -> None:
 
 
 def _emit(payload: dict, args, text_renderer) -> None:
+    # one dumps and one write: json.dump writes the report chunk by chunk
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"wrote {args.out}", file=sys.stdout)
     elif getattr(args, "format", "text") == "json":
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         text_renderer()
 

@@ -12,7 +12,6 @@ steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from . import degree_solver
 from .degree_solver import MonomialFamily, certify_no_solutions, unique_monomial_family
@@ -30,6 +29,7 @@ from .polyring import (
     Multigrading,
     Polynomial,
     PolyRing,
+    Record,
     ZZ,
     convert,
     divide_exact_by_integer,
@@ -55,8 +55,7 @@ class PipelineStepError(RuntimeError):
 # verdicts
 
 
-@dataclass(frozen=True)
-class ZeroAt:
+class ZeroAt(Record):
     """The class vanishes, witnessed at transition exponent k."""
 
     k: int
@@ -65,8 +64,7 @@ class ZeroAt:
         return {"verdict": "zero_at", "k": self.k}
 
 
-@dataclass(frozen=True)
-class UnknownUpTo:
+class UnknownUpTo(Record):
     """No vanishing found for any k <= k_max; says nothing about nonzero."""
 
     k_max: int
@@ -75,8 +73,7 @@ class UnknownUpTo:
         return {"verdict": "unknown_up_to", "k_max": self.k_max}
 
 
-@dataclass(frozen=True)
-class NonzeroCertified:
+class NonzeroCertified(Record):
     """The class is provably nonzero; carries the pipeline certificate."""
 
     certificate: "WeightPipelineCertificate"
@@ -90,8 +87,7 @@ class NonzeroCertified:
 # Cech classes
 
 
-@dataclass(frozen=True)
-class CechClass:
+class CechClass(Record):
     """[numerator + (x_1^m, ..., x_n^m)] in a quotient ring."""
 
     ring: QuotientRing
@@ -282,8 +278,7 @@ def torsion_ring() -> tuple[PolyRing, Polynomial]:
     return ring, u * x + v * y + w * z
 
 
-@dataclass(frozen=True)
-class PipelineStep:
+class PipelineStep(Record):
     name: str
     statement: str
     data: dict
@@ -292,8 +287,7 @@ class PipelineStep:
         return {"name": self.name, "statement": self.statement, "data": self.data}
 
 
-@dataclass(frozen=True)
-class WeightPipelineCertificate:
+class WeightPipelineCertificate(Record):
     """Transcript of the five-step grading argument for eta_p != 0."""
 
     p: int
@@ -488,8 +482,7 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
     ))
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(Record):
     """eta_p is p-torsion and nonzero, both halves independently checkable.
 
     The annihilation half is an exact cofactor identity

@@ -24,11 +24,12 @@ polytope.  Emptiness for all k is certified by a Farkas functional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import lcm
+
+from .polyring import Record
 
 
 class CertificationError(ValueError):
@@ -67,8 +68,7 @@ def positive_functional(weights) -> tuple[int, ...]:
     return c
 
 
-@dataclass(frozen=True)
-class _DegreeMap:
+class _DegreeMap(Record):
     """The degree map E -> sum_i E_i * w_i of one weight table, in integers.
 
     Row i < rank of the reduced echelon form of [A | I], with A the d x n
@@ -153,8 +153,7 @@ def monomials_of_degree(weights, target) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class MonomialFamily:
+class MonomialFamily(Record):
     """Exponent vectors const + k*slope, one monomial per parameter value."""
 
     const: tuple[int, ...]

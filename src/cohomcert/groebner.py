@@ -44,7 +44,6 @@ the test is one comparison with the next candidate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .polyring import (
@@ -54,6 +53,7 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     PolyRing,
+    Record,
     RingMismatchError,
     NonDivisibleError,
     ZZ,
@@ -78,8 +78,7 @@ class GuardExceededError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class DegreeGuard:
+class DegreeGuard(Record):
     """Hard caps that abort runaway basis computations with a diagnostic."""
 
     max_basis: int = 5000
@@ -90,8 +89,7 @@ DEFAULT_GUARD = DegreeGuard()
 DEFAULT_ORDER = GrevLex()
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(Record):
     s_pairs: int
     basis_size: int
     max_degree: int
@@ -108,8 +106,7 @@ class Diagnostics:
 # ideals and quotient rings
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Record):
     """Generator list in a fixed ambient ring; zero generators are dropped."""
 
     ring: PolyRing
@@ -141,8 +138,7 @@ class Ideal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-@dataclass(frozen=True)
-class QuotientRing:
+class QuotientRing(Record):
     """Ambient ring modulo a tuple of relations (usually one hypersurface).
 
     normal_form gives a canonical representative, so classes compare by
@@ -495,19 +491,17 @@ def _buchberger_core(inputs, lay, dom, guard):
 # public surface
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Reduced, monic, auto-reduced basis under a fixed monomial order."""
 
     ring: PolyRing
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     diagnostics: Diagnostics
-    # (layout, basis as packed reducers) for normal_form: handed over by
-    # buchberger or packed on first use, and widened when a normal form
-    # outgrows it
-    _packed: tuple | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    # not a field: (layout, basis as packed reducers) for normal_form,
+    # handed over by buchberger or packed on first use, and widened when a
+    # normal form outgrows it
+    _packed = None
 
     def _packing(self, bits: int):
         """The basis packed with at least `bits` value bits."""

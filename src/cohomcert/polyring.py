@@ -10,8 +10,8 @@ ring's variable count.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 
 class RingMismatchError(ValueError):
@@ -67,11 +67,106 @@ def is_prime(n: int) -> bool:
 
 
 # --------------------------------------------------------------------------
+# frozen value types
+
+
+class Record:
+    """Base of the immutable value types.
+
+    The fields are the annotated class attributes, base fields first; a
+    class attribute of the same name is the field's default.  The
+    constructor takes the fields by position or keyword and then runs
+    __post_init__.  Two records are equal iff they are of the same class
+    with equal field tuples, the hash is the hash of the field tuple, the
+    repr reads Name(a=..., b=...), and assignment raises AttributeError;
+    an attribute that is not a field is set once, in __post_init__ or by
+    its owner, through object.__setattr__.  No source is generated per
+    class, which keeps the import cheap: __init_subclass__ binds __init__,
+    __eq__ and __hash__ to closures over the field names and an attrgetter
+    of them.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__
+        fields = cls._fields + tuple(n for n in own if n not in cls._fields)
+        cls._fields = fields
+        cls._defaults = {n: v for n, v in cls._defaults.items() if n not in own}
+        cls._defaults.update((n, cls.__dict__[n]) for n in own if n in cls.__dict__)
+        setattr_, post = object.__setattr__, cls.__post_init__
+        if len(fields) == 1:
+            get = attrgetter(fields[0])
+
+            def key(self):
+                return (get(self),)
+        elif fields:
+            key = attrgetter(*fields)
+        else:
+            def key(self):
+                return ()
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != len(fields):
+                args = cls._arguments(args, kwargs)
+            for name, value in zip(fields, args):
+                setattr_(self, name, value)
+            post(self)
+
+        def __eq__(self, other):
+            if self is other:
+                return True
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__init__ = __init__
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    @classmethod
+    def _arguments(cls, args, kwargs) -> list:
+        """Every field's value, from the arguments or else the default."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} fields, "
+                            f"got {len(args)} positional arguments")
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                            f"field {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self._fields) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# --------------------------------------------------------------------------
 # coefficient domains
 
 
-@dataclass(frozen=True)
-class CoefficientDomain:
+class CoefficientDomain(Record):
     """One of Q ("rational"), F_p ("prime_field"), or Z ("integer").
 
     Coefficients are represented as Fraction over Q, as int in [0, p)
@@ -80,9 +175,8 @@ class CoefficientDomain:
 
     kind: str
     p: int | None = None
-    # the canonical value of a sum or product of coefficients: x mod p over
-    # F_p, the identity over Q and Z
-    norm: object = field(init=False, repr=False, compare=False)
+    # not a field: `norm`, the canonical value of a sum or product of
+    # coefficients (x mod p over F_p, the identity over Q and Z)
 
     def __post_init__(self):
         if self.kind not in ("rational", "prime_field", "integer"):
@@ -103,21 +197,25 @@ class CoefficientDomain:
         return self.p if self.kind == "prime_field" else 0
 
     def normalize(self, c):
-        """Coerce an int / Fraction into this domain's representation."""
+        """Coerce an int or a Fraction into this domain's representation;
+        anything else, a bool, a float or a string among them, raises
+        TypeError."""
+        if c.__class__ is int:
+            if self.kind == "prime_field":
+                return c % self.p
+            return Fraction(c) if self.kind == "rational" else c
+        if not isinstance(c, Fraction):
+            raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
         if self.kind == "prime_field":
-            if isinstance(c, Fraction):
-                den = c.denominator % self.p
-                if den == 0:
-                    raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
-                return c.numerator * pow(den, self.p - 2, self.p) % self.p
-            return c % self.p
+            den = c.denominator % self.p
+            if den == 0:
+                raise ZeroDivisionError(f"denominator of {c} vanishes mod {self.p}")
+            return c.numerator * pow(den, self.p - 2, self.p) % self.p
         if self.kind == "rational":
             return Fraction(c)
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise ValueError(f"{c} is not an integer coefficient")
-            return c.numerator
-        return int(c)
+        if c.denominator != 1:
+            raise ValueError(f"{c} is not an integer coefficient")
+        return c.numerator
 
     def inv(self, a):
         if self.kind == "prime_field":
@@ -192,8 +290,7 @@ def monomial_degree(a: tuple) -> int:
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-@dataclass(frozen=True)
-class PolyRing:
+class PolyRing(Record):
     """Ambient ring descriptor: ordered variable names plus a domain.
 
     Two independently constructed descriptors with the same data compare
@@ -511,8 +608,7 @@ class _AnyDegree:
 ANY_DEGREE = _AnyDegree()
 
 
-@dataclass(frozen=True)
-class Multigrading:
+class Multigrading(Record):
     """Z^d weight vector per ring variable, in declaration order."""
 
     weights: tuple[tuple[int, ...], ...]
@@ -565,7 +661,7 @@ def multidegree(f: Polynomial, grading: Multigrading):
 # monomial orders
 
 
-class MonomialOrder:
+class MonomialOrder(Record):
     """Total multiplicative order on monomials with 1 minimal.
 
     Subclasses provide key(ring) -> function mapping an exponent tuple to a
@@ -578,7 +674,6 @@ class MonomialOrder:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Lex(MonomialOrder):
     def key(self, ring):
         return lambda e: e
@@ -587,7 +682,6 @@ class Lex(MonomialOrder):
         return "lex"
 
 
-@dataclass(frozen=True)
 class GrevLex(MonomialOrder):
     def key(self, ring):
         def k(e):
@@ -599,7 +693,6 @@ class GrevLex(MonomialOrder):
         return "grevlex"
 
 
-@dataclass(frozen=True)
 class BlockElimination(MonomialOrder):
     """Eliminates the front variables: any monomial involving them beats any
     monomial free of them.  Front block compares by grevlex, the rest by the

@@ -21,7 +21,6 @@ import json
 import re
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .cohomology import (
     CechClass,
@@ -52,6 +51,7 @@ from .polyring import (
     QQ,
     Polynomial,
     PolyRing,
+    Record,
     ZZ,
     convert,
     domain_from_string,
@@ -88,8 +88,7 @@ class MalformedReportError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     operation: str
     status: str                 # "pass" | "fail" | "unknown"
@@ -98,7 +97,7 @@ class CheckResult:
     actual: object
     certificate: dict
     seconds: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def ok(self) -> bool:
@@ -118,8 +117,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     scenario: str
     description: str
     params: dict
@@ -143,8 +141,7 @@ class Report:
         }
 
 
-@dataclass(frozen=True)
-class PlannedCheck:
+class PlannedCheck(Record):
     """One check of a plan.  `fixed` holds the certificate fields the
     parameters fix, "kind" among them.  `issue(statuses)` runs the check
     and returns (status, actual, witness fields); `statuses` maps the
@@ -642,8 +639,7 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
 # registry
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     description: str
     defaults: dict

@@ -23,7 +23,6 @@ import random
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
@@ -34,6 +33,7 @@ from .polyring import (
     NonDivisibleError,
     Polynomial,
     PolyRing,
+    Record,
 )
 
 ST_RING = PolyRing(("s", "t"), ZZ)
@@ -41,8 +41,7 @@ ST_RING = PolyRing(("s", "t"), ZZ)
 _EDF_SEED = 271828182845
 
 
-@dataclass(frozen=True)
-class ToeplitzMatrix:
+class ToeplitzMatrix(Record):
     """n x n matrix with t on the diagonal, s beside it, zero elsewhere.
 
     n = 0 (the empty matrix, determinant 1 by convention) is allowed as a
@@ -112,8 +111,7 @@ def det_oracle(M: ToeplitzMatrix) -> Polynomial:
     return _det_minor(M.entries, tuple(range(M.n)), {})
 
 
-@dataclass(frozen=True)
-class QnPolynomial:
+class QnPolynomial(Record):
     n: int
     poly: Polynomial
 
@@ -585,8 +583,7 @@ def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:
 # census
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Record):
     n: int
     factors: tuple[str, ...]       # distinct irreducible factors of Q_n(1,t)
     new_factors: tuple[str, ...]   # those not seen at any smaller index
@@ -594,8 +591,7 @@ class CensusRow:
     factorization: tuple[tuple[str, int], ...]  # with multiplicities
 
 
-@dataclass(frozen=True)
-class FactorCensus:
+class FactorCensus(Record):
     p: int
     n_max: int
     rows: tuple[CensusRow, ...]

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import cohomcert
 from cohomcert.cli import main
 
 
@@ -303,3 +307,28 @@ def test_report_digest(tmp_path, capsys, scenario, params, digest):
     assert main(argv) == 0
     capsys.readouterr()
     assert _masked_digest(tmp_path / "report.json") == digest
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # cold start: every run and reverify is a fresh interpreter, and the
+    # value types must not pay for dataclass code generation on import;
+    # -S keeps what site-packages may load at start-up out of the probe
+    src = os.path.dirname(os.path.dirname(cohomcert.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, cohomcert.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_out_file_and_json_stdout_are_the_same_bytes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["run", "katzman-factorization", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["run", "katzman-factorization", "--format", "json"]) == 0
+    printed = tmp_path / "printed.json"
+    printed.write_text(capsys.readouterr().out)
+    assert out.read_text().endswith("}\n")
+    assert _masked_digest(printed) == _masked_digest(out)

@@ -7,6 +7,10 @@ import pytest
 from cohomcert import (
     ANY_DEGREE,
     GF,
+    CoefficientDomain,
+    DegreeGuard,
+    GroebnerBasis,
+    Ideal,
     GrevLex,
     BlockElimination,
     Lex,
@@ -18,6 +22,7 @@ from cohomcert import (
     QQ,
     RingMismatchError,
     ZZ,
+    buchberger,
     convert,
     divide_exact_by_integer,
     multidegree,
@@ -370,3 +375,145 @@ def test_is_prime_large_inputs_fast(n, expected):
     t0 = time.perf_counter()
     assert is_prime(n) is expected
     assert time.perf_counter() - t0 < 0.01
+
+
+# -- coefficients enter a ring only as an int or a Fraction ------------------
+
+
+def test_normalize_accepts_ints_and_fractions():
+    assert GF(5).normalize(7) == 2
+    assert GF(5).normalize(Fraction(1, 2)) == 3
+    with pytest.raises(ZeroDivisionError):
+        GF(5).normalize(Fraction(1, 5))
+    assert ZZ.normalize(-4) == -4
+    assert ZZ.normalize(Fraction(6, 3)) == 2
+    assert type(ZZ.normalize(Fraction(6, 3))) is int
+    with pytest.raises(ValueError):
+        ZZ.normalize(Fraction(1, 2))
+    assert QQ.normalize(3) == Fraction(3)
+    assert type(QQ.normalize(3)) is Fraction
+    assert QQ.normalize(Fraction(-1, 2)) == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("dom", [GF(5), ZZ, QQ], ids=str)
+@pytest.mark.parametrize("bad", [2.5, 2.7, 2.0, "3", True, None, 1j],
+                         ids=repr)
+def test_normalize_rejects_other_coefficients(dom, bad):
+    with pytest.raises(TypeError):
+        dom.normalize(bad)
+    ring = PolyRing(("x",), dom)
+    with pytest.raises(TypeError):
+        ring.const(bad)
+    with pytest.raises(TypeError):
+        ring.monomial((1,), bad)
+    with pytest.raises(TypeError):
+        ring.gen("x") * bad
+
+
+# -- value types: Record keeps the semantics of a frozen dataclass -----------
+
+_R5 = PolyRing(("x", "y"), GF(5))
+_X5, _Y5 = _R5.gens()
+
+
+def _records():
+    """(value, an equal but distinct value, field tuple, repr)."""
+    dom = "CoefficientDomain(kind='prime_field', p=5)"
+    ring = f"PolyRing(variables=('x', 'y'), domain={dom})"
+    return [
+        (GF(5), CoefficientDomain("prime_field", 5), ("prime_field", 5), dom),
+        (QQ, CoefficientDomain(kind="rational"), ("rational", None),
+         "CoefficientDomain(kind='rational', p=None)"),
+        (_R5, PolyRing(("x", "y"), CoefficientDomain("prime_field", 5)),
+         (("x", "y"), GF(5)), ring),
+        (Lex(), Lex(), (), "Lex()"),
+        (GrevLex(), GrevLex(), (), "GrevLex()"),
+        (BlockElimination(("t",)), BlockElimination(front=("t",)),
+         (("t",), GrevLex()),
+         "BlockElimination(front=('t',), inner=GrevLex())"),
+        (BlockElimination(("t", "u"), Lex()),
+         BlockElimination(inner=Lex(), front=("t", "u")),
+         (("t", "u"), Lex()),
+         "BlockElimination(front=('t', 'u'), inner=Lex())"),
+        (DegreeGuard(), DegreeGuard(5000, 120), (5000, 120),
+         "DegreeGuard(max_basis=5000, max_degree=120)"),
+        (DegreeGuard(max_degree=3), DegreeGuard(5000, 3), (5000, 3),
+         "DegreeGuard(max_basis=5000, max_degree=3)"),
+        (Ideal(_R5, (_X5 ** 2 - _Y5, 0 * _X5, _Y5 + 1)),
+         Ideal(generators=(_X5 ** 2 - _Y5, _Y5 + 1), ring=_R5),
+         (_R5, (_X5 ** 2 - _Y5, _Y5 + 1)),
+         f"Ideal(ring={ring}, generators=(<x^2 + 4*y over GF(5)[x,y]>, "
+         "<y + 1 over GF(5)[x,y]>))"),
+    ]
+
+
+@pytest.mark.parametrize("value, twin, fields, text", _records(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_record_equality_hash_and_repr(value, twin, fields, text):
+    assert value is not twin
+    assert value == twin and not value != twin
+    assert hash(value) == hash(twin) == hash(fields)
+    assert repr(value) == repr(twin) == text
+    assert value != fields
+    assert {value: 1}[twin] == 1
+
+
+def test_record_classes_compare_unequal():
+    assert Lex() != GrevLex() and GrevLex() != Lex()
+    assert BlockElimination(("t",)) != BlockElimination(("t",), Lex())
+    assert DegreeGuard() != DegreeGuard(max_degree=3)
+    assert GF(5) != GF(7) and GF(5) != QQ and QQ != ZZ
+    assert _R5 != PolyRing(("x", "y"), GF(7))
+    assert _R5 != PolyRing(("y", "x"), GF(5))
+
+
+def test_record_non_fields_stay_out_of_equality_and_repr():
+    dom = CoefficientDomain("prime_field", 5)
+    assert dom.norm(7) == 2 and QQ.norm(Fraction(1, 2)) == Fraction(1, 2)
+    object.__setattr__(dom, "norm", None)
+    assert dom == GF(5) and hash(dom) == hash(GF(5))
+    assert "norm" not in repr(dom)
+    gb = buchberger(Ideal(_R5, (_X5 ** 2 - _Y5, _Y5 + 1)))
+    assert gb._packed is not None
+    fresh = GroebnerBasis(gb.ring, gb.order, gb.basis, gb.diagnostics)
+    assert fresh._packed is None
+    assert fresh == gb and hash(fresh) == hash(gb)
+    assert repr(fresh) == repr(gb) and "_packed" not in repr(gb)
+    assert fresh.normal_form(_X5 ** 2) == gb.normal_form(_X5 ** 2)
+
+
+def test_record_construction():
+    assert BlockElimination(front=("t",)).inner == GrevLex()
+    assert DegreeGuard(max_degree=3).max_basis == 5000
+    assert PolyRing(domain=QQ, variables=("x",)) == PolyRing(("x",), QQ)
+    with pytest.raises(TypeError):
+        PolyRing(("x",))                        # a field is missing
+    with pytest.raises(TypeError):
+        BlockElimination()
+    with pytest.raises(TypeError):
+        PolyRing(("x",), QQ, 1)                 # one argument too many
+    with pytest.raises(TypeError):
+        PolyRing(("x",), QQ, variables=("y",))  # a field given twice
+    with pytest.raises(TypeError):
+        DegreeGuard(max_bases=1)                # no such field
+    with pytest.raises(ValueError):
+        PolyRing((), QQ)                        # __post_init__ runs
+    with pytest.raises(ValueError):
+        CoefficientDomain("prime_field", 6)
+    assert Ideal(_R5, (0 * _X5,)).generators == ()
+
+
+@pytest.mark.parametrize("value, name", [
+    (_R5, "domain"), (GF(5), "p"), (GF(5), "norm"), (Lex(), "key"),
+    (BlockElimination(("t",)), "inner"), (DegreeGuard(), "max_degree"),
+    (Ideal(_R5, (_X5,)), "generators"),
+])
+def test_record_is_frozen(value, name):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.unheard_of = 1
+    assert repr(value) == before
