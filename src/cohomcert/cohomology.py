@@ -305,10 +305,6 @@ class WeightPipelineCertificate(Record):
         }
 
 
-def _weight_matrix(ring: PolyRing):
-    return tuple(WEIGHT_TABLE[v] for v in ring.variables)
-
-
 def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> NonzeroCertified:
     """Run the grading argument showing eta_p != 0 in the ux+vy+wz ring.
 
@@ -351,7 +347,7 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
     ))
 
     # step 2: cofactor degrees have unique monomial solutions, all k at once
-    weights = _weight_matrix(ring)
+    weights = grading.weights
     wsum = tuple(sum(WEIGHT_TABLE[v][j] for v in ("x", "y", "z")) for j in range(4))
     targets = []
     expected_families = {

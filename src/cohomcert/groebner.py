@@ -10,6 +10,8 @@ by membership_monomial_plus_p via reduction mod p.
 The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
 auto-reduced, so output is deterministic for a fixed input and order.
+buchberger keeps no state between calls; a QuotientRing keeps the basis
+of each ideal it is asked about, for as long as the quotient lives.
 
 Monomials: inside the engine every exponent vector is one Python int,
 packed on entry (buchberger, normal_form, GroebnerBasis._packing) and
@@ -121,12 +123,6 @@ class Ideal(Record):
                 gens.append(g)
         object.__setattr__(self, "generators", tuple(gens))
 
-    @classmethod
-    def of(cls, *gens: Polynomial) -> "Ideal":
-        if not gens:
-            raise ValueError("need at least one generator to infer the ring")
-        return cls(gens[0].ring, tuple(gens))
-
     @property
     def is_zero(self) -> bool:
         return not self.generators
@@ -147,6 +143,9 @@ class QuotientRing(Record):
 
     ring: PolyRing
     relations: tuple[Polynomial, ...]
+    # not a field: `_bases`, the reduced basis of ideal + relations for each
+    # ideal asked about through this quotient (by its generators), so a plan
+    # that asks about one ideal many times computes its basis once
 
     def __post_init__(self):
         rels = tuple(r for r in self.relations if not r.is_zero)
@@ -154,14 +153,20 @@ class QuotientRing(Record):
             if r.ring != self.ring:
                 raise RingMismatchError(f"relation {r} not in {self.ring}")
         object.__setattr__(self, "relations", rels)
+        object.__setattr__(self, "_bases", {})
 
-    def relation_ideal(self) -> Ideal:
-        return Ideal(self.ring, self.relations)
+    def groebner(self, ideal: Ideal) -> "GroebnerBasis":
+        """Reduced basis of ideal + relations under the default order."""
+        gb = self._bases.get(ideal.generators)
+        if gb is None:
+            gb = buchberger(_with_relations(ideal, self))
+            self._bases[ideal.generators] = gb
+        return gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if not self.relations:
             return f
-        return normal_form(f, self.relation_ideal().groebner())
+        return normal_form(f, self.groebner(Ideal(self.ring, ())))
 
     def __str__(self):
         rels = ", ".join(str(r) for r in self.relations)
@@ -524,21 +529,10 @@ class GroebnerBasis(Record):
         return normal_form(f, self).is_zero
 
 
-_GB_CACHE: dict = {}
-
-
-def _canonical_gens(gens) -> tuple:
-    return tuple(sorted(tuple(sorted(g.terms.items())) for g in gens))
-
-
 def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
                guard: DegreeGuard = DEFAULT_GUARD) -> GroebnerBasis:
-    """Reduced Groebner basis of an ideal over a field."""
+    """Reduced Groebner basis of an ideal over a field; keeps no state."""
     ring = ideal.ring
-    cache_key = (ring, order, guard, _canonical_gens(ideal.generators))
-    hit = _GB_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
     dom = _field(ring.domain)
     gens = [g.terms for g in ideal.generators]
     bits = _start_bits(max((sum(e) for terms in gens for e in terms), default=0))
@@ -559,7 +553,6 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
     )
     gb = GroebnerBasis(ring, order, basis, diag)
     object.__setattr__(gb, "_packed", (lay, tuple(reduced)))
-    _GB_CACHE[cache_key] = gb
     return gb
 
 
@@ -590,11 +583,12 @@ def _with_relations(ideal: Ideal, rel: QuotientRing | None) -> Ideal:
 
 
 def membership(f: Polynomial, ideal: Ideal, rel: QuotientRing | None = None) -> bool:
-    """Decide f in I (mod relations when rel is given) via normal form."""
+    """Decide f in I (mod relations when rel is given) via normal form;
+    rel keeps the basis for the next question about the same ideal."""
     full = _with_relations(ideal, rel)
     if full.is_zero:
         return f.is_zero
-    return buchberger(full).contains(f)
+    return (buchberger(full) if rel is None else rel.groebner(ideal)).contains(f)
 
 
 def outside_monomial_ideal(f: Polynomial, exponents) -> Polynomial:

@@ -279,10 +279,6 @@ def monomial_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_degree(a: tuple) -> int:
-    return sum(a)
-
-
 # --------------------------------------------------------------------------
 # rings and polynomials
 
@@ -342,9 +338,6 @@ class PolyRing(Record):
     def monomial(self, exponents, coeff=1) -> "Polynomial":
         return Polynomial(self, {tuple(exponents): coeff})
 
-    def from_dict(self, terms: dict) -> "Polynomial":
-        return Polynomial(self, terms)
-
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 
@@ -391,9 +384,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max(map(sum, self.terms), default=-1)
-
-    def coefficient(self, exponents) -> object:
-        return self.terms.get(tuple(exponents), self.ring.domain.normalize(0))
 
     def constant_value(self):
         """The coefficient of 1, assuming the polynomial is constant."""

@@ -40,7 +40,6 @@ from .groebner import (
     GuardExceededError,
     Ideal,
     QuotientRing,
-    buchberger,
     colon,
     eliminate,
     frobenius_power,
@@ -61,6 +60,7 @@ from .toeplitz import (
     ST_RING,
     QnPolynomial,
     build_matrix,
+    census_json,
     chebyshev_identity_check,
     dense_coefficients,
     det_oracle,
@@ -312,8 +312,11 @@ def _colon_check(name, operation, expected_poly, quotient: QuotientRing,
                  ideal: Ideal, element: Polynomial, contracted, fixed) -> PlannedCheck:
     """A colon identity: `contracted()`, the colon (ideal : element) modulo
     the relations contracted to K[s,t], has the monic expected_poly as its
-    reduced basis.  Re-checking multiplies that generator by the element
-    and tests membership in the ideal."""
+    reduced basis.  `contracted()` returns that basis already: under the
+    elimination order the reduced basis restricted to K[s,t] is the
+    contraction's reduced basis, in the same ascending order.  Re-checking
+    multiplies that generator by the element and tests membership in the
+    ideal."""
     ring = quotient.ring
     # the reduced basis of (q) is q divided by its leading coefficient
     q = convert(expected_poly, PolyRing(("s", "t"), ring.domain))
@@ -321,7 +324,7 @@ def _colon_check(name, operation, expected_poly, quotient: QuotientRing,
     names = [str(monic)]
 
     def issue(_statuses):
-        basis = [str(g) for g in buchberger(contracted()).basis]
+        basis = [str(g) for g in contracted().generators]
         return ("pass" if basis == names else "fail"), basis, \
             {"computed_generators": basis}
 
@@ -621,12 +624,14 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
         data = cert["census"]
         rows = data["rows"]
         # the census the parameters ask for, rows n = 1..n_max, before any
-        # arithmetic; the counts the row check confirms never fall
+        # arithmetic; the counts the row check confirms never fall.  Sound
+        # rows fix every other field of the census
         return data["p"] == census_p and data["n_max"] == census_n_max \
             and len(rows) == census_n_max \
             and all(type(row["n"]) is int and row["n"] == i
                     for i, row in enumerate(rows, 1)) \
-            and _census_rows_sound(census_p, rows)
+            and _census_rows_sound(census_p, rows) \
+            and _same(data, census_json(census_p, census_n_max, rows))
     plan.append(PlannedCheck(
         "factor-census", "factor_census",
         {"monotone": True, "factors_certified_irreducible_and_reconstruct": True},

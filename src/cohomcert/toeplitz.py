@@ -600,34 +600,34 @@ class FactorCensus(Record):
     def cumulative_count(self) -> int:
         return self.rows[-1].cumulative_count if self.rows else 0
 
-    def first_occurrence(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for row in self.rows:
-            for f in row.new_factors:
-                out[f] = row.n
-        return out
-
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n_max": self.n_max,
-            "dehomogenized_at": "s=1",
-            "note": (
-                "finite-n evidence for the infinitude of distinct irreducible "
-                "factors; the variable s itself never occurs as a factor"
-            ),
-            "first_occurrence": self.first_occurrence(),
-            "rows": [
-                {
-                    "n": r.n,
-                    "factors": list(r.factors),
-                    "new_factors": list(r.new_factors),
-                    "cumulative_count": r.cumulative_count,
-                    "factorization": [[f, m] for f, m in r.factorization],
-                }
-                for r in self.rows
-            ],
-        }
+        return census_json(self.p, self.n_max, [
+            {
+                "n": r.n,
+                "factors": list(r.factors),
+                "new_factors": list(r.new_factors),
+                "cumulative_count": r.cumulative_count,
+                "factorization": [[f, m] for f, m in r.factorization],
+            }
+            for r in self.rows
+        ])
+
+
+def census_json(p: int, n_max: int, rows: list) -> dict:
+    """The JSON form of a census over F_p for n = 1..n_max, from its rows
+    in JSON form: every other field follows from p, n_max and the rows."""
+    return {
+        "p": p,
+        "n_max": n_max,
+        "dehomogenized_at": "s=1",
+        "note": (
+            "finite-n evidence for the infinitude of distinct irreducible "
+            "factors; the variable s itself never occurs as a factor"
+        ),
+        "first_occurrence": {f: row["n"] for row in rows
+                             for f in row["new_factors"]},
+        "rows": rows,
+    }
 
 
 def _split_degree(d, p):

@@ -27,12 +27,12 @@ from cohomcert import (
     membership,
     membership_monomial_plus_p,
     normal_form,
+    reverify,
     run_scenario,
 )
 from cohomcert import groebner
 from cohomcert.cohomology import CechClass, annihilator_in_subring
 from cohomcert.groebner import (
-    _GB_CACHE,
     _Overflow,
     _layout,
     _normal_form_terms,
@@ -405,20 +405,43 @@ def _basis_digest(gb):
 
 
 def _record_buchberger_runs(monkeypatch, thunk):
-    """Every distinct basis the engine computes while thunk runs, in order."""
+    """Every basis the engine computes while thunk runs, in order."""
     runs = []
     real = groebner.buchberger
 
     def recording(ideal, order=groebner.DEFAULT_ORDER, guard=groebner.DEFAULT_GUARD):
         gb = real(ideal, order, guard)
-        if all(gb is not r for r in runs):
-            runs.append(gb)
+        runs.append(gb)
         return gb
 
-    monkeypatch.setattr(groebner, "_GB_CACHE", {})
     monkeypatch.setattr(groebner, "buchberger", recording)
     thunk()
     return runs
+
+
+def test_groebner_work_does_not_depend_on_history(monkeypatch):
+    # bases computed per operation, whatever ran before in the process
+    computed = []
+    core = groebner._buchberger_core
+
+    def counting(*args):
+        computed.append(args)
+        return core(*args)
+    monkeypatch.setattr(groebner, "_buchberger_core", counting)
+
+    def run_and_reverify(name, params):
+        computed.clear()
+        report = run_scenario(name, params).to_json_dict()
+        run = len(computed)
+        computed.clear()
+        assert reverify(report)
+        return run, len(computed)
+
+    hartshorne = {"p": 101, "n_max": 8, "k_max": 12}
+    assert run_and_reverify("hartshorne", hartshorne) == (21, 21)
+    assert run_and_reverify("hartshorne", hartshorne) == (21, 21)
+    assert run_and_reverify("ring-A-colon", {"n_max": 8}) == (16, 8)
+    assert run_and_reverify("hartshorne", hartshorne) == (21, 21)
 
 
 def test_pinned_singh_swanson_annihilator_colon(monkeypatch):
@@ -443,7 +466,6 @@ def test_pinned_singh_swanson_annihilator_colon(monkeypatch):
 def test_pinned_hartshorne_ideal():
     ring = PolyRing(("w", "x", "y", "z"), GF(101))
     w, x, y, z = ring.gens()
-    _GB_CACHE.clear()
     gb = buchberger(Ideal(ring, (x ** 5 * z ** 2, y ** 5, w * x - y * z)))
     assert gb.diagnostics.as_dict() == \
         {"s_pairs": 13, "basis_size": 7, "max_degree": 12}
@@ -451,7 +473,6 @@ def test_pinned_hartshorne_ideal():
         "w*x + 100*y*z", "y^5", "x^5*z^2", "x^4*y*z^3", "x^3*y^2*z^4",
         "x^2*y^3*z^5", "x*y^4*z^6",
     ]
-    _GB_CACHE.clear()
 
 
 def test_pinned_random_grevlex_ideal():
@@ -467,12 +488,10 @@ def test_pinned_random_grevlex_ideal():
         "78*c^3 + 4*a*d^2 + 56*a*b + 50*c*d",
         "41*a^2*c + 14*b*c^2 + 4*d^2 + 76",
     ]
-    _GB_CACHE.clear()
     gb = buchberger(Ideal(ring, gens))
     assert gb.diagnostics.as_dict() == \
         {"s_pairs": 26, "basis_size": 13, "max_degree": 9}
     assert _basis_digest(gb) == "926bbb05dd80e75d"
-    _GB_CACHE.clear()
 
 
 def test_pinned_ptor2_guard_abort():
@@ -560,13 +579,11 @@ def test_widening_restart_gives_the_same_basis():
     # under lex, x^6 - z reduces to y^1200 - z, past the starting width
     ring = PolyRing(("x", "y", "z"), GF(101))
     x, y, z = ring.gens()
-    _GB_CACHE.clear()
     gb = buchberger(Ideal(ring, (x - y ** 200, x ** 6 - z)), Lex())
     assert gb.basis == (y ** 1200 - z, x - y ** 200)
     assert gb.diagnostics == groebner.Diagnostics(0, 2, 0)
     principal = buchberger(Ideal(ring, (x - y ** 200,)), Lex())
     assert normal_form(x ** 6, principal) == y ** 1200
-    _GB_CACHE.clear()
 
 
 def _sympy_reduced_basis(sympy, gens, ring, order):

@@ -20,11 +20,13 @@ from cohomcert import (
     Polynomial,
     PolyRing,
     QQ,
+    QuotientRing,
     RingMismatchError,
     ZZ,
     buchberger,
     convert,
     divide_exact_by_integer,
+    membership,
     multidegree,
     reduce_mod_p,
 )
@@ -480,6 +482,14 @@ def test_record_non_fields_stay_out_of_equality_and_repr():
     assert fresh == gb and hash(fresh) == hash(gb)
     assert repr(fresh) == repr(gb) and "_packed" not in repr(gb)
     assert fresh.normal_form(_X5 ** 2) == gb.normal_form(_X5 ** 2)
+    quotient = QuotientRing(_R5, (_X5 ** 2 - _Y5,))
+    assert membership(_Y5 ** 2, Ideal(_R5, (_X5,)), rel=quotient)
+    assert quotient.normal_form(_X5 ** 3) == _X5 * _Y5
+    assert len(quotient._bases) == 2
+    fresh = QuotientRing(_R5, (_X5 ** 2 - _Y5,))
+    assert not fresh._bases
+    assert fresh == quotient and hash(fresh) == hash(quotient)
+    assert repr(fresh) == repr(quotient) and "_bases" not in repr(quotient)
 
 
 def test_record_construction():

@@ -520,6 +520,35 @@ def _census_p_above_the_prime_bound(report):
     _census_of(report)["p"] = report["params"]["census_p"] = 2 ** 64 + 13
 
 
+def _census_first_occurrence_99(report):
+    first = _census_of(report)["first_occurrence"]
+    first[next(iter(first))] = 99
+
+
+def _census_first_occurrence_empty(report):
+    _census_of(report)["first_occurrence"] = {}
+
+
+def _census_note_changed(report):
+    _census_of(report)["note"] += "."
+
+
+def _census_dehomogenized_at_changed(report):
+    _census_of(report)["dehomogenized_at"] = "t=1"
+
+
+def _census_extra_key(report):
+    _census_of(report)["extra"] = 1
+
+
+def _census_p_float(report):
+    _census_of(report)["p"] = float(_census_of(report)["p"])
+
+
+def _census_n_max_float(report):
+    _census_of(report)["n_max"] = float(_census_of(report)["n_max"])
+
+
 @pytest.mark.parametrize("tamper", [
     _census_p_string,             # p is not an int
     _census_p_not_prime,          # p is not prime
@@ -532,6 +561,13 @@ def _census_p_above_the_prime_bound(report):
     _census_rows_out_of_order,
     _census_row_n_not_int,
     _census_p_above_the_prime_bound,
+    _census_first_occurrence_99,  # a field the rows imply is not theirs
+    _census_first_occurrence_empty,
+    _census_note_changed,
+    _census_dehomogenized_at_changed,
+    _census_extra_key,
+    _census_p_float,              # equal to params.census_p, but not an int
+    _census_n_max_float,
 ])
 def test_reverify_bounds_census_work(census_report, tamper):
     tampered = copy.deepcopy(census_report)

@@ -525,10 +525,10 @@ def test_mirror_fp():
 
 def test_census_first_occurrence():
     c = factor_census(5, 5)
-    first = c.first_occurrence()
+    json_dict = c.to_json_dict()
+    first = json_dict["first_occurrence"]
     assert first["t"] == 1
     assert first["t^2 + 3"] == 3
-    json_dict = c.to_json_dict()
     assert json_dict["rows"][0]["factors"] == ["t"]
 
 
