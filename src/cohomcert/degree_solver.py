@@ -15,18 +15,18 @@ exponents are solved for exactly in integer arithmetic.  It is complete
 thanks to a positive functional (an integer covector making every
 variable weight strictly positive), which caps every free exponent by the
 remaining budget.  The functional and the echelon form are computed once
-per weight table.  Uniqueness for all k reduces to the absence of nonzero
-integer points in a polyhedron inside the kernel of the degree map,
-decided by exact rational linear algebra: trivial lineality, no extreme
-ray in the recession cone, then integer enumeration of the boxed
-polytope.  Emptiness for all k is certified by a Farkas functional.
+per weight table.  Uniqueness for all k is certified by a face
+functional: an integer covector, nonnegative on every weight and zero on
+the target, whose zero face carries linearly independent weights, so the
+family found at k = 0, 1 is the only solution on it.  Emptiness for all k
+is certified by a Farkas covector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import lcm
 
 from .polyring import Record
@@ -44,8 +44,17 @@ def _vadd(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _vscale(a, c):
-    return tuple(c * x for x in a)
+def _check_shapes(weights, *vectors):
+    """Raise ValueError unless the weight rows share one length d and every
+    degree vector has length d; the covector arithmetic would otherwise cut
+    every vector to the shorter length."""
+    if not weights:
+        raise ValueError("empty weight table")
+    d = len(weights[0])
+    if any(len(w) != d for w in weights) or any(len(v) != d for v in vectors):
+        raise ValueError(
+            f"weight rows and degree vectors must all have length {d}"
+        )
 
 
 def _small_covector(d, accept):
@@ -61,6 +70,7 @@ def _small_covector(d, accept):
 
 def positive_functional(weights) -> tuple[int, ...]:
     """An integer covector c with c . w >= 1 for every variable weight w."""
+    _check_shapes(weights)
     c = _small_covector(len(weights[0]),
                         lambda cand: all(_dot(cand, w) >= 1 for w in weights))
     if c is None:
@@ -121,6 +131,7 @@ def monomials_of_degree(weights, target) -> list[tuple[int, ...]]:
     bound: phi(E) = phi(target) with every phi(w_i) >= 1 caps each free
     exponent by the remaining budget.
     """
+    _check_shapes(weights, target)
     dm = _degree_map(tuple(map(tuple, weights)))
     budget = _dot(dm.functional, target)
     if budget < 0:
@@ -159,9 +170,6 @@ class MonomialFamily(Record):
     const: tuple[int, ...]
     slope: tuple[int, ...]
 
-    def at(self, k: int) -> tuple[int, ...]:
-        return tuple(c + k * s for c, s in zip(self.const, self.slope))
-
 
 # -- exact linear algebra helpers ------------------------------------------
 
@@ -189,103 +197,6 @@ def _rref(rows):
     return rows[:r], pivots
 
 
-def _nullspace_int(rows, ncols):
-    """Integer basis of the rational nullspace of the given matrix."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols)]
-    red, pivots = _rref(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -red[i][j]
-        denom = lcm(*(x.denominator for x in v))
-        basis.append(tuple(int(x * denom) for x in v))
-    return basis
-
-
-def _cone_is_trivial(rows, D) -> bool:
-    """Is {x in Q^D : r . x >= 0 for all rows r} just the origin?
-
-    Checks that the lineality space vanishes and that no candidate extreme
-    ray (null direction of D-1 independent active constraints) satisfies
-    every inequality.
-    """
-    if D == 0:
-        return True
-    if len(_rref(rows)[1]) < D:
-        return False  # a full line satisfies every constraint
-    if D == 1:
-        for cand in ((1,), (-1,)):
-            if all(_dot(r, cand) >= 0 for r in rows):
-                return False
-        return True
-    for subset in combinations(range(len(rows)), D - 1):
-        sub = [rows[i] for i in subset]
-        if len(_rref(sub)[1]) != D - 1:
-            continue
-        for ray in _nullspace_int(sub, D):
-            for cand in (ray, tuple(-x for x in ray)):
-                if any(cand) and all(_dot(r, cand) >= 0 for r in rows):
-                    return False
-    return True
-
-
-_BOX_CAP = 200_000
-
-
-def _polyhedron_nonzero_points(constraints, basis, weights, nvars):
-    """Nonzero integer kernel vectors satisfying r . lam >= b constraints.
-
-    The polyhedron is pointed and bounded by the time this runs (cone check
-    done by the caller), so its vertices come from D-subsets of active
-    constraints, and integer points are enumerated inside the vertex box
-    mapped to exponent space.
-    """
-    D = len(basis)
-    rows = [c[0] for c in constraints]
-    rhs = [c[1] for c in constraints]
-    vertices = []
-    for subset in combinations(range(len(rows)), D):
-        # the square system is nonsingular iff the pivots are 0..D-1
-        red, pivots = _rref([list(rows[i]) + [rhs[i]] for i in subset])
-        if pivots != list(range(D)):
-            continue
-        sol = [row[D] for row in red]
-        if all(_dot(r, sol) >= b for r, b in zip(rows, rhs)):
-            vertices.append(sol)
-    if not vertices:
-        vertices = [[Fraction(0)] * D]
-    lo, hi = [], []
-    for i in range(nvars):
-        vals = [sum(Fraction(bvec[i]) * lam for bvec, lam in zip(basis, v))
-                for v in vertices]
-        lo.append(int(min(vals).__floor__()))
-        hi.append(int(max(vals).__ceil__()))
-    volume = 1
-    for a, b in zip(lo, hi):
-        volume *= b - a + 1
-        if volume > _BOX_CAP:
-            raise CertificationError("polytope box too large to enumerate")
-    found = []
-    d = len(weights[0])
-    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        if not any(point):
-            continue
-        if any(sum(point[i] * weights[i][j] for i in range(nvars)) != 0
-               for j in range(d)):
-            continue
-        # constraints are indexed by exponent coordinates with zero slope
-        if all(point[c[2]] >= c[1] for c in constraints):
-            found.append(point)
-    return found
-
-
-# parameter values past k = 0, 1 at which the family is checked against a
-# fresh enumeration
-_PROBES = (2, 3)
 
 
 def unique_monomial_family(weights, base, slope,
@@ -293,9 +204,17 @@ def unique_monomial_family(weights, base, slope,
     """Certify that degree base + k*slope is hit by exactly one monomial
     family for every k >= 0, and return it.
 
+    The family const + k*diff is read off the solutions at k = 0 and 1 and
+    checked against the degree equation, so it solves it at every k.  It is
+    the only solution by a face functional psi: psi . w_i >= 0 for every
+    variable and psi . base = psi . slope = 0 put every solution on the
+    face {i : psi . w_i = 0}, and the weights there are linearly
+    independent, so the degree map is injective on it.
+
     Raises CertificationError when existence, linearity, nonnegativity, or
     all-k uniqueness cannot be established.
     """
+    _check_shapes(weights, base, slope)
     n = len(weights)
     sols0 = monomials_of_degree(weights, base)
     sols1 = monomials_of_degree(weights, _vadd(base, slope))
@@ -314,26 +233,20 @@ def unique_monomial_family(weights, base, slope,
             raise CertificationError("constant part fails the degree equation")
         if sum(diff[i] * weights[i][j] for i in range(n)) != slope[j]:
             raise CertificationError("slope part fails the degree equation")
-    amat = [[weights[i][j] for i in range(n)] for j in range(d)]
-    basis = _nullspace_int(amat, n)
-    if basis:
-        D = len(basis)
-        constraints = []
-        for i in range(n):
-            if diff[i] == 0:
-                row = tuple(bvec[i] for bvec in basis)
-                constraints.append((row, -const[i], i))
-        if not _cone_is_trivial([c[0] for c in constraints], D):
-            raise CertificationError(
-                "kernel recession cone is nontrivial; uniqueness not certified"
-            )
-        extra = _polyhedron_nonzero_points(constraints, basis, weights, n)
-        if extra:
-            raise CertificationError(f"second solution family exists: {extra[0]}")
-    for k in _PROBES:
-        target = _vadd(base, _vscale(slope, k))
-        if monomials_of_degree(weights, target) != [family.at(k)]:
-            raise CertificationError(f"probe at k={k} does not match the family")
+
+    def face_functional(c):
+        if _dot(c, base) or _dot(c, slope):
+            return False
+        values = [_dot(c, w) for w in weights]
+        if any(v < 0 for v in values):
+            return False
+        face = [w for w, v in zip(weights, values) if v == 0]
+        return len(_rref(face)[1]) == len(face)
+
+    if _small_covector(d, face_functional) is None:
+        raise CertificationError(
+            "no small face functional; uniqueness for all k not certified"
+        )
     if expected is not None and family != expected:
         raise CertificationError(f"family {family} differs from expected {expected}")
     return family
@@ -342,10 +255,9 @@ def unique_monomial_family(weights, base, slope,
 def certify_no_solutions(weights, base, slope) -> tuple[int, ...]:
     """A Farkas covector psi proving no monomial has degree base + k*slope
     for any k >= 0: psi . w_i >= 0 for all i, psi . slope <= 0, and
-    psi . base < 0."""
-    for k in (0, 1):
-        if monomials_of_degree(weights, _vadd(base, _vscale(slope, k))):
-            raise CertificationError("solutions exist; emptiness is false")
+    psi . base < 0, so psi is nonnegative on every monomial degree and
+    negative on every target."""
+    _check_shapes(weights, base, slope)
     psi = _small_covector(len(base), lambda c: (
         all(_dot(c, w) >= 0 for w in weights)
         and _dot(c, slope) <= 0

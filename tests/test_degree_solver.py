@@ -125,7 +125,7 @@ def test_rank_deficient_table_matches_oracles():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_pipeline_targets_match_box_walk(p, monkeypatch):
     # every target the pipeline asks the solver about for this p: the
-    # cofactor degrees at each probed k and the relation-shifted degrees
+    # cofactor degrees of the three generators at k = 0, 1
     asked = []
     solve = degree_solver.monomials_of_degree
 
@@ -135,10 +135,65 @@ def test_pipeline_targets_match_box_walk(p, monkeypatch):
 
     monkeypatch.setattr(degree_solver, "monomials_of_degree", recording)
     weight_reduction_nonvanishing(p)
-    assert len(asked) == 18  # three generators, k = 0..3 plus two shifts
+    assert len(asked) == 6  # three generators at k = 0, 1
     for weights, target in set(asked):
         assert solve(weights, target) == box_walk_monomials(weights, target), \
             (p, target)
+
+
+def _along(base, slope, k):
+    return tuple(b + k * s for b, s in zip(base, slope))
+
+
+def test_all_k_certificates_hold_on_random_tables():
+    # each certificate claims something for every k; check it at k = 0..5
+    # against the box walk, off the W6 table
+    rng = random.Random(19990815)
+    unique = empty = 0
+    for weights in _random_tables(rng, 60):
+        d = len(weights[0])
+        # base and slope on the lattice: small nonnegative weight combinations
+        exps = [[rng.randint(0, 1) for _ in weights] for _ in range(2)]
+        base, slope = (tuple(sum(ei * w[j] for ei, w in zip(e, weights))
+                             for j in range(d)) for e in exps)
+        try:
+            fam = unique_monomial_family(weights, base, slope)
+        except CertificationError:
+            pass
+        else:
+            unique += 1
+            for k in range(6):
+                assert box_walk_monomials(weights, _along(base, slope, k)) == \
+                    [_along(fam.const, fam.slope, k)], (weights, base, slope, k)
+        base = tuple(rng.randint(-3, 3) for _ in range(d))
+        slope = tuple(rng.randint(-2, 2) for _ in range(d))
+        try:
+            certify_no_solutions(weights, base, slope)
+        except CertificationError:
+            pass
+        else:
+            empty += 1
+            for k in range(6):
+                assert box_walk_monomials(weights, _along(base, slope, k)) == [], \
+                    (weights, base, slope, k)
+    # neither half may pass vacuously
+    assert unique >= 10 and empty >= 10, (unique, empty)
+
+
+@pytest.mark.parametrize("call, args", [
+    # a target longer than the weight rows
+    (monomials_of_degree, (((1, 0), (0, 1)), (1, 1, 1))),
+    # a ragged weight table
+    (monomials_of_degree, (((1, 0), (0, 1, 5)), (1, 1))),
+    (unique_monomial_family, (W6, (-2, 0, 0, 2, 7), (0, 1, 1, 0, 0))),
+    # six monomials have degree (0, 0, 0, 2); a cut psi would miss them
+    (certify_no_solutions, (W6, (0, 0, 0, 2, -1), (0,) * 5)),
+    (positive_functional, (((1, 0), (0, 1, 5)),)),
+])
+def test_mis_shaped_inputs_are_rejected(call, args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert not isinstance(info.value, CertificationError)
 
 
 def test_positive_functional_exists():
@@ -203,8 +258,8 @@ def test_standard_grading_unique_family():
 
 def test_cone_check_catches_large_k_ambiguity():
     # weights (1,), (2,): degree k is hit once at k = 0, 1 but twice at
-    # k = 2 (u^2 and v); sampling at small k would miss it, the recession
-    # cone certificate rejects it
+    # k = 2 (u^2 and v); sampling at small k would miss it, and since the
+    # weights 1 and 2 are dependent no face functional exists
     assert len(monomials_of_degree(((1,), (2,)), (0,))) == 1
     assert len(monomials_of_degree(((1,), (2,)), (1,))) == 1
     assert len(monomials_of_degree(((1,), (2,)), (2,))) == 2
