@@ -140,19 +140,14 @@ def push_forward(c: CechClass, steps: int) -> CechClass:
     )
 
 
-def _monomial_membership_zz(f: Polynomial, gens) -> bool:
-    # termwise divisibility decides membership in a monomial ideal over Z
-    exps = []
-    for g in gens:
-        if len(g.terms) != 1:
-            raise DomainNotSupportedError(
-                "over Z only monomial power ideals are decidable here"
-            )
-        ((e, c),) = g.terms.items()
-        if c not in (1, -1):
-            raise DomainNotSupportedError("monomial generators over Z must be unit multiples")
-        exps.append(e)
-    return outside_monomial_ideal(f, exps).is_zero
+def _term_ideal_membership(f: Polynomial, gens) -> bool:
+    # termwise divisibility decides membership in an ideal of unit multiples
+    # of monomials, over any domain; zero generators add nothing
+    gens = [g for g in gens if not g.is_zero]
+    if any(len(g.terms) != 1 or not (f.ring.domain.is_field or c in (1, -1))
+           for g in gens for c in g.terms.values()):
+        raise DomainNotSupportedError("generators must be unit multiples of monomials")
+    return outside_monomial_ideal(f, [e for g in gens for e in g.terms]).is_zero
 
 
 def _vanishes_at(c: CechClass, k: int) -> bool:
@@ -163,7 +158,7 @@ def _vanishes_at(c: CechClass, k: int) -> bool:
             raise DomainNotSupportedError(
                 "vanishing over Z with relations is outside the membership engine"
             )
-        return _monomial_membership_zz(pushed.numerator, pushed.power_ideal().generators)
+        return _term_ideal_membership(pushed.numerator, pushed.power_ideal().generators)
     return membership(pushed.numerator, pushed.power_ideal(), rel=c.ring)
 
 
@@ -241,7 +236,8 @@ def conjecture_membership_check(f_list, g_list, p: int, e: int, k: int, domain) 
 
     Requires sum f_i g_i = 0 exactly.  Over F_p this checks the mod-p
     consequence of the integer statement, over Q the rational consequence;
-    both are necessary conditions, not the full Z-level claim.
+    both are necessary conditions, not the full Z-level claim.  Monomial
+    ideals are decided termwise, before any Groebner run.
     """
     lam = lambda_q(f_list, g_list, p, e)
     if k < 0:
@@ -254,7 +250,10 @@ def conjecture_membership_check(f_list, g_list, p: int, e: int, k: int, domain) 
     for g in g_list:
         product = product * convert(g, ring) ** k
     gens = tuple(convert(g, ring) ** (q + k) for g in g_list)
-    return membership(product, Ideal(ring, gens))
+    try:
+        return _term_ideal_membership(product, gens)
+    except DomainNotSupportedError:  # not a monomial ideal
+        return membership(product, Ideal(ring, gens))
 
 
 # -- the fixed ux + vy + wz scenario ----------------------------------------

@@ -26,6 +26,7 @@ from cohomcert import (
     exact_divide,
     is_zero_up_to,
     lambda_q,
+    membership,
     push_forward,
     qn_recursive,
     torsion_ring,
@@ -241,6 +242,31 @@ def test_conjecture_membership_examples():
         conjecture_membership_check([x], [y], 3, 1, 0, QQ)
     with pytest.raises(DomainNotSupportedError):
         conjecture_membership_check(f, g, 3, 1, 0, ZZ)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(2), GF(3), GF(5)])
+def test_termwise_membership_agrees_with_the_engine(monkeypatch, domain):
+    # the ptor2 instance: every generator is one term, or zero over GF(2)
+    ring = PolyRing(("x", "y", "z"), ZZ)
+    x, y, z = ring.gens()
+    f, g = [x, y, z], [y * z, z * x, -2 * x * y]
+    engine = []
+
+    def recorded(product, ideal):
+        engine.append(membership(product, ideal))
+        return engine[-1]
+    monkeypatch.setattr(cohomology, "membership", recorded)
+    for p, e in ((2, 1), (2, 2), (3, 1), (3, 2)):
+        q = p ** e
+        for k in (0, q - 1):
+            field = PolyRing(ring.variables, domain)
+            product = convert(lambda_q(f, g, p, e), field)
+            for gi in g:
+                product = product * convert(gi, field) ** k
+            gens = tuple(convert(gi, field) ** (q + k) for gi in g)
+            assert conjecture_membership_check(f, g, p, e, k, domain) == \
+                membership(product, Ideal(field, gens))
+    assert engine == []
 
 
 # -- annihilators ---------------------------------------------------------------

@@ -9,20 +9,28 @@ from cohomcert import (
     GF,
     Ideal,
     PolyRing,
+    QuotientRing,
     UnknownScenarioError,
     MalformedReportError,
     Polynomial,
+    annihilator_in_subring,
     buchberger,
+    colon,
     convert,
+    domain_from_string,
+    eliminate,
     list_scenarios,
     qn_recursive,
     reverify,
     run_scenario,
 )
-from cohomcert import scenarios
+from cohomcert import groebner, scenarios
+from cohomcert.cohomology import CechClass
 from cohomcert.polyring import format_polynomial
 from cohomcert.scenarios import _read_factor
 from cohomcert.toeplitz import (
+    ST_RING,
+    QnPolynomial,
     dense_coefficients,
     factor_census,
     irreducibility_certified,
@@ -114,9 +122,11 @@ def test_parameters_inside_the_new_bounds_run():
     cert = report.checks[0].certificate
     assert (cert["variables"], cert["f"], cert["g"]) == \
         (["x", "y", "z"], ["x", "y", "z"], ["y*z", "x*z", "-2*x*y"])
-    # at the top of both bounds the degree guard aborts the run at once
+    # at the top of both bounds one term's membership in a monomial ideal
+    # is decided termwise, before any Groebner run
     t0 = time.perf_counter()
-    assert not run_scenario("ptor2-theorem", {"p": 31, "e": 3}).passed
+    report = run_scenario("ptor2-theorem", {"p": 31, "e": 3})
+    assert report.passed and reverify(report)
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -791,3 +801,128 @@ def test_scenario_cross_agreement_ring_a_vs_toeplitz():
         q = convert(qn_recursive(n - 1).poly, sub)
         gb = buchberger(Ideal(sub, (q,))).basis
         assert check.certificate["expected_generators"] == [str(g) for g in gb]
+
+
+def _engine_generators(cert):
+    """The contracted colon a report's colon check names, computed by the
+    Groebner engine from the certificate alone."""
+    if cert["kind"] == "annihilator":
+        cls = cert["class"]
+        ring = PolyRing(tuple(cls["variables"]), domain_from_string(cls["domain"]))
+        quotient = QuotientRing(ring, tuple(map(ring.parse, cls["relations"])))
+        cech = CechClass(quotient, tuple(map(ring.parse, cls["sequence"])),
+                         cls["m"], ring.parse(cls["numerator"]))
+        ideal = annihilator_in_subring(cech, ("s", "t"), cert["k"])
+    else:
+        ring = PolyRing(tuple(cert["ring"]["variables"]),
+                        domain_from_string(cert["ring"]["domain"]))
+        quotient = QuotientRing(ring, tuple(map(ring.parse, cert["relations"])))
+        ideal = eliminate(colon(Ideal(ring, tuple(map(ring.parse, cert["ideal_generators"]))),
+                                ring.parse(cert["colon_element"]), rel=quotient),
+                          {"a", "b", "c"})
+    return [str(g) for g in ideal.generators]
+
+
+@pytest.mark.parametrize("name, params", [
+    *[("ring-A-colon", {"n_max": 8, "p": p}) for p in (2, 3, 101)],
+    *[("ring-B-colon", {"n_max": 6, "p": p}) for p in (2, 101)],
+    *[("singh-swanson-S", {"n_max": 4, "k": k, "p": p, "q_list": [p]})
+      for p in (2, 3) for k in (0, 1, 2)],
+    ("singh-swanson-S", {"n_max": 8, "k": 2}),
+])
+def test_colon_verdicts_match_the_groebner_engine(name, params):
+    report = run_scenario(name, params).to_json_dict()
+    colons = [c for c in report["checks"]
+              if c["certificate"]["kind"] in ("annihilator", "colon_contraction")]
+    assert len(colons) == params["n_max"]
+    for check in colons:
+        assert check["status"] == "pass"
+        assert check["certificate"]["computed_generators"] == \
+            _engine_generators(check["certificate"]), check["name"]
+
+
+def test_colon_scenarios_make_no_groebner_run_at_their_bound_tops(monkeypatch):
+    computed = []
+    core = groebner._buchberger_core
+
+    def counting(*args):
+        computed.append(args)
+        return core(*args)
+    monkeypatch.setattr(groebner, "_buchberger_core", counting)
+    for name, params in (("ring-A-colon", {"n_max": 8, "p": 2}),
+                         ("ring-B-colon", {"n_max": 6, "p": 3}),
+                         ("singh-swanson-S", {"n_max": 8, "k": 2})):
+        t0 = time.perf_counter()
+        report = run_scenario(name, params)
+        t1 = time.perf_counter()
+        assert report.passed and reverify(json.loads(json.dumps(report.to_json_dict())))
+        assert t1 - t0 < 0.1 and time.perf_counter() - t1 < 0.1, name
+    assert computed == []
+
+
+def _note_relation(n, quotient, ideal, element):
+    # the relation s a^2 + t a b + b^2 of ring-A's note: its colon is (t^2 - s)
+    ring = quotient.ring
+    s, t, a, b = ring.gens()
+    return QuotientRing(ring, (s * a ** 2 + t * a * b + b ** 2,)), ideal, element
+
+
+def _extra_generator(n, quotient, ideal, element):
+    # a^2 b^(n-2) lies in no (a^n, b^n) for n >= 3, and survives there
+    _, _, a, b = ideal.ring.gens()
+    return quotient, Ideal(ideal.ring, ideal.generators + (a ** 2 * b ** (n - 2),)), element
+
+
+def _element_s_e2(n, quotient, ideal, element):
+    s, _, a, b = element.ring.gens()
+    return quotient, ideal, s * a ** 2 * b ** (n - 2)
+
+
+def _binomial_generator(n, quotient, ideal, element):
+    _, _, a, b = ideal.ring.gens()
+    return quotient, Ideal(ideal.ring, (a ** n + b ** n, b ** n)), element
+
+
+def _inhomogeneous_element(n, quotient, ideal, element):
+    return quotient, ideal, element + element.ring.gen("a")
+
+
+def _q2_is_t2(j):
+    return QnPolynomial(2, ST_RING.parse("t^2")) if j == 2 else qn_recursive(j)
+
+
+def _q_times_s(j):
+    # s Q_j for every j keeps M v = s (s Q_(n-1)) e_1, but s divides s Q_(n-1)
+    return QnPolynomial(j, ST_RING.gen("s") * qn_recursive(j).poly)
+
+
+@pytest.mark.parametrize("n, mutate, family, reason", [
+    (3, _note_relation, None, "the relations are not the columns of M_2"),
+    (3, _extra_generator, None,
+     "the component has 1 coordinates and 2 relations, not 2 and 2"),
+    # Q_2 = t^2 enters v_1 = s Q_2 at n = 4, while Q_3 itself is right
+    (4, None, _q2_is_t2, "M v is not s*Q_3*e_1"),
+    (4, None, _q_times_s, "v does not end in +-s^3, or s divides Q_3"),
+    (4, _element_s_e2, None, "the element is not s*e_1"),
+    (2, _binomial_generator, None,
+     "an ideal generator is not a monomial in the graded variables"),
+    (2, _inhomogeneous_element, None, "the relation or the element is not homogeneous"),
+])
+def test_colon_check_fails_on_a_mutated_component(monkeypatch, n, mutate, family, reason):
+    genuine = _fresh_report("ring-A-colon", {"n_max": 4})
+    if family is not None:
+        monkeypatch.setattr(scenarios, "qn_recursive", family)
+    if mutate is not None:
+        real = scenarios._colon_check
+
+        def mutated(name, operation, level, quotient, ideal, element, weights, fixed):
+            if level == n:
+                quotient, ideal, element = mutate(level, quotient, ideal, element)
+            return real(name, operation, level, quotient, ideal, element, weights, fixed)
+        monkeypatch.setattr(scenarios, "_colon_check", mutated)
+    report = run_scenario("ring-A-colon", {"n_max": 4})
+    check = report.checks[n - 1]
+    assert (check.status, check.actual, check.certificate["computed_generators"]) == \
+        ("fail", reason, [])
+    assert not report.passed
+    assert reverify(genuine) is False
