@@ -109,16 +109,23 @@ def _print_report(report: Report, full: bool, stream) -> None:
             print(json.dumps(c.certificate, indent=2, sort_keys=True), file=stream)
 
 
-def _emit(payload: dict, args, text_renderer) -> None:
+def _emit(payload: dict, args, text_renderer, code: int) -> int:
+    """Write or print the payload; returns code, or 2 if --out cannot be
+    written."""
     # one dumps and one write: json.dump writes the report chunk by chunk
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.out}", file=sys.stdout)
     elif getattr(args, "format", "text") == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         text_renderer()
+    return code
 
 
 def _cmd_list() -> int:
@@ -135,7 +142,8 @@ def _cmd_run(args) -> int:
         params = _scenario_params(args)
         runs = list(overrides_for_all(params).items()) \
             if args.scenario == "all" else [(args.scenario, params)]
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: json.load on deeply nested input
         print(f"bad parameters: {exc}", file=sys.stderr)
         return 2
     try:
@@ -153,10 +161,9 @@ def _cmd_run(args) -> int:
     payload = reports[0].to_json_dict() if len(reports) == 1 \
         else {"artifact": "cohomcert", "reports":
               [r.to_json_dict() for r in reports]}
-    _emit(payload, args, lambda: [
+    return _emit(payload, args, lambda: [
         _print_report(r, args.full, sys.stdout) for r in reports
-    ])
-    return 0 if all(r.passed for r in reports) else 1
+    ], 0 if all(r.passed for r in reports) else 1)
 
 
 def _reports_of(payload) -> list:
@@ -175,7 +182,8 @@ def _cmd_reverify(args) -> int:
     try:
         with open(args.path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: json.load on deeply nested input
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
     try:
@@ -214,8 +222,7 @@ def _cmd_toeplitz(args) -> int:
         print(f"distinct irreducible factors up to n = {args.n_max}: "
               f"{census.cumulative_count}")
 
-    _emit(payload, args, render)
-    return 0
+    return _emit(payload, args, render, 0)
 
 
 def main(argv=None) -> int:

@@ -10,8 +10,10 @@ by membership_monomial_plus_p via reduction mod p.
 The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
 auto-reduced, so output is deterministic for a fixed input and order.
-buchberger keeps no state between calls; a QuotientRing keeps the basis
-of each ideal it is asked about, for as long as the quotient lives.
+buchberger and QuotientRing keep no state between calls.  No scenario
+asks the engine anything: hartshorne's vanishing questions, in a quotient
+by one binomial, are decided by moves along that binomial
+(cohomology._term_ideal_membership).
 
 Monomials: inside the engine every exponent vector is one Python int,
 packed on entry (buchberger, normal_form, GroebnerBasis._packing) and
@@ -143,9 +145,6 @@ class QuotientRing(Record):
 
     ring: PolyRing
     relations: tuple[Polynomial, ...]
-    # not a field: `_bases`, the reduced basis of ideal + relations for each
-    # ideal asked about through this quotient (by its generators), so a plan
-    # that asks about one ideal many times computes its basis once
 
     def __post_init__(self):
         rels = tuple(r for r in self.relations if not r.is_zero)
@@ -153,20 +152,11 @@ class QuotientRing(Record):
             if r.ring != self.ring:
                 raise RingMismatchError(f"relation {r} not in {self.ring}")
         object.__setattr__(self, "relations", rels)
-        object.__setattr__(self, "_bases", {})
-
-    def groebner(self, ideal: Ideal) -> "GroebnerBasis":
-        """Reduced basis of ideal + relations under the default order."""
-        gb = self._bases.get(ideal.generators)
-        if gb is None:
-            gb = buchberger(_with_relations(ideal, self))
-            self._bases[ideal.generators] = gb
-        return gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if not self.relations:
             return f
-        return normal_form(f, self.groebner(Ideal(self.ring, ())))
+        return normal_form(f, buchberger(Ideal(self.ring, self.relations)))
 
     def __str__(self):
         rels = ", ".join(str(r) for r in self.relations)
@@ -583,12 +573,11 @@ def _with_relations(ideal: Ideal, rel: QuotientRing | None) -> Ideal:
 
 
 def membership(f: Polynomial, ideal: Ideal, rel: QuotientRing | None = None) -> bool:
-    """Decide f in I (mod relations when rel is given) via normal form;
-    rel keeps the basis for the next question about the same ideal."""
+    """Decide f in I (mod relations when rel is given) via normal form."""
     full = _with_relations(ideal, rel)
     if full.is_zero:
         return f.is_zero
-    return (buchberger(full) if rel is None else rel.groebner(ideal)).contains(f)
+    return buchberger(full).contains(f)
 
 
 def outside_monomial_ideal(f: Polynomial, exponents) -> Polynomial:

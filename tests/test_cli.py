@@ -73,6 +73,27 @@ def test_reverify_malformed_exit_two(tmp_path, capsys):
     assert main(["reverify", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["run", "katzman-factorization"], ["toeplitz"]])
+def test_unwritable_out_exit_two(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reverify"], "cannot read report"),
+    (["run", "hartshorne", "--params"], "bad parameters"),
+])
+def test_deeply_nested_json_exit_two(tmp_path, capsys, argv, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_out_and_json_mutually_exclusive(tmp_path, capsys):
     path = tmp_path / "x.json"
     assert main(["run", "katzman-factorization", "--format", "json",

@@ -269,6 +269,69 @@ def test_termwise_membership_agrees_with_the_engine(monkeypatch, domain):
     assert engine == []
 
 
+@pytest.mark.parametrize("p", [2, 3, 101, 65521])
+def test_binomial_moves_agree_with_the_engine_on_hartshorne(p):
+    ring, quotient = hartshorne_ring(p)
+    w, x, y, z = ring.gens()
+    numerators = (w, x, y, z, ring.one(), x * y + 3 * w * z, w * x - y * z + z ** 2)
+    for n in range(9):
+        for k in (0, 1, 2, 5):
+            power = (x ** (n + 1 + k), y ** (n + 1 + k))
+            for g in numerators:
+                f = g * y ** n * z ** n * (x * y) ** k
+                assert cohomology._term_ideal_membership(f, power, quotient.relations) \
+                    == membership(f, Ideal(ring, power), rel=quotient), (n, k, g)
+
+
+def test_moves_decide_by_component_sums():
+    plane = PolyRing(("x", "y"), GF(101))
+    x, y = plane.gens()
+    ring, quotient = hartshorne_ring()
+    w, X_, Y_, z = ring.gens()
+    cases = [
+        # x y and x^2 share a degree but no component of the x^2 <-> y^2 moves
+        (x * y, (x ** 2,), x ** 2 - y ** 2, False),
+        (y ** 2, (x ** 2,), x ** 2 - y ** 2, True),
+        # w x and y z share a component that no generator divides
+        (w * X_ - Y_ * z, (X_ ** 3, Y_ ** 3), w * X_ - Y_ * z, True),
+        (w * X_ + Y_ * z, (X_ ** 3, Y_ ** 3), w * X_ - Y_ * z, False),
+    ]
+    for f, gens, relation, inside in cases:
+        assert cohomology._term_ideal_membership(f, gens, (relation,)) is inside
+        assert membership(f, Ideal(f.ring, gens), rel=QuotientRing(f.ring, (relation,))) \
+            is inside
+
+
+def test_other_relations_go_to_the_engine(monkeypatch):
+    # a three-term relation (ring A's), an inhomogeneous binomial and a sum
+    engine = []
+
+    def recorded(f, ideal, rel):
+        engine.append(membership(f, ideal, rel=rel))
+        return engine[-1]
+    monkeypatch.setattr(cohomology, "membership", recorded)
+    ring, quotient = ring_a()
+    s, t, a, b = ring.gens()
+    cases = [(quotient, (a, b), 2, s * a * b, k) for k in (0, 1)]
+    cases += [(quotient, (a, b), 2, t * s * a * b, 0)]
+    plane = PolyRing(("x", "y"), GF(101))
+    x, y = plane.gens()
+    parabola = QuotientRing(plane, (x - y ** 2,))
+    cases += [(parabola, (x,), 1, y ** 2, 0), (parabola, (x,), 1, y, 2)]
+    # x + y is a binomial but not a difference: it lies in its own ideal,
+    # yet its coefficients sum to 2 on the component {x, y}
+    cases += [(QuotientRing(plane, (x + y,)), (x,), 2, x + y, 0)]
+    for q, sequence, m, numerator, k in cases:
+        cls = CechClass(q, sequence, m, numerator)
+        pushed = push_forward(cls, k)
+        with pytest.raises(DomainNotSupportedError):
+            cohomology._term_ideal_membership(
+                pushed.numerator, pushed.power_ideal().generators, q.relations)
+        assert cohomology._vanishes_at(cls, k) == membership(
+            pushed.numerator, pushed.power_ideal(), rel=q)
+    assert engine == [False, True, True, True, False, True]
+
+
 # -- annihilators ---------------------------------------------------------------
 
 def ring_a(p=101):

@@ -439,10 +439,10 @@ def test_groebner_work_does_not_depend_on_history(monkeypatch):
         return run, len(computed)
 
     hartshorne = {"p": 101, "n_max": 8, "k_max": 12}
-    assert run_and_reverify("hartshorne", hartshorne) == (21, 21)
-    assert run_and_reverify("hartshorne", hartshorne) == (21, 21)
+    assert run_and_reverify("hartshorne", hartshorne) == (0, 0)
+    assert run_and_reverify("hartshorne", hartshorne) == (0, 0)
     assert run_and_reverify("ring-A-colon", {"n_max": 8}) == (0, 0)
-    assert run_and_reverify("hartshorne", hartshorne) == (21, 21)
+    assert run_and_reverify("hartshorne", hartshorne) == (0, 0)
 
 
 def test_pinned_singh_swanson_annihilator_colon(monkeypatch):

@@ -485,11 +485,7 @@ def test_record_non_fields_stay_out_of_equality_and_repr():
     quotient = QuotientRing(_R5, (_X5 ** 2 - _Y5,))
     assert membership(_Y5 ** 2, Ideal(_R5, (_X5,)), rel=quotient)
     assert quotient.normal_form(_X5 ** 3) == _X5 * _Y5
-    assert len(quotient._bases) == 2
-    fresh = QuotientRing(_R5, (_X5 ** 2 - _Y5,))
-    assert not fresh._bases
-    assert fresh == quotient and hash(fresh) == hash(quotient)
-    assert repr(fresh) == repr(quotient) and "_bases" not in repr(quotient)
+    assert vars(quotient).keys() == {"ring", "relations"}  # nothing kept
 
 
 def test_record_construction():

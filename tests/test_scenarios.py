@@ -851,7 +851,8 @@ def test_colon_scenarios_make_no_groebner_run_at_their_bound_tops(monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger_core", counting)
     for name, params in (("ring-A-colon", {"n_max": 8, "p": 2}),
                          ("ring-B-colon", {"n_max": 6, "p": 3}),
-                         ("singh-swanson-S", {"n_max": 8, "k": 2})):
+                         ("singh-swanson-S", {"n_max": 8, "k": 2}),
+                         ("hartshorne", {"n_max": 8, "k_max": 12, "p": 101})):
         t0 = time.perf_counter()
         report = run_scenario(name, params)
         t1 = time.perf_counter()
