@@ -16,6 +16,7 @@ from .scenarios import (
     MalformedReportError,
     Report,
     UnknownScenarioError,
+    abbreviate,
     check_census_params,
     list_scenarios,
     overrides_for_all,
@@ -67,7 +68,7 @@ def _parse_primes(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"bad primes list {text!r}; expected e.g. 2,3,5,7")
+        raise ValueError(f"bad primes list {abbreviate(repr(text))}; expected e.g. 2,3,5,7")
 
 
 def _scenario_params(args) -> dict:
@@ -89,11 +90,6 @@ def _scenario_params(args) -> dict:
     return params
 
 
-def _abbreviate(value, limit=100) -> str:
-    text = json.dumps(value, sort_keys=True) if not isinstance(value, str) else value
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
 def _print_report(report: Report, full: bool, stream) -> None:
     mark = "PASS" if report.passed else "FAIL"
     ok = sum(1 for c in report.checks if c.ok)
@@ -104,7 +100,7 @@ def _print_report(report: Report, full: bool, stream) -> None:
     )
     for c in report.checks:
         flag = c.status if c.ok else f"{c.status}, expected {c.expected_status}"
-        print(f"  [{flag}] {c.name}: {_abbreviate(c.actual)}", file=stream)
+        print(f"  [{flag}] {c.name}: {abbreviate(c.actual)}", file=stream)
         if full:
             print(json.dumps(c.certificate, indent=2, sort_keys=True), file=stream)
 

@@ -1,19 +1,19 @@
 """Buchberger engine over field coefficients and the ideal calculus on top.
 
-Everything the verification layer asks — membership, colon ideals,
-elimination, intersections, bracket powers, quotient-ring normal forms —
-reduces to reduced Groebner bases computed here.  The engine works over Q
-and F_p only; the single integer-coefficient membership question the
-constructions need (ideals of the shape (p, monomials)) is decided exactly
-by membership_monomial_plus_p via reduction mod p.
+Membership, colon ideals, elimination, intersections, bracket powers and
+quotient-ring normal forms over Q and F_p reduce to the reduced Groebner
+bases computed here.  They are library API and the acceptance oracles,
+but no scenario asks the engine anything: the scenarios decide their
+ideal questions by termwise divisibility, binomial moves
+(cohomology._term_ideal_membership, over any domain, ZZ included) and
+linear algebra in one graded component.  Ideals of the shape
+(p, monomials) in Z[vars] are decided here without a basis, by
+membership_monomial_plus_p via reduction mod p.
 
 The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
 auto-reduced, so output is deterministic for a fixed input and order.
-buchberger and QuotientRing keep no state between calls.  No scenario
-asks the engine anything: hartshorne's vanishing questions, in a quotient
-by one binomial, are decided by moves along that binomial
-(cohomology._term_ideal_membership).
+buchberger and QuotientRing keep no state between calls.
 
 Monomials: inside the engine every exponent vector is one Python int,
 packed on entry (buchberger, normal_form, GroebnerBasis._packing) and

@@ -142,12 +142,12 @@ class Report(Record):
 
 class PlannedCheck(Record):
     """One check of a plan.  `fixed` holds the certificate fields the
-    parameters fix, "kind" among them.  `issue(statuses)` runs the check
-    and returns (status, actual, witness fields); `statuses` maps the
-    earlier checks of the run to their statuses.  `verify(certificate,
-    statuses)` re-checks a reported certificate whose fixed fields match;
-    without one, the check is issued again and must give the same status
-    and certificate."""
+    parameters fix, "kind" among them.  `issue()` runs the check and
+    returns (status, actual, witness fields).  `verify(certificate)`
+    re-checks a reported certificate whose fixed fields match; without
+    one, the check is issued again and must give the same status and
+    certificate.  A check reads no other check's outcome: a fact it needs
+    from another planned check it decides by issuing that check itself."""
 
     name: str
     operation: str
@@ -157,10 +157,10 @@ class PlannedCheck(Record):
     verify: Callable | None = None
     expected_status: str = "pass"
 
-    def verified(self, certificate: dict, statuses: dict) -> bool:
+    def verified(self, certificate: dict) -> bool:
         if self.verify is not None:
-            return self.verify(certificate, statuses)
-        status, _, witness = self.issue(statuses)
+            return self.verify(certificate)
+        status, _, witness = self.issue()
         return status == self.expected_status and \
             _same({**self.fixed, **witness}, certificate)
 
@@ -170,17 +170,25 @@ def _same(a, b) -> bool:
     return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def abbreviate(value, limit: int = 100) -> str:
+    """A string as it is, any other value as JSON, cut to at most `limit`
+    characters: how a message echoes a value of unbounded size.  Messages
+    about parameters pass repr(value)."""
+    text = value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def _ring_json(ring: PolyRing) -> dict:
     return {"variables": list(ring.variables), "domain": str(ring.domain)}
 
 
-def _guarded_check(planned: PlannedCheck, statuses: dict) -> CheckResult:
+def _guarded_check(planned: PlannedCheck) -> CheckResult:
     """Issue a planned check, turning degree-guard aborts and pipeline
     failures into failed checks with diagnostics instead of crashes."""
     t0 = time.perf_counter()
     diagnostics = {}
     try:
-        status, actual, witness = planned.issue(statuses)
+        status, actual, witness = planned.issue()
         certificate = {**planned.fixed, **witness}
     except GuardExceededError as exc:
         status, actual = "fail", f"degree guard: {exc}"
@@ -206,13 +214,13 @@ def _guarded_check(planned: PlannedCheck, statuses: dict) -> CheckResult:
 
 
 def _socle_kill(name: str, cls: CechClass, k_max: int) -> PlannedCheck:
-    def issue(_statuses):
+    def issue():
         verdict = is_zero_up_to(cls, k_max)
         ok = isinstance(verdict, ZeroAt) and verdict.k <= 2
         return ("pass" if ok else "fail"), verdict.to_json_dict(), \
             {"k": getattr(verdict, "k", None)}
 
-    def verify(cert, _statuses):
+    def verify(cert):
         # the claim is k <= 2, so one membership test re-checks the witness
         k = cert["k"]
         return type(k) is int and 0 <= k <= 2 and verify_zero_at(cls, ZeroAt(k))
@@ -234,7 +242,7 @@ def _plan_hartshorne(params) -> list[PlannedCheck]:
         for gname, g in zip(("w", "x", "y", "z"), (w, x, y, z)):
             plan.append(_socle_kill(f"socle-kill-n{n}-{gname}", base.scale(g), k_max))
 
-        def nonzero_issue(_statuses, base=base):
+        def nonzero_issue(base=base):
             verdict = is_zero_up_to(base, k_max)
             status = "unknown" if isinstance(verdict, UnknownUpTo) else "fail"
             return status, verdict.to_json_dict(), {}
@@ -255,7 +263,7 @@ def _plan_singh_p_torsion(params) -> list[PlannedCheck]:
         annihilation = eta_annihilation(p)
         cls, seq_cofactors, rel_cofactor = annihilation
 
-        def issue(_statuses, p=p, annihilation=annihilation):
+        def issue(p=p, annihilation=annihilation):
             cert = eta_torsion_check(p, annihilation)
             return "pass", {
                 "p_times_class_vanishes_at": cert.annihilation.k,
@@ -285,7 +293,7 @@ def _plan_ptor2(params) -> list[PlannedCheck]:
     k = p ** e - 1
     plan = []
     for dom_str in params["domains"]:
-        def issue(_statuses, dom=domain_from_string(dom_str)):
+        def issue(dom=domain_from_string(dom_str)):
             value = conjecture_membership_check(f_list, g_list, p, e, k, dom)
             return ("pass" if value else "fail"), value, {}
         plan.append(PlannedCheck(
@@ -370,7 +378,7 @@ def _colon_check(name, operation, n, quotient: QuotientRing, ideal: Ideal,
             return f"v does not end in +-s^{m}, or s divides Q_{m}"
         return None
 
-    def issue(_statuses):
+    def issue():
         reason = obstruction()
         return ("pass", names, {"computed_generators": names}) if reason is None \
             else ("fail", reason, {"computed_generators": []})
@@ -447,8 +455,8 @@ def _plan_singh_swanson(params) -> list[PlannedCheck]:
     ring, relation = _singh_swanson_ring(p)
     s, t, u, v, w, x, y, z = ring.gens()
     quotient = QuotientRing(ring, (relation,))
-    plan = [
-        _annihilator_check(
+    annihilators = {
+        n: _annihilator_check(
             f"annihilator-n{n}",
             CechClass(quotient, (x, y, z), n,
                       s * (u * x) * (v * y) ** (n - 1) * z ** (n - 1)),
@@ -458,13 +466,14 @@ def _plan_singh_swanson(params) -> list[PlannedCheck]:
                 (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)),
         )
         for n in sorted(set(range(1, n_max + 1)) | set(q_list))
-    ]
+    }
+    plan = list(annihilators.values())
     for q in q_list:
         bracket = frobenius_power(Ideal(ring, (x, y, z)), q)
 
-        def issue(statuses, q=q, bracket=bracket):
+        def issue(q=q, bracket=bracket):
             same = bracket.generators == (x ** q, y ** q, z ** q)
-            ann_ok = statuses[f"annihilator-n{q}"] == "pass"
+            ann_ok = annihilators[q].issue()[0] == "pass"
             return ("pass" if same and ann_ok else "fail"), {
                 "bracket_power_matches": same,
                 "annihilator_witness_passes": ann_ok,
@@ -495,7 +504,7 @@ def _plan_katzman(params) -> list[PlannedCheck]:
     lhs = s * u ** 2 * x ** 2 - (s + t) * u * x * v * y + t * v ** 2 * y ** 2
     factors = (s * u * x - t * v * y, u * x - v * y)
 
-    def issue(_statuses):
+    def issue():
         return ("pass" if lhs == factors[0] * factors[1] else "fail"), str(lhs), {}
 
     return [PlannedCheck(
@@ -610,13 +619,13 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
     census_p, census_n_max = params["census_p"], params["census_n_max"]
     plan = []
     for n in range(1, n_max + 1):
-        def issue(_statuses, n=n):
+        def issue(n=n):
             lhs = qn_recursive(n).poly
             rhs = det_oracle(build_matrix(n))
             return ("pass" if lhs == rhs else "fail"), str(rhs), \
                 {"polynomial": str(lhs)}
 
-        def verify(cert, _statuses, n=n):
+        def verify(cert, n=n):
             # the recursion is linear; the determinant oracle is not re-run
             return cert["polynomial"] == str(qn_recursive(n).poly)
         plan.append(PlannedCheck(
@@ -624,7 +633,7 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
             {"kind": "toeplitz_equality", "n": n}, issue, verify,
         ))
 
-    def gen_issue(_statuses):
+    def gen_issue():
         value = generating_check(N)
         return ("pass" if value else "fail"), value, {"value": value}
     plan.append(PlannedCheck(
@@ -632,7 +641,7 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
         {"kind": "generating", "order": N}, gen_issue,
     ))
 
-    def sab_issue(_statuses):
+    def sab_issue():
         value = generating_check(N, family=_sabotaged_family)
         return ("pass" if value is False else "fail"), value, {"value": value}
     plan.append(PlannedCheck(
@@ -641,7 +650,7 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
     ))
 
     for n in range(1, roots_n_max + 1):
-        def roots_issue(_statuses, n=n):
+        def roots_issue(n=n):
             value = chebyshev_identity_check(n)
             return ("pass" if value else "fail"), value, {"value": value}
         plan.append(PlannedCheck(
@@ -649,32 +658,34 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
             {"kind": "chebyshev", "n": n}, roots_issue,
         ))
 
-    def census_issue(_statuses):
+    def census_verify(cert):
+        data = cert["census"]
+        rows = data["rows"]
+        # the census the parameters ask for, rows n = 1..n_max, before any
+        # arithmetic; the counts the row check confirms never fall.  Sound
+        # rows fix every other field of the census (both sides carry the
+        # same rows, so they are left out of the comparison)
+        return data["p"] == census_p and data["n_max"] == census_n_max \
+            and len(rows) == census_n_max \
+            and all(type(row["n"]) is int and row["n"] == i
+                    for i, row in enumerate(rows, 1)) \
+            and _census_rows_sound(census_p, rows) \
+            and _same({**data, "rows": None},
+                      {**census_json(census_p, census_n_max, rows), "rows": None})
+
+    def census_issue():
         census = factor_census(census_n_max, census_p)
         monotone = all(
             a.cumulative_count <= b.cumulative_count
             for a, b in zip(census.rows, census.rows[1:])
         )
         data = census.to_json_dict()
-        sound = _census_rows_sound(census_p, data["rows"])
+        sound = census_verify({"census": data})
         return ("pass" if monotone and sound else "fail"), {
             "cumulative_count": census.cumulative_count,
             "monotone": monotone,
             "factors_certified_irreducible_and_reconstruct": sound,
         }, {"census": data}
-
-    def census_verify(cert, _statuses):
-        data = cert["census"]
-        rows = data["rows"]
-        # the census the parameters ask for, rows n = 1..n_max, before any
-        # arithmetic; the counts the row check confirms never fall.  Sound
-        # rows fix every other field of the census
-        return data["p"] == census_p and data["n_max"] == census_n_max \
-            and len(rows) == census_n_max \
-            and all(type(row["n"]) is int and row["n"] == i
-                    for i, row in enumerate(rows, 1)) \
-            and _census_rows_sound(census_p, rows) \
-            and _same(data, census_json(census_p, census_n_max, rows))
     plan.append(PlannedCheck(
         "factor-census", "factor_census",
         {"monotone": True, "factors_certified_irreducible_and_reconstruct": True},
@@ -751,7 +762,7 @@ _SCENARIOS = (
         "singh-swanson-S",
         "ann_(K[s,t]) of eta_n in the normal hypersurface S equals (Q_(n-1)); "
         "the n = q cases double as Frobenius-power witnesses",
-        {"p": 2, "n_max": 3, "k": 0, "q_list": [2]},
+        {"p": 2, "n_max": 3, "k": 0, "q_list": [2]},  # q_list: [p] unless given
         {"n_max": (1, 8), "k": (0, 2)},
         _plan_singh_swanson,
     ),
@@ -803,7 +814,8 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in scenario.defaults:
             raise BadParametersError(
-                f"unknown parameter {key!r} for scenario {scenario.name!r}; "
+                f"unknown parameter {abbreviate(repr(key))} for scenario "
+                f"{scenario.name!r}; "
                 f"accepted: {sorted(scenario.defaults)}"
             )
         params[key] = value
@@ -813,52 +825,63 @@ def _validated_params(scenario: Scenario, overrides: dict | None) -> dict:
         v = params[key]
         if type(v) is not int or not lo <= v <= hi:
             raise BadParametersError(
-                f"parameter {key}={v!r} outside documented bounds [{lo}, {hi}]"
+                f"parameter {key}={abbreviate(repr(v))} outside documented "
+                f"bounds [{lo}, {hi}]"
             )
     for key in ("p", "census_p"):
         if key not in params:
             continue
         v = params[key]
         if type(v) is not int or v > PRIME_BOUND:
-            raise BadParametersError(f"parameter {key}={v!r} must be an int at most 2^64")
+            raise BadParametersError(
+                f"parameter {key}={abbreviate(repr(v))} must be an int at most 2^64")
         if not is_prime(v):
             raise BadParametersError(f"parameter {key}={v} must be prime")
     # one check per entry: an empty list would pass with nothing checked
     for key in ("primes", "domains"):
         if key in params and (not isinstance(params[key], list) or not params[key]):
-            raise BadParametersError(f"parameter {key}={params[key]!r} must be a nonempty list")
+            raise BadParametersError(
+                f"parameter {key}={abbreviate(repr(params[key]))} must be a nonempty list")
     if "domains" in params:
         bad = [d for d in params["domains"] if not _is_field_name(d)]
         if bad:
             raise BadParametersError(
-                f"domains entries must name QQ or GF(p), p a prime at most 2^64: {bad}"
+                "domains entries must name QQ or GF(p), p a prime at most 2^64: "
+                + abbreviate(repr(bad))
             )
     if "primes" in params:
         primes = params["primes"]
         lo, hi = TORSION_PRIME_BOUNDS
         if not all(type(p) is int and lo <= p <= hi for p in primes):
             raise BadParametersError(
-                f"parameter primes={primes!r} outside documented bounds "
+                f"parameter primes={abbreviate(repr(primes))} outside documented bounds "
                 f"[{lo}, {hi}]"
             )
         bad = [p for p in primes if not is_prime(p)]
         if bad:
-            raise BadParametersError(f"non-prime entries in primes: {bad}")
+            raise BadParametersError(f"non-prime entries in primes: {abbreviate(repr(bad))}")
         if len(set(primes)) != len(primes):
-            raise BadParametersError(f"repeated entries in primes: {primes}")
+            raise BadParametersError(f"repeated entries in primes: {abbreviate(repr(primes))}")
     if "q_list" in params:
-        # each q is an annihilator level, so it takes the bounds of n_max
-        q_list, p = params["q_list"], params["p"]
+        # each q is an annihilator level, so it takes the bounds of n_max;
+        # unless given, q_list is [p] when p is inside them and else empty
         lo, hi = scenario.bounds["n_max"]
-        if not isinstance(q_list, list) or len(set(q_list)) != len(q_list) or \
-                not all(type(q) is int and lo <= q <= hi for q in q_list):
+        p = params["p"]
+        if "q_list" not in (overrides or {}):
+            params["q_list"] = [p] if p <= hi else []
+        q_list = params["q_list"]
+        if not isinstance(q_list, list) or \
+                not all(type(q) is int and lo <= q <= hi for q in q_list) or \
+                len(set(q_list)) != len(q_list):
             raise BadParametersError(
-                f"parameter q_list={q_list!r} must list distinct ints in [{lo}, {hi}]"
+                f"parameter q_list={abbreviate(repr(q_list))} must list distinct ints "
+                f"in [{lo}, {hi}]"
             )
         powers = {p ** i for i in range(hi.bit_length())}  # all those up to hi
         bad = [q for q in q_list if q not in powers]
         if bad:
-            raise BadParametersError(f"q_list entries that are not powers of p = {p}: {bad}")
+            raise BadParametersError(
+                f"q_list entries that are not powers of p = {p}: {abbreviate(repr(bad))}")
     return params
 
 
@@ -876,7 +899,8 @@ def overrides_for_all(overrides: dict) -> dict[str, dict]:
     scenario accepts is a ValueError."""
     unknown = set(overrides) - {k for s in _SCENARIOS for k in s.defaults}
     if unknown:
-        raise ValueError(f"no scenario accepts parameter(s) {sorted(unknown)}")
+        raise ValueError(
+            f"no scenario accepts parameter(s) {abbreviate(repr(sorted(unknown)))}")
     return {s.name: {k: v for k, v in overrides.items() if k in s.defaults}
             for s in _SCENARIOS}
 
@@ -891,16 +915,12 @@ def run_scenario(name: str, params: dict | None = None) -> Report:
     scenario = _REGISTRY[name]
     merged = _validated_params(scenario, params)
     t0 = time.perf_counter()
-    checks, statuses = [], {}
-    for planned in scenario.plan(merged):
-        check = _guarded_check(planned, statuses)
-        statuses[check.name] = check.status
-        checks.append(check)
+    checks = tuple(_guarded_check(planned) for planned in scenario.plan(merged))
     return Report(
         scenario=name,
         description=scenario.description,
         params=merged,
-        checks=tuple(checks),
+        checks=checks,
         seconds=time.perf_counter() - t0,
     )
 
@@ -941,7 +961,6 @@ def reverify(report) -> bool:
     plan = scenario.plan(params)
     if len(plan) != len(checks):
         return False
-    statuses: dict = {}
     for planned, check in zip(plan, checks):
         try:
             cert, status = check["certificate"], check["status"]
@@ -961,9 +980,8 @@ def reverify(report) -> bool:
         if not all(_same(cert.get(key), value) for key, value in planned.fixed.items()):
             return False
         try:
-            if not planned.verified(cert, statuses):
+            if not planned.verified(cert):
                 return False
         except Exception:
             return False
-        statuses[planned.name] = status
     return True

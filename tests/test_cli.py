@@ -289,6 +289,47 @@ def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
     assert "internal error: NonDivisibleError" in err and "Traceback" not in err
 
 
+def _nested(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("singh-p-torsion", "primes", _nested(900)),
+    ("singh-swanson-S", "q_list", list(range(3000))),
+    ("singh-swanson-S", "n_max", list(range(3000))),
+    ("ptor2-theorem", "domains", ["GF(4)"] * 2000),
+])
+def test_bad_parameter_messages_abbreviate_the_value(tmp_path, capsys, scenario, key, value):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({key: value}))
+    assert main(["run", scenario, "--params", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad parameters") and err.count("\n") == 1
+    assert len(err) < 200 and key in err
+
+
+@pytest.mark.parametrize("p, witness", [(3, "frobenius-witness-q3"), (101, None)])
+def test_singh_swanson_levels_follow_p(tmp_path, capsys, p, witness):
+    # with no q_list given, the witness level is p itself when n_max allows it
+    out = tmp_path / "report.json"
+    assert main(["run", "singh-swanson-S", "--p", str(p), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["params"]["q_list"] == ([p] if witness else [])
+    assert [c["name"] for c in report["checks"] if c["name"].startswith("frobenius")] == \
+        ([witness] if witness else [])
+    assert main(["reverify", str(out)]) == 0
+
+
+def test_run_all_at_p3_then_reverify(tmp_path, capsys):
+    out = tmp_path / "all.json"
+    assert main(["run", "all", "--p", "3", "--out", str(out)]) == 0
+    assert main(["reverify", str(out)]) == 0
+    assert "re-verified" in capsys.readouterr().out
+
+
 def _masked_digest(path):
     # the report as --out writes it, with every "seconds" value set to 0
     text = re.sub(r'"seconds": [-+.\deE]+', '"seconds": 0', path.read_text())

@@ -215,6 +215,27 @@ def test_pipeline_sabotage():
     with pytest.raises(PipelineStepError) as info2:
         weight_reduction_nonvanishing(3, lam=X + U)
     assert info2.value.step == "homogeneity"
+    # degree (0, 0, 0, 3), but u^3 x^3 specializes to x^3, inside (3, x^3, y^3)
+    with pytest.raises(PipelineStepError) as info3:
+        weight_reduction_nonvanishing(3, lam=U ** 3 * X ** 3)
+    assert info3.value.step == "final_nonmembership"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_step_two_families_give_the_reduction_identity(p):
+    # step 3's identity c_i x_i^(p+k) = (xyz)^k m_i, on the families the
+    # step-2 transcript records, for several k
+    steps = {s.name: s.data for s in weight_reduction_nonvanishing(p).certificate.steps}
+    targets = steps["reduction_identity"]["targets"]
+    records = steps["cofactor_degrees"]["cofactors"]
+    assert [r["generator"] for r in records] == ["x", "y", "z"]
+    for rec in records:
+        gen = RING_Z.gen(rec["generator"])
+        m = RING_Z.parse(targets[rec["generator"]].replace("p", str(p)))
+        for k in range(4):
+            c = RING_Z.monomial(tuple(a + k * b for a, b in
+                                      zip(rec["family_const"], rec["family_slope"])))
+            assert c * gen ** (p + k) == (X * Y * Z) ** k * m, (rec["generator"], k)
 
 
 def test_eta_torsion_certificates():

@@ -100,6 +100,7 @@ def test_parameter_validation():
     ("singh-swanson-S", {"q_list": [True]}),
     ("singh-swanson-S", {"q_list": [3]}),
     ("singh-swanson-S", {"q_list": 2}),
+    ("singh-swanson-S", {"q_list": [[2]]}),
 ])
 def test_parameter_validation_is_strict(name, params):
     t0 = time.perf_counter()
@@ -255,6 +256,31 @@ def test_reverify_roundtrips():
         assert reverify(report), name
         # and through a JSON round trip
         assert reverify(json.loads(json.dumps(report.to_json_dict()))), name
+
+
+@pytest.mark.parametrize("name", [n for n, _ in list_scenarios()])
+def test_each_check_reverifies_on_its_own(name):
+    # checks share no state: each certificate of a fresh report re-checks
+    # alone, here in reverse plan order
+    report = json.loads(json.dumps(run_scenario(name).to_json_dict()))
+    plan = scenarios._REGISTRY[name].plan(report["params"])
+    assert [planned.name for planned in plan] == [c["name"] for c in report["checks"]]
+    for planned, check in reversed(list(zip(plan, report["checks"]))):
+        assert planned.verified(check["certificate"]), check["name"]
+
+
+def test_frobenius_witness_fails_with_its_annihilator(monkeypatch):
+    # an empty component breaks every annihilator check from n = 2 on
+    monkeypatch.setattr(scenarios, "monomials_of_degree", lambda weights, target: [])
+    params = scenarios._validated_params(scenarios._REGISTRY["singh-swanson-S"], None)
+    plan = {planned.name: planned for planned in
+            scenarios._REGISTRY["singh-swanson-S"].plan(params)}
+    assert plan["annihilator-n2"].issue()[0] == "fail"
+    status, actual, _ = plan["frobenius-witness-q2"].issue()
+    assert (status, actual) == ("fail", {"bracket_power_matches": True,
+                                         "annihilator_witness_passes": False})
+    report = run_scenario("singh-swanson-S")
+    assert [c.status for c in report.checks] == ["pass", "fail", "fail", "fail"]
 
 
 def test_reverify_detects_tampering():
