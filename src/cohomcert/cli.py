@@ -51,7 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--n-max", type=int, dest="n_max")
     run_p.add_argument("--primes", type=str,
                        help="comma-separated primes, e.g. 2,3,5,7")
-    run_p.add_argument("--p", type=int, dest="p")
+    run_p.add_argument("--p", type=int, dest="p",
+                       help="the prime p of GF(p); in ptor2-theorem, the prime "
+                            "of q = p^e, so 'all' does not pass it there "
+                            "(ptor2-theorem names its fields by domains)")
 
     rev_p = sub.add_parser("reverify", help="re-check a saved report or 'run all' bundle")
     rev_p.add_argument("path", metavar="REPORT.json")
@@ -131,9 +134,6 @@ def _cmd_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.out and args.format == "json":
-        print("--out and --format json are mutually exclusive", file=sys.stderr)
-        return 2
     try:
         params = _scenario_params(args)
         runs = list(overrides_for_all(params).items()) \
@@ -227,6 +227,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if getattr(args, "out", None) and getattr(args, "format", None) == "json":
+        print("--out and --format json are mutually exclusive", file=sys.stderr)
+        return 2
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

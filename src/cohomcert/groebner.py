@@ -13,28 +13,31 @@ membership_monomial_plus_p via reduction mod p.
 The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
 auto-reduced, so output is deterministic for a fixed input and order.
-buchberger and QuotientRing keep no state between calls.
+buchberger and QuotientRing keep no state between calls, and a
+GroebnerBasis is its four fields and nothing else.
 
-Monomials: inside the engine every exponent vector is one Python int,
-packed on entry (buchberger, normal_form, GroebnerBasis._packing) and
-unpacked on exit.  The layout is compiled once per (variables, order,
-width).  Each field has `bits` value bits and a guard bit on top, and the
-fields run most significant first in the order's own comparison sequence:
-grevlex [deg | e_n ... e_1], lex [e_1 ... e_n | deg], and BlockElimination
-[deg front | front reversed | inner layout of the rest], composing
-recursively.  The fields the order compares descending are complemented
-by XOR with all-ones, so the order key is the int P ^ X and the heaps hold
--(P ^ X).  A product is a + b, a quotient b - a, x^a divides x^b iff
-((b | G) - a) & G == G for the guard bits G, and the lcm selects each
-exponent field by the same subtraction and then recomputes the degree
-fields by one multiplication per block.
+Monomials: inside the engine every exponent vector is one Python int.
+buchberger and normal_form hand their polynomials to _packed_run, which
+packs them and runs the work; the caller unpacks the result.  The layout
+is compiled once per (variables, order, width).  Each field has `bits`
+value bits and a guard bit on top, and the fields run most significant
+first in the order's own comparison sequence: grevlex [deg | e_n ... e_1],
+lex [e_1 ... e_n | deg], and BlockElimination [deg front | front reversed
+| inner layout of the rest], composing recursively.  The fields the order
+compares descending are complemented by XOR with all-ones, so the order
+key is the int P ^ X and the heaps hold -(P ^ X).  A product is a + b, a
+quotient b - a, x^a divides x^b iff ((b | G) - a) & G == G for the guard
+bits G, and the lcm selects each exponent field by the same subtraction
+and then recomputes the degree fields by one multiplication per block.
 
-Width: the value bits start with room for twice the largest input total
-degree, and never fewer than 8.  Every product (through the fieldwise
-maximum of a reducer's tail) and the degree fields of every lcm kept are
-checked against the guard bits; on overflow the computation restarts with
+Width: _packed_run starts the value bits with room for twice the largest
+total degree of what it packs (for normal_form, f and the basis), and
+never fewer than 8.  Every product (through the fieldwise maximum of a
+reducer's tail) and the degree fields of every lcm kept are checked
+against the guard bits; on overflow _packed_run restarts the work with
 twice the width.  The engine is deterministic, so a restart changes
-nothing but the time taken, and nothing wraps.
+nothing but the time taken, and nothing wraps.  normal_form packs the
+basis afresh on every call.
 
 Bookkeeping: pairs wait in a heap keyed (deg lcm, order key of lcm, i, j),
 each key computed once when the pair is kept; (i, j) is unique, so the
@@ -177,7 +180,7 @@ def _field(domain):
 
 
 class _Overflow(Exception):
-    """A packed field outgrew its width; the caller widens and restarts."""
+    """A packed field outgrew its width; _packed_run widens and restarts."""
 
 
 def _fields(order, names, idx):
@@ -493,24 +496,6 @@ class GroebnerBasis(Record):
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     diagnostics: Diagnostics
-    # not a field: (layout, basis as packed reducers) for normal_form,
-    # handed over by buchberger or packed on first use, and widened when a
-    # normal form outgrows it
-    _packed = None
-
-    def _packing(self, bits: int):
-        """The basis packed with at least `bits` value bits."""
-        if self._packed is None or self._packed[0].bits < bits:
-            top = max((g.total_degree() for g in self.basis), default=0)
-            bits = max(bits, _start_bits(top))
-            lay = _layout(self.ring.variables, self.order, bits)
-            reducers = []
-            for g in self.basis:
-                terms = {lay.pack(e): c for e, c in g.terms.items()}
-                lm = max(e ^ lay.flip for e in terms) ^ lay.flip
-                reducers.append(_reducer(lm, terms, lay))
-            object.__setattr__(self, "_packed", (lay, tuple(reducers)))
-        return self._packed
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self)
@@ -519,49 +504,52 @@ class GroebnerBasis(Record):
         return normal_form(f, self).is_zero
 
 
+def _packed_run(ring, order, polys, work):
+    """(layout, work(layout, the term dicts of polys packed in it)).  The
+    width starts from the largest total degree in polys and doubles on
+    every _Overflow, the only place that restarts packed work."""
+    bits = _start_bits(max((g.total_degree() for g in polys), default=0))
+    while True:
+        lay = _layout(ring.variables, order, bits)
+        try:
+            return lay, work(lay, [{lay.pack(e): c for e, c in g.terms.items()}
+                                   for g in polys])
+        except _Overflow:
+            bits *= 2
+
+
+def _unpacked(ring, lay, terms) -> Polynomial:
+    unpack = lay.unpack
+    return Polynomial(ring, {unpack(e): c for e, c in terms.items()},
+                      _normalized=True)
+
+
 def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
                guard: DegreeGuard = DEFAULT_GUARD) -> GroebnerBasis:
     """Reduced Groebner basis of an ideal over a field; keeps no state."""
     ring = ideal.ring
     dom = _field(ring.domain)
-    gens = [g.terms for g in ideal.generators]
-    bits = _start_bits(max((sum(e) for terms in gens for e in terms), default=0))
-    while True:
-        lay = _layout(ring.variables, order, bits)
-        try:
-            reduced, diag = _buchberger_core(
-                [{lay.pack(e): c for e, c in terms.items()} for terms in gens],
-                lay, dom, guard,
-            )
-            break
-        except _Overflow:
-            bits *= 2
-    unpack = lay.unpack
-    basis = tuple(
-        Polynomial(ring, {unpack(e): c for e, c in r[3].items()}, _normalized=True)
-        for r in reduced
-    )
-    gb = GroebnerBasis(ring, order, basis, diag)
-    object.__setattr__(gb, "_packed", (lay, tuple(reduced)))
-    return gb
+    lay, (reduced, diag) = _packed_run(
+        ring, order, ideal.generators,
+        lambda lay, gens: _buchberger_core(gens, lay, dom, guard))
+    return GroebnerBasis(ring, order,
+                         tuple(_unpacked(ring, lay, r[3]) for r in reduced), diag)
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     if f.ring != gb.ring:
         raise RingMismatchError(f"{f.ring} != {gb.ring}")
     dom = _field(gb.ring.domain)
-    lay, reducers = gb._packing(_start_bits(f.total_degree()))
-    while True:
-        try:
-            out = _normal_form_terms(
-                {lay.pack(e): c for e, c in f.terms.items()}, reducers, lay, dom
-            )
-            break
-        except _Overflow:
-            lay, reducers = gb._packing(2 * lay.bits)
-    unpack = lay.unpack
-    return Polynomial(gb.ring, {unpack(e): c for e, c in out.items()},
-                      _normalized=True)
+
+    def reduce(lay, packed):
+        fterms, *basis = packed
+        flip = lay.flip
+        reducers = [_reducer(max(e ^ flip for e in terms) ^ flip, terms, lay)
+                    for terms in basis]
+        return _normal_form_terms(fterms, reducers, lay, dom)
+
+    lay, out = _packed_run(gb.ring, gb.order, (f, *gb.basis), reduce)
+    return _unpacked(gb.ring, lay, out)
 
 
 def _with_relations(ideal: Ideal, rel: QuotientRing | None) -> Ideal:

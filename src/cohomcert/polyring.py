@@ -79,8 +79,8 @@ class Record:
     __post_init__.  Two records are equal iff they are of the same class
     with equal field tuples, the hash is the hash of the field tuple, the
     repr reads Name(a=..., b=...), and assignment raises AttributeError;
-    an attribute that is not a field is set once, in __post_init__ or by
-    its owner, through object.__setattr__.  No source is generated per
+    an attribute that is not a field is set once, in __post_init__,
+    through object.__setattr__.  No source is generated per
     class, which keeps the import cheap: __init_subclass__ binds __init__,
     __eq__ and __hash__ to closures over the field names and an attrgetter
     of them.

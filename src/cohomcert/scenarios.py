@@ -895,13 +895,15 @@ def check_census_params(n_max, p) -> None:
 
 def overrides_for_all(overrides: dict) -> dict[str, dict]:
     """The overrides of a run of every scenario, split by scenario: each key
-    goes only to the scenarios whose defaults carry it.  A key that no
-    scenario accepts is a ValueError."""
+    goes only to the scenarios whose defaults carry it, and p not to one
+    whose fields are named by domains (ptor2-theorem, where p is the prime
+    of q = p^e).  A key that no scenario accepts is a ValueError."""
     unknown = set(overrides) - {k for s in _SCENARIOS for k in s.defaults}
     if unknown:
         raise ValueError(
             f"no scenario accepts parameter(s) {abbreviate(repr(sorted(unknown)))}")
-    return {s.name: {k: v for k, v in overrides.items() if k in s.defaults}
+    return {s.name: {k: v for k, v in overrides.items() if k in s.defaults
+                     and not (k == "p" and "domains" in s.defaults)}
             for s in _SCENARIOS}
 
 

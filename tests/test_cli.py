@@ -96,8 +96,11 @@ def test_deeply_nested_json_exit_two(tmp_path, capsys, argv, message):
 
 def test_out_and_json_mutually_exclusive(tmp_path, capsys):
     path = tmp_path / "x.json"
-    assert main(["run", "katzman-factorization", "--format", "json",
-                 "--out", str(path)]) == 2
+    for argv in (["run", "katzman-factorization"],
+                 ["toeplitz", "--n-max", "3", "--p", "5"]):
+        assert main(argv + ["--format", "json", "--out", str(path)]) == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+        assert not path.exists()
 
 
 def test_toeplitz_census_json(capsys):
@@ -328,6 +331,20 @@ def test_run_all_at_p3_then_reverify(tmp_path, capsys):
     assert main(["run", "all", "--p", "3", "--out", str(out)]) == 0
     assert main(["reverify", str(out)]) == 0
     assert "re-verified" in capsys.readouterr().out
+
+
+def test_run_all_leaves_ptor2_at_its_own_p(tmp_path, capsys):
+    # ptor2-theorem's p is the prime of q = p^e, bounded by 31; its fields
+    # come from domains, so --p 101 reaches every other scenario only
+    out = tmp_path / "all.json"
+    assert main(["run", "all", "--p", "101", "--out", str(out)]) == 0
+    reports = {r["scenario"]: r for r in json.loads(out.read_text())["reports"]}
+    assert reports["ptor2-theorem"]["params"]["p"] == 3
+    assert all(r["params"]["p"] == 101 for name, r in reports.items()
+               if "p" in r["params"] and name != "ptor2-theorem")
+    assert main(["reverify", str(out)]) == 0
+    assert "re-verified" in capsys.readouterr().out
+    assert main(["run", "ptor2-theorem", "--p", "101"]) == 2
 
 
 def _masked_digest(path):

@@ -598,6 +598,10 @@ def test_widening_restart_gives_the_same_basis():
     assert gb.diagnostics == groebner.Diagnostics(0, 2, 0)
     principal = buchberger(Ideal(ring, (x - y ** 200,)), Lex())
     assert normal_form(x ** 6, principal) == y ** 1200
+    # f's own degree outgrows the width a degree-1 basis starts at
+    for order in (GrevLex(), Lex()):
+        linear = buchberger(Ideal(ring, (x - y,)), order)
+        assert normal_form(x ** 5000, linear) == y ** 5000
 
 
 def _sympy_reduced_basis(sympy, gens, ring, order):
