@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from operator import mul
 
 from .polyring import Record
 
@@ -37,7 +38,7 @@ class CertificationError(ValueError):
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _vadd(a, b):
@@ -259,9 +260,9 @@ def certify_no_solutions(weights, base, slope) -> tuple[int, ...]:
     negative on every target."""
     _check_shapes(weights, base, slope)
     psi = _small_covector(len(base), lambda c: (
-        all(_dot(c, w) >= 0 for w in weights)
+        _dot(c, base) < 0
         and _dot(c, slope) <= 0
-        and _dot(c, base) < 0
+        and all(_dot(c, w) >= 0 for w in weights)
     ))
     if psi is None:
         raise CertificationError("no small Farkas certificate found")

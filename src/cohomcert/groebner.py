@@ -304,10 +304,10 @@ def _reducer(lm, terms, lay):
     return lm, tail, top, terms
 
 
-def _monicize(terms, lay, dom):
-    """A normal form as a monic reducer; its first term is its leading one."""
+def _monicize(lm, terms, lay, dom):
+    """The polynomial with leading monomial lm, divided by its leading
+    coefficient, as a reducer."""
     norm = dom.norm
-    lm = next(iter(terms))
     lc = terms[lm]
     if lc != 1:
         ic = dom.inv(lc)
@@ -440,7 +440,8 @@ def _buchberger_core(inputs, lay, dom, guard):
         reducers = [store[i] for i in active]
 
     def add(h):
-        store.append(_monicize(h, lay, dom))
+        # a normal form lists its terms in descending order
+        store.append(_monicize(next(iter(h)), h, lay, dom))
         update(len(store) - 1)
         if len(active) > guard.max_basis:
             raise GuardExceededError(
@@ -537,6 +538,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder = DEFAULT_ORDER,
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
+    """f fully reduced by gb's basis, each element divided by its leading
+    coefficient first, so a hand-built basis need not be monic; a zero
+    element reduces nothing."""
     if f.ring != gb.ring:
         raise RingMismatchError(f"{f.ring} != {gb.ring}")
     dom = _field(gb.ring.domain)
@@ -544,8 +548,8 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     def reduce(lay, packed):
         fterms, *basis = packed
         flip = lay.flip
-        reducers = [_reducer(max(e ^ flip for e in terms) ^ flip, terms, lay)
-                    for terms in basis]
+        reducers = [_monicize(max(e ^ flip for e in terms) ^ flip, terms, lay, dom)
+                    for terms in basis if terms]
         return _normal_form_terms(fterms, reducers, lay, dom)
 
     lay, out = _packed_run(gb.ring, gb.order, (f, *gb.basis), reduce)

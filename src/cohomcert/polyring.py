@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import attrgetter
+from operator import add, attrgetter
 
 
 class RingMismatchError(ValueError):
@@ -440,17 +440,15 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        norm = self.ring.domain.norm
-        out: dict = {}
+        raw: dict = {}
+        get = raw.get
+        pairs = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = norm(out.get(e, 0) + c1 * c2)
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out, _normalized=True)
+            for e2, c2 in pairs:
+                e = tuple(map(add, e1, e2))
+                raw[e] = get(e, 0) + c1 * c2
+        return Polynomial(self.ring, _nonzero(raw, self.ring.domain.norm),
+                          _normalized=True)
 
     __rmul__ = __mul__
 
@@ -494,7 +492,9 @@ class Polynomial:
         """Simultaneous substitution of variables by polynomials or constants.
 
         The assignment maps variable names to values; unmentioned variables
-        stay put.  Unknown names raise KeyError.
+        stay put.  Unknown names raise KeyError.  Each image's powers are
+        built once per call, every piece is summed into one dict, and the
+        sums are normalized once at the end.
         """
         ring = self.ring
         images = {}
@@ -507,15 +507,45 @@ class Polynomial:
             images[i] = val
         if not images:
             return self
-        out = ring.zero()
+        # one row of powers per image, up to the largest exponent needed; a
+        # constant image scales the coefficient, any other is multiplied in
+        scalars, powers = [], []
+        norm = ring.domain.norm
+        for i, val in images.items():
+            top = max((e[i] for e in self.terms), default=0)
+            if val.total_degree() > 0:
+                row = [ring.one()]
+                for _ in range(top):
+                    row.append(row[-1] * val)
+                powers.append((i, row))
+            else:
+                c = val.constant_value()
+                row = [1]
+                for _ in range(top):
+                    row.append(norm(row[-1] * c))
+                scalars.append((i, row))
+        raw: dict = {}
+        get = raw.get
         for e, c in self.terms.items():
+            for i, row in scalars:
+                c = c * row[e[i]]
             rest = tuple(0 if i in images else x for i, x in enumerate(e))
-            piece = Polynomial(ring, {rest: c}, _normalized=True)
-            for i, val in images.items():
+            factor = None
+            for i, row in powers:
                 if e[i]:
-                    piece = piece * val ** e[i]
-            out = out + piece
-        return out
+                    factor = row[e[i]] if factor is None else factor * row[e[i]]
+            if factor is None:
+                raw[rest] = get(rest, 0) + c
+                continue
+            for e2, c2 in factor.terms.items():
+                e2 = tuple(map(add, rest, e2))
+                raw[e2] = get(e2, 0) + c * c2
+        return Polynomial(ring, _nonzero(raw, norm), _normalized=True)
+
+
+def _nonzero(raw: dict, norm) -> dict:
+    """Raw coefficient sums, each normalized once, zeros dropped."""
+    return {e: c for e, c in zip(raw, map(norm, raw.values())) if c}
 
 
 # --------------------------------------------------------------------------

@@ -101,3 +101,37 @@ def random_homogeneous(rng, ring, degree, max_terms=4, coeff_bound=5):
         e = rng.choice(mons)
         terms[e] = terms.get(e, 0) + rng.randint(-coeff_bound, coeff_bound)
     return Polynomial(ring, terms)
+
+
+def naive_mul(f, g):
+    """Term-by-term product that normalizes the running sum after every
+    pair of terms; the reference for Polynomial.__mul__."""
+    norm = f.ring.domain.norm
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = norm(out.get(e, 0) + c1 * c2)
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return Polynomial(f.ring, out)
+
+
+def naive_substitute(f, assignment):
+    """Simultaneous substitution term by term: each image is raised to its
+    exponent by repeated naive_mul, and the pieces are added one at a time;
+    the reference for Polynomial.substitute."""
+    ring = f.ring
+    images = {ring.var_index(name): val if isinstance(val, Polynomial)
+              else ring.const(val) for name, val in assignment.items()}
+    out = ring.zero()
+    for e, c in f.terms.items():
+        rest = tuple(0 if i in images else x for i, x in enumerate(e))
+        piece = Polynomial(ring, {rest: c})
+        for i, val in images.items():
+            for _ in range(e[i]):
+                piece = naive_mul(piece, val)
+        out = out + piece
+    return out

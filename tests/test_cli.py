@@ -376,6 +376,8 @@ def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
     ("ring-B-colon", {"n_max": 6, "p": 101}, "d0d27597ba805616"),
     ("hartshorne", {"n_max": 8, "k_max": 12, "p": 101}, "480d3c1994e57995"),
     ("ptor2-theorem", {"e": 2}, "27db5bb9976dbd92"),
+    ("singh-p-torsion", {"primes": [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]},
+     "a56f444ad4f2fa69"),
 ])
 def test_report_digest(tmp_path, capsys, scenario, params, digest):
     # every report but for its timings must not change by a byte

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from cohomcert import degree_solver
+from cohomcert import cohomology, degree_solver
 from cohomcert.cohomology import weight_reduction_nonvanishing
 from cohomcert.degree_solver import (
     CertificationError,
@@ -145,17 +145,26 @@ def _along(base, slope, k):
     return tuple(b + k * s for b, s in zip(base, slope))
 
 
-def test_all_k_certificates_hold_on_random_tables():
-    # each certificate claims something for every k; check it at k = 0..5
-    # against the box walk, off the W6 table
+def _certificate_inputs():
+    """Seeded (weights, (base, slope) on the lattice, (base, slope) anywhere)
+    off the W6 table."""
     rng = random.Random(19990815)
-    unique = empty = 0
     for weights in _random_tables(rng, 60):
         d = len(weights[0])
         # base and slope on the lattice: small nonnegative weight combinations
         exps = [[rng.randint(0, 1) for _ in weights] for _ in range(2)]
-        base, slope = (tuple(sum(ei * w[j] for ei, w in zip(e, weights))
-                             for j in range(d)) for e in exps)
+        on = tuple(tuple(sum(ei * w[j] for ei, w in zip(e, weights))
+                         for j in range(d)) for e in exps)
+        anywhere = (tuple(rng.randint(-3, 3) for _ in range(d)),
+                    tuple(rng.randint(-2, 2) for _ in range(d)))
+        yield weights, on, anywhere
+
+
+def test_all_k_certificates_hold_on_random_tables():
+    # each certificate claims something for every k; check it at k = 0..5
+    # against the box walk
+    unique = empty = 0
+    for weights, (base, slope), anywhere in _certificate_inputs():
         try:
             fam = unique_monomial_family(weights, base, slope)
         except CertificationError:
@@ -165,8 +174,7 @@ def test_all_k_certificates_hold_on_random_tables():
             for k in range(6):
                 assert box_walk_monomials(weights, _along(base, slope, k)) == \
                     [_along(fam.const, fam.slope, k)], (weights, base, slope, k)
-        base = tuple(rng.randint(-3, 3) for _ in range(d))
-        slope = tuple(rng.randint(-2, 2) for _ in range(d))
+        base, slope = anywhere
         try:
             certify_no_solutions(weights, base, slope)
         except CertificationError:
@@ -178,6 +186,49 @@ def test_all_k_certificates_hold_on_random_tables():
                     (weights, base, slope, k)
     # neither half may pass vacuously
     assert unique >= 10 and empty >= 10, (unique, empty)
+
+
+def _first_farkas_covector(weights, base, slope):
+    """Reference search: the first covector of the boxes of radius 1, 2, 3,
+    each in lexicographic order, testing the weights first, then the slope,
+    then the base; None when there is none."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+    for radius in range(1, 4):
+        for c in product(range(-radius, radius + 1), repeat=len(base)):
+            if (all(dot(c, w) >= 0 for w in weights) and dot(c, slope) <= 0
+                    and dot(c, base) < 0):
+                return c
+    return None
+
+
+def test_farkas_covector_is_the_first_in_box_order():
+    found = 0
+    for weights, on, anywhere in _certificate_inputs():
+        for base, slope in (on, anywhere):
+            expected = _first_farkas_covector(weights, base, slope)
+            try:
+                psi = certify_no_solutions(weights, base, slope)
+            except CertificationError:
+                psi = None
+            assert psi == expected, (weights, base, slope)
+            found += psi is not None
+    assert found >= 10, found
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_torsion_farkas_covectors(monkeypatch, p):
+    # the covectors the torsion pipeline reports, one per generator x, y, z
+    asked = []
+
+    def recording(weights, base, slope):
+        psi = certify_no_solutions(weights, base, slope)
+        asked.append((psi, _first_farkas_covector(weights, base, slope)))
+        return psi
+
+    monkeypatch.setattr(cohomology, "certify_no_solutions", recording)
+    weight_reduction_nonvanishing(p)
+    assert asked == [((1, 0, 0, 1),) * 2, ((0, 1, 0, 1),) * 2, ((0, 0, 1, 1),) * 2]
 
 
 @pytest.mark.parametrize("call, args", [

@@ -206,6 +206,29 @@ def test_normal_form_idempotent():
         assert membership(f - nf, ideal)
 
 
+def test_normal_form_divides_by_leading_coefficients():
+    # a hand-built basis that is not monic: each element is scaled by the
+    # inverse of its leading coefficient before it reduces
+    x, y = RQ.gens()
+    gb = groebner.GroebnerBasis(RQ, GrevLex(), (2 * x - y,),
+                                groebner.Diagnostics(0, 1, 0))
+    assert normal_form(x, gb) == Fraction(1, 2) * y
+    assert gb.contains(2 * x - y) and gb.contains(4 * x ** 2 - y ** 2)
+    assert not gb.contains(x)
+    assert normal_form(x, gb) == normal_form(x, buchberger(Ideal(RQ, (2 * x - y,))))
+    with_zero = groebner.GroebnerBasis(RQ, GrevLex(), (RQ.zero(), 2 * x - y),
+                                       groebner.Diagnostics(0, 2, 0))
+    assert normal_form(x, with_zero) == Fraction(1, 2) * y
+    r7 = PolyRing(("x", "y"), GF(7))
+    a, b = r7.gens()
+    gb7 = groebner.GroebnerBasis(r7, GrevLex(), (3 * b ** 2 + a, 5 * a * b),
+                                 groebner.Diagnostics(0, 2, 0))
+    f = a ** 2 * b + b ** 3
+    assert normal_form(f, gb7) == normal_form(
+        f, groebner.GroebnerBasis(r7, GrevLex(), (b ** 2 + 5 * a, a * b),
+                                  groebner.Diagnostics(0, 2, 0)))
+
+
 def test_colon_examples():
     x, y = RQ.gens()
     I = Ideal(RQ, (x ** 2, y ** 2))

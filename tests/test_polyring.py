@@ -31,6 +31,7 @@ from cohomcert import (
     reduce_mod_p,
 )
 from cohomcert.polyring import is_prime
+from helpers import naive_mul, naive_substitute
 
 RQ = PolyRing(("x", "y"), QQ)
 RZ = PolyRing(("x", "y"), ZZ)
@@ -206,6 +207,86 @@ def test_substitute_examples():
     assert q2.substitute({"s": 1}) == t ** 2 - 1
     with pytest.raises(KeyError):
         f.substitute({"nope": 1})
+
+
+def _stored_canonically(f):
+    # equality ignores dict order, so check the stored terms themselves:
+    # no zero coefficient, and each one in its domain's representation
+    dom = f.ring.domain
+    return all(c != 0 and dom.normalize(c) == c and type(c) is type(dom.normalize(c))
+               for c in f.terms.values())
+
+
+def _random_over(rng, ring, max_terms=6, max_deg=4):
+    """A random polynomial; over QQ the coefficients are proper fractions."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        e = tuple(rng.randint(0, max_deg) for _ in range(ring.nvars))
+        c = rng.randint(-6, 6)
+        if ring.domain == QQ:
+            c = Fraction(c, rng.randint(1, 4))
+        terms[e] = terms.get(e, 0) + c
+    return Polynomial(ring, terms)
+
+
+ORACLE_RINGS = [PolyRing(("x", "y", "z"), dom) for dom in (ZZ, QQ, GF(2), GF(7))]
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: str(r.domain))
+def test_mul_matches_the_naive_product(ring):
+    rng = random.Random(2026)
+    for _ in range(80):
+        f, g = _random_over(rng, ring), _random_over(rng, ring)
+        h = f * g
+        assert h == naive_mul(f, g) and _stored_canonically(h), (f, g)
+    x, y, z = ring.gens()
+    # products that cancel
+    assert (x + y) * (x - y) == naive_mul(x + y, x - y) == x ** 2 - y ** 2
+    assert _stored_canonically((x + y) * (x - y))
+    p = ring.domain.characteristic
+    if p:
+        power = (x + 1) ** p
+        assert power == x ** p + 1 and _stored_canonically(power)
+        assert len(power.terms) == 2
+    assert (x - x) * y == ring.zero() and ((x - x) * y).terms == {}
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: str(r.domain))
+def test_substitute_matches_the_naive_substitution(ring):
+    rng = random.Random(1999)
+    x, y, z = ring.gens()
+    names = ring.variables
+    for _ in range(60):
+        f = _random_over(rng, ring, max_deg=3)
+        assignment = {}
+        for name in rng.sample(names, rng.randint(1, 3)):
+            kind = rng.randint(0, 2)
+            if kind == 0:
+                assignment[name] = rng.randint(-3, 3)
+            elif kind == 1:
+                assignment[name] = ring.const(rng.randint(-3, 3))
+            else:
+                assignment[name] = _random_over(rng, ring, max_terms=3, max_deg=2)
+        h = f.substitute(assignment)
+        assert h == naive_substitute(f, assignment) and _stored_canonically(h), \
+            (f, assignment)
+    f = x ** 3 * y + 2 * x * y ** 2 + z + 1
+    cases = [
+        {"x": y, "y": x},          # a swap: the substitution is simultaneous
+        {"x": x + y},              # an image containing its own variable
+        {"x": 0},                  # a zero image; x^0 = 1 keeps z + 1
+        {"y": 3, "z": ring.zero()},
+        {"x": ring.const(2), "y": x - 1},
+        {"z": x * y},              # z has exponent 0 in every other term
+    ]
+    for assignment in cases:
+        h = f.substitute(assignment)
+        assert h == naive_substitute(f, assignment) and _stored_canonically(h), assignment
+    assert f.substitute({"x": y, "y": x}) == y ** 3 * x + 2 * y * x ** 2 + z + 1
+    assert f.substitute({"x": 0}) == z + 1
+    assert (x - y).substitute({"x": y}).terms == {}
+    assert ring.zero().substitute({"x": y}) == ring.zero()
+    assert ring.one().substitute({"x": 0}) == ring.one()
 
 
 def test_restrict_to_variables():
