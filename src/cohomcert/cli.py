@@ -7,9 +7,10 @@ configuration errors and on internal errors of an engine.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .scenarios import (
     BadParametersError,
@@ -26,45 +27,155 @@ from .scenarios import (
 from .toeplitz import factor_census
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cohomcert",
-        description=(
-            "exact verification of local-cohomology torsion classes, "
-            "Toeplitz determinant identities, and colon-ideal annihilators"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_SYNOPSIS = """\
+usage: cohomcert list
+       cohomcert run [--format {text,json}] [--out PATH] [--full]
+                     [--params PATH] [--k-max K_MAX] [--n-max N_MAX]
+                     [--primes PRIMES] [--p P] scenario
+       cohomcert reverify REPORT.json
+       cohomcert toeplitz [--n-max N_MAX] [--p P] [--format {text,json}]
+                          [--out PATH]
+       cohomcert -h | --help
+"""
 
-    sub.add_parser("list", help="list the built-in scenarios")
+_HELP = _SYNOPSIS + """
+exact verification of local-cohomology torsion classes, Toeplitz determinant
+identities, and colon-ideal annihilators
 
-    run_p = sub.add_parser("run", help="run a scenario (or 'all')")
-    run_p.add_argument("scenario", help="scenario name, or 'all'")
-    run_p.add_argument("--format", choices=("text", "json"), default="text")
-    run_p.add_argument("--out", metavar="PATH",
-                       help="write the JSON report to PATH")
-    run_p.add_argument("--full", action="store_true",
-                       help="print complete certificate transcripts")
-    run_p.add_argument("--params", metavar="PATH", dest="params_file",
-                       help="JSON file of parameter overrides")
-    run_p.add_argument("--k-max", type=int, dest="k_max")
-    run_p.add_argument("--n-max", type=int, dest="n_max")
-    run_p.add_argument("--primes", type=str,
-                       help="comma-separated primes, e.g. 2,3,5,7")
-    run_p.add_argument("--p", type=int, dest="p",
-                       help="the prime p of GF(p); in ptor2-theorem, the prime "
-                            "of q = p^e, so 'all' does not pass it there "
-                            "(ptor2-theorem names its fields by domains)")
+commands:
+  list                  list the built-in scenarios
+  run                   run a scenario (or 'all')
+  reverify              re-check a saved report or 'run all' bundle
+  toeplitz              irreducible-factor census table
 
-    rev_p = sub.add_parser("reverify", help="re-check a saved report or 'run all' bundle")
-    rev_p.add_argument("path", metavar="REPORT.json")
+run:
+  scenario              scenario name, or 'all'
+  --format {text,json}  print a text summary (default) or the JSON report
+  --out PATH            write the JSON report to PATH
+  --full                print complete certificate transcripts
+  --params PATH         JSON file of parameter overrides
+  --k-max K_MAX
+  --n-max N_MAX
+  --primes PRIMES       comma-separated primes, e.g. 2,3,5,7
+  --p P                 the prime p of GF(p); in ptor2-theorem, the prime of q
+                        = p^e, so 'all' does not pass it there (ptor2-theorem
+                        names its fields by domains)
 
-    toe_p = sub.add_parser("toeplitz", help="irreducible-factor census table")
-    toe_p.add_argument("--n-max", type=int, dest="n_max", default=16)
-    toe_p.add_argument("--p", type=int, dest="p", default=5)
-    toe_p.add_argument("--format", choices=("text", "json"), default="text")
-    toe_p.add_argument("--out", metavar="PATH")
-    return parser
+reverify:
+  REPORT.json           a report written by 'run --out', or the bundle of
+                        'run all --out'
+
+toeplitz:
+  --n-max N_MAX         default 16
+  --p P                 default 5
+  --format {text,json}  print the table (default) or the JSON census
+  --out PATH            write the JSON census to PATH
+
+Options go before or after the positional argument, as '--opt value' or
+'--opt=value'; the last repeat of an option wins.  Options must be spelled
+out in full: an abbreviation such as '--n' is not accepted.
+"""
+
+_FORMATS = ("text", "json")
+
+# command -> (positional fields, {option: (field, kind)}, defaults); a kind
+# is int, str, a tuple of choices, or bool for a flag.  An option with no
+# default is None when absent, a flag False.
+_COMMANDS = {
+    "list": ((), {}, {}),
+    "run": (("scenario",), {
+        "--format": ("format", _FORMATS),
+        "--out": ("out", str),
+        "--full": ("full", bool),
+        "--params": ("params_file", str),
+        "--k-max": ("k_max", int),
+        "--n-max": ("n_max", int),
+        "--primes": ("primes", str),
+        "--p": ("p", int),
+    }, {"format": "text"}),
+    "reverify": (("path",), {}, {}),
+    "toeplitz": ((), {
+        "--n-max": ("n_max", int),
+        "--p": ("p", int),
+        "--format": ("format", _FORMATS),
+        "--out": ("out", str),
+    }, {"n_max": 16, "p": 5, "format": "text"}),
+}
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _is_option(token: str) -> bool:
+    # as in argparse: "-" alone and negative numbers are values
+    return token.startswith("-") and token != "-" \
+        and re.fullmatch(r"-\d+|-\d*\.\d+", token) is None
+
+
+def _value(option: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"argument {option}: invalid int value: {text!r}")
+    if kind is not str and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise _UsageError(
+            f"argument {option}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse_args(argv) -> SimpleNamespace | None:
+    """The command line read through _COMMANDS: a namespace of the command,
+    its positionals and every option field, or None for -h/--help.  Raises
+    _UsageError on anything the table does not accept."""
+    command, options, positionals, values = None, {}, [], {}
+    tokens = iter(argv)
+    only_positionals = False
+    for token in tokens:
+        if only_positionals or not _is_option(token):
+            if command is not None:
+                positionals.append(token)
+            elif token in _COMMANDS:
+                command, options = token, _COMMANDS[token][1]
+            else:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _UsageError(
+                    f"argument command: invalid choice: {token!r} (choose from {choices})")
+        elif token == "--":
+            only_positionals = True
+        elif token in ("-h", "--help"):
+            return None
+        else:
+            option, has_value, text = token.partition("=")
+            if option not in options:
+                raise _UsageError(f"unrecognized arguments: {token}")
+            field, kind = options[option]
+            if kind is bool:
+                if has_value:
+                    raise _UsageError(
+                        f"argument {option}: ignored explicit argument {text!r}")
+                values[field] = True
+                continue
+            if not has_value:
+                text = next(tokens, None)
+                if text is None or _is_option(text):
+                    raise _UsageError(f"argument {option}: expected one argument")
+            values[field] = _value(option, kind, text)
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+    names, _, defaults = _COMMANDS[command]
+    if len(positionals) < len(names):
+        missing = ", ".join(names[len(positionals):])
+        raise _UsageError(f"the following arguments are required: {missing}")
+    if len(positionals) > len(names):
+        extra = " ".join(positionals[len(names):])
+        raise _UsageError(f"unrecognized arguments: {extra}")
+    fields = {field: False if kind is bool else None
+              for field, kind in options.values()}
+    return SimpleNamespace(command=command, **dict(zip(names, positionals)),
+                           **{**fields, **defaults, **values})
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -222,11 +333,14 @@ def _cmd_toeplitz(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _UsageError as exc:
+        print(f"{_SYNOPSIS}cohomcert: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_HELP)
+        return 0
     if getattr(args, "out", None) and getattr(args, "format", None) == "json":
         print("--out and --format json are mutually exclusive", file=sys.stderr)
         return 2

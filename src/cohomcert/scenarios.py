@@ -231,6 +231,26 @@ def _socle_kill(name: str, cls: CechClass, k_max: int) -> PlannedCheck:
     )
 
 
+def _socle_nonzero(name: str, cls: CechClass, k_max: int) -> PlannedCheck:
+    def issue():
+        # vanishing is monotone in k, so a class that survives level k_max
+        # survives every level below it: one membership test decides
+        # "unknown", and only a class that vanishes needs the search
+        verdict = is_zero_up_to(cls, k_max) \
+            if verify_zero_at(cls, ZeroAt(k_max)) else UnknownUpTo(k_max)
+        status = "unknown" if isinstance(verdict, UnknownUpTo) else "fail"
+        return status, verdict.to_json_dict(), {}
+
+    return PlannedCheck(
+        name, "is_zero_up_to",
+        {"verdict": "unknown_up_to",
+         "note": "bounded search cannot certify nonvanishing; the "
+                 "construction's nonzero claim is prose, reported as unknown"},
+        {"kind": "unknown_up_to", "class": cls.to_json_dict(), "k_max": k_max},
+        issue, expected_status="unknown",
+    )
+
+
 def _plan_hartshorne(params) -> list[PlannedCheck]:
     p, n_max, k_max = params["p"], params["n_max"], params["k_max"]
     ring = PolyRing(("w", "x", "y", "z"), GF(p))
@@ -241,19 +261,7 @@ def _plan_hartshorne(params) -> list[PlannedCheck]:
         base = CechClass(quotient, (x, y), n + 1, y ** n * z ** n)
         for gname, g in zip(("w", "x", "y", "z"), (w, x, y, z)):
             plan.append(_socle_kill(f"socle-kill-n{n}-{gname}", base.scale(g), k_max))
-
-        def nonzero_issue(base=base):
-            verdict = is_zero_up_to(base, k_max)
-            status = "unknown" if isinstance(verdict, UnknownUpTo) else "fail"
-            return status, verdict.to_json_dict(), {}
-        plan.append(PlannedCheck(
-            f"socle-nonzero-n{n}", "is_zero_up_to",
-            {"verdict": "unknown_up_to",
-             "note": "bounded search cannot certify nonvanishing; the "
-                     "construction's nonzero claim is prose, reported as unknown"},
-            {"kind": "unknown_up_to", "class": base.to_json_dict(), "k_max": k_max},
-            nonzero_issue, expected_status="unknown",
-        ))
+        plan.append(_socle_nonzero(f"socle-nonzero-n{n}", base, k_max))
     return plan
 
 

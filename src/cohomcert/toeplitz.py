@@ -116,21 +116,21 @@ class QnPolynomial(Record):
     poly: Polynomial
 
 
-# row n: the coefficient of s^(n-j) t^j at index j (Q_n is homogeneous), so
-# Q_{n+2}[j] = Q_{n+1}[j-1] - Q_n[j]
-_QN_ROWS: list[list[int]] = [[1], [0, 1]]
-
-
-def _qn_row(n: int) -> list[int]:
-    """Row n of the store.  It always holds the rows of Q_0..Q_top; a miss
-    resumes the recursion from the top row, so building the family up to n
-    costs n steps in total."""
+@lru_cache(maxsize=None)
+def _qn_row(n: int) -> tuple:
+    """Row n: the coefficient of s^(n-j) t^j at index j (Q_n is homogeneous),
+    so Q_{n+2}[j] = Q_{n+1}[j-1] - Q_n[j].  Each row comes from the two
+    cached rows below it, so the family up to n costs n steps in total.  A
+    cold call fills row n - 256 first, so no call recurses through more
+    than 256 missing rows."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"index must be a non-negative integer, got {n}")
-    rows = _QN_ROWS
-    while len(rows) <= n:
-        rows.append([b - a for b, a in zip([0] + rows[-1], rows[-2] + [0, 0])])
-    return rows[n]
+    if n < 2:
+        return ((1,), (0, 1))[n]
+    if n > 256:
+        _qn_row(n - 256)
+    last, prev = _qn_row(n - 1), _qn_row(n - 2)
+    return tuple(b - a for b, a in zip((0,) + last, prev + (0, 0)))
 
 
 def qn_recursive(n: int) -> QnPolynomial:

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import cohomcert
-from cohomcert.cli import main
+from cohomcert.cli import _parse_args, main
 
 
 def test_list_command(capsys):
@@ -39,6 +39,66 @@ def test_run_bad_parameter_exit_two(capsys):
 def test_usage_error_exit_two(capsys):
     assert main(["run"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["run"],
+    ["reverify"],
+    ["run", "katzman-factorization", "extra"],
+    ["list", "extra"],
+    ["run", "katzman-factorization", "--bogus"],
+    ["toeplitz", "--n", "3"],
+    ["toeplitz", "--n-max"],
+    ["run", "katzman-factorization", "--out", "--full"],
+    ["toeplitz", "--n-max", "x"],
+    ["run", "katzman-factorization", "--format", "xml"],
+    ["run", "katzman-factorization", "--full=1"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_print_usage_and_exit_two(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cohomcert")
+    assert re.search(r"^cohomcert: error: \S", captured.err, re.M)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "--help"]])
+def test_help_names_every_command_and_option(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for word in ("list", "run", "reverify", "toeplitz", "--format", "--out",
+                 "--full", "--params", "--k-max", "--n-max", "--primes", "--p",
+                 "in ptor2-theorem, the prime of q"):
+        assert word in captured.out, word
+
+
+def test_option_spellings_and_defaults(capsys, monkeypatch):
+    assert vars(_parse_args(["run", "hartshorne"])) == {
+        "command": "run", "scenario": "hartshorne", "format": "text",
+        "out": None, "full": False, "params_file": None, "k_max": None,
+        "n_max": None, "primes": None, "p": None}
+    assert vars(_parse_args(["toeplitz"])) == {
+        "command": "toeplitz", "n_max": 16, "p": 5, "format": "text", "out": None}
+    assert vars(_parse_args(["reverify", "r.json"])) == {
+        "command": "reverify", "path": "r.json"}
+    # --opt=value, options on either side of the positional, the last wins
+    assert _parse_args(["run", "--n-max=3", "--full", "hartshorne"]) \
+        == _parse_args(["run", "hartshorne", "--n-max", "9", "--full",
+                        "--n-max", "3"])
+    assert _parse_args(["reverify", "--", "-r.json"]).path == "-r.json"
+    assert _parse_args(["run", "x", "--p", "-3"]).p == -3
+
+    assert main(["toeplitz", "--n-max=3", "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["toeplitz", "--n-max", "9", "--format=json", "--n-max", "3"]) == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr(sys, "argv", ["cohomcert", "toeplitz", "--n-max", "3",
+                                      "--format", "json"])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_run_json_format(capsys):
@@ -390,18 +450,22 @@ def test_report_digest(tmp_path, capsys, scenario, params, digest):
     assert _masked_digest(tmp_path / "report.json") == digest
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
-    # cold start: every run and reverify is a fresh interpreter, and the
-    # value types must not pay for dataclass code generation on import;
-    # -S keeps what site-packages may load at start-up out of the probe
+def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
+    # cold start: every run and reverify is a fresh interpreter, and neither
+    # the value types (dataclass code generation) nor the argument parser
+    # (argparse, with gettext and locale) may pay for a module it does not
+    # need; -S keeps what site-packages may load at start-up out of the probe
     src = os.path.dirname(os.path.dirname(cohomcert.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    probe = ("import sys, cohomcert.cli; "
-             "print(sorted(m for m in ('dataclasses', 'inspect') "
-             "if m in sys.modules))")
+    report = str(tmp_path / "report.json")
+    probe = ("import sys; from cohomcert.cli import main; "
+             f"assert main(['run', 'ptor2-theorem', '--out', {report!r}]) == 0; "
+             f"assert main(['reverify', {report!r}]) == 0; "
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'argparse', "
+             "'gettext', 'locale') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          check=True, capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_out_file_and_json_stdout_are_the_same_bytes(tmp_path, capsys):

@@ -24,8 +24,8 @@ from cohomcert import (
     reverify,
     run_scenario,
 )
-from cohomcert import groebner, scenarios
-from cohomcert.cohomology import CechClass
+from cohomcert import cohomology, groebner, scenarios
+from cohomcert.cohomology import CechClass, UnknownUpTo, is_zero_up_to
 from cohomcert.polyring import format_polynomial
 from cohomcert.scenarios import _read_factor
 from cohomcert.toeplitz import (
@@ -163,6 +163,30 @@ def test_hartshorne_report():
         assert c.certificate["k"] <= 2
     unknowns = [c for c in report.checks if c.name.startswith("socle-nonzero")]
     assert all(c.status == "unknown" and c.ok for c in unknowns)
+
+
+def test_socle_nonzero_decides_unknown_by_one_membership_test(monkeypatch):
+    levels = []
+    real = cohomology._vanishes_at
+    monkeypatch.setattr(cohomology, "_vanishes_at",
+                        lambda c, k: levels.append(k) or real(c, k))
+    plan = scenarios._plan_hartshorne({"n_max": 8, "k_max": 12, "p": 101})
+    nonzero = [c for c in plan if c.name.startswith("socle-nonzero")]
+    assert len(nonzero) == 9
+    for planned in nonzero:
+        levels.clear()
+        status, actual, _ = planned.issue()
+        assert (status, actual) == ("unknown", UnknownUpTo(12).to_json_dict())
+        assert levels == [12], planned.name
+    # a class that vanishes below k_max gets the search's least witness
+    ring = PolyRing(("w", "x", "y", "z"), GF(101))
+    w, x, y, z = ring.gens()
+    quotient = QuotientRing(ring, (w * x - y * z,))
+    for n, k_max in ((0, 12), (2, 12), (3, 1), (3, 0)):
+        cls = CechClass(quotient, (x, y), n + 1, w * y ** n * z ** n)
+        status, actual, _ = scenarios._socle_nonzero("c", cls, k_max).issue()
+        assert actual == is_zero_up_to(cls, k_max).to_json_dict()
+        assert status == ("fail" if actual["verdict"] == "zero_at" else "unknown")
 
 
 def test_singh_p_torsion_report():

@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 from fractions import Fraction
 from math import comb
@@ -27,12 +28,12 @@ from cohomcert import (
 from cohomcert import toeplitz
 from cohomcert.polyring import NonDivisibleError, convert
 from cohomcert.toeplitz import (
-    _QN_ROWS,
     QnPolynomial,
     ST_RING,
     ToeplitzMatrix,
     _Modulus,
     _degree_certified,
+    _qn_row,
     _slot_width,
     _split_certified,
     _split_power,
@@ -706,9 +707,10 @@ def test_irreducibility_matches_trial_division():
 
 
 def test_qn_recursion_resumes_out_of_order():
-    del _QN_ROWS[2:]  # back to the rows of Q_0 and Q_1
+    _qn_row.cache_clear()
     got = {n: qn_recursive(n).poly for n in (40, 7, 64, 3)}
-    assert [len(row) for row in _QN_ROWS] == list(range(1, 66))
+    # the rows of Q_0..Q_64, each built once
+    assert _qn_row.cache_info().misses == _qn_row.cache_info().currsize == 65
     a, b = ST_RING.one(), T
     fresh = [a, b]
     for _ in range(2, 65):
@@ -716,9 +718,22 @@ def test_qn_recursion_resumes_out_of_order():
         fresh.append(b)
     for n, poly in got.items():
         assert poly == fresh[n], n
-    for n, row in enumerate(_QN_ROWS):
+    for n in range(65):
+        row = _qn_row(n)
+        assert type(row) is tuple and len(row) == n + 1, n
         as_poly = Polynomial(ST_RING, {(n - j, j): c for j, c in enumerate(row)})
         assert as_poly == fresh[n], n
+
+
+def test_qn_row_far_above_the_recursion_limit():
+    # a cold call fills its rows in strides, so the depth stays bounded
+    n = sys.getrecursionlimit() + 500
+    _qn_row.cache_clear()
+    row = _qn_row(n)
+    prev, last = [1], [0, 1]
+    for _ in range(2, n + 1):
+        prev, last = last, [b - a for b, a in zip([0] + last, prev + [0, 0])]
+    assert list(row) == last
 
 
 def test_qn_dehomogenized_matches_substitution():
