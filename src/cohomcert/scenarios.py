@@ -61,15 +61,14 @@ from .toeplitz import (
     build_matrix,
     census_json,
     chebyshev_identity_check,
-    dense_coefficients,
     det_oracle,
     factor_census,
     generating_check,
-    irreducibility_certified,
+    irreducible_fp,
     mirror_fp,
-    mul_fp,
-    qn_dehomogenized,
+    power_product_fp,
     qn_recursive,
+    qn_row_fp,
 )
 
 ARTIFACT_VERSION = "0.1.0"
@@ -565,15 +564,16 @@ def _read_factor(text: str, p: int):
 
 
 def _census_rows_sound(p: int, rows) -> bool:
-    """Each census row (JSON form) lists irreducible factors over F_p whose
-    product is Q_n(1,t), names as new exactly its factors that no earlier
-    row has, and counts the distinct factors seen so far; multiplicities
-    and counts are ints.  Each distinct factor string is read and
-    certified once.  t -> -t is a ring automorphism of F_p[t], so a factor
-    whose mirror (-1)^deg g * g(-t) is already certified irreducible is
-    irreducible without Rabin's test."""
-    tring = PolyRing(("t",), GF(p))
-    read: dict = {}  # factor string -> its terms, or None if not canonical
+    """Each census row (JSON form) lists monic irreducible factors over F_p
+    whose product is Q_n(1,t), names as new exactly its factors that no
+    earlier row has, and counts the distinct factors seen so far;
+    multiplicities and counts are ints.  Each distinct factor string is
+    read once, and made a dense coefficient list and certified once, after
+    its row's degrees add up to n.  t -> -t is a ring automorphism of
+    F_p[t], so a factor whose mirror (-1)^deg g * g(-t) is already
+    certified irreducible is irreducible without Rabin's test.  A row's
+    product is one exact integer product of its factor powers."""
+    read: dict = {}  # factor string -> its terms, or None if not monic canonical
     certified: dict = {}  # factor string -> dense coefficients, or None
     irreducible: set = set()  # dense coefficient tuples certified so far
     seen: set[str] = set()
@@ -582,7 +582,8 @@ def _census_rows_sound(p: int, rows) -> bool:
         factorization = []
         for fac, mult in row["factorization"]:
             if fac not in read:
-                read[fac] = _read_factor(fac, p)
+                terms = _read_factor(fac, p)
+                read[fac] = terms if terms and terms[0][1] == 1 else None
             if read[fac] is None or type(mult) is not int:
                 return False
             factorization.append((fac, read[fac][0][0], mult))
@@ -590,24 +591,22 @@ def _census_rows_sound(p: int, rows) -> bool:
         if any(d < 1 or m < 1 for _, d, m in factorization) or \
                 sum(d * m for _, d, m in factorization) != n:
             return False
-        product = [1]
-        for fac, _, m in factorization:
+        powers = []
+        for fac, d, m in factorization:
             if fac not in certified:
-                g = Polynomial(tring, {(k,): c for k, c in read[fac]},
-                               _normalized=True)
-                dense = dense_coefficients(g)
+                dense = [0] * (d + 1)
+                for k, c in read[fac]:
+                    dense[k] = c
                 if tuple(mirror_fp(dense, p)) in irreducible or \
-                        irreducibility_certified(g):
+                        irreducible_fp(dense, p):
                     irreducible.add(tuple(dense))
                     certified[fac] = dense
                 else:
                     certified[fac] = None
-            dense = certified[fac]
-            if dense is None:
+            if certified[fac] is None:
                 return False
-            for _ in range(m):
-                product = mul_fp(product, dense, p)
-        if product != dense_coefficients(qn_dehomogenized(n, p)):
+            powers.append((certified[fac], m))
+        if power_product_fp(powers, p) != qn_row_fp(n, p):
             return False
         factors = [fac for fac, _ in row["factorization"]]
         if row["factors"] != factors or \

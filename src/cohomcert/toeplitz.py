@@ -140,9 +140,15 @@ def qn_recursive(n: int) -> QnPolynomial:
     return QnPolynomial(n, Polynomial(ST_RING, terms, _normalized=True))
 
 
+def qn_row_fp(n: int, p: int) -> list:
+    """Q_n(1, t) over F_p as a dense little-endian list: row n, reduced mod
+    p.  The t^n coefficient is 1, so the list has length n + 1."""
+    return [c % p for c in _qn_row(n)]
+
+
 def qn_dehomogenized(n: int, p: int) -> Polynomial:
-    """Q_n(1, t) as a univariate polynomial over F_p: row n, reduced mod p."""
-    terms = {(j,): c % p for j, c in enumerate(_qn_row(n)) if c % p}
+    """Q_n(1, t) as a univariate polynomial over F_p."""
+    terms = {(j,): c for j, c in enumerate(qn_row_fp(n, p)) if c}
     return Polynomial(PolyRing(("t",), GF(p)), terms, _normalized=True)
 
 
@@ -264,6 +270,22 @@ def mul_fp(a, b, p):
         return []
     width = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
     return _utrim(_convolve(a, b, width, p))
+
+
+def power_product_fp(powers, p):
+    """The product of g^m over the (g, m) in powers, for dense lists over
+    F_p with entries in [0, p) and nonzero leading coefficients, by one
+    exact integer product reduced mod p once.  Every coefficient is >= 0,
+    so each coefficient of the product over ZZ is at most the product of
+    the ||g||_1^m, below 2^B for B = sum m * bitlen(||g||_1): slots of B
+    bits never carry."""
+    bits = sum(m * sum(g).bit_length() for g, m in powers)
+    width = _slot_width((1 << bits) - 1)
+    x = 1
+    for g, m in powers:
+        x *= _pack(g, width) ** m
+    count = sum(m * (len(g) - 1) for g, m in powers) + 1
+    return _utrim(_unpack(x, count, width, p))
 
 
 def mirror_fp(f, p):
@@ -541,18 +563,21 @@ def _split_certified(f, e, p, rng):
     return _equal_degree(f, e, p, rng, mod)
 
 
+def irreducible_fp(f, p) -> bool:
+    """Deterministic irreducibility certificate (Rabin's test) for a monic
+    dense coefficient list over F_p: f of degree n >= 1 is irreducible iff
+    it is a product of distinct irreducibles of degree exactly n."""
+    n = _udeg(f)
+    return n >= 1 and _degree_certified(_Modulus(f, p), n)
+
+
 def irreducibility_certified(f: Polynomial) -> bool:
-    """Deterministic irreducibility certificate over F_p (Rabin's test):
-    f of degree n >= 1 is irreducible iff it is a product of distinct
-    irreducibles of degree exactly n."""
+    """irreducible_fp for a univariate polynomial over F_p, made monic."""
     ring = f.ring
     if ring.domain.kind != "prime_field" or ring.nvars != 1:
         raise ValueError("irreducibility test expects one variable over F_p")
     p = ring.domain.p
-    n = f.total_degree()
-    if n < 1:
-        return False
-    return _degree_certified(_Modulus(_umonic(dense_coefficients(f), p), p), n)
+    return irreducible_fp(_umonic(dense_coefficients(f), p), p)
 
 
 def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -702,11 +727,7 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
             counts = {g: m * phi for g, m in psi_counts[rest].items()}
         else:
             counts = {(-2 % p if rest == 1 else 2 % p, 1): phi // 2}
-        product = [1]
-        for g, m in counts.items():
-            for _ in range(m):
-                product = mul_fp(product, g, p)
-        if product != psi[d]:
+        if power_product_fp(counts.items(), p) != psi[d]:
             raise NonDivisibleError(f"Psi_{rest}^{phi} is not Psi_{d} over GF({p})")
         return counts
 

@@ -31,9 +31,10 @@ from cohomcert.scenarios import _read_factor
 from cohomcert.toeplitz import (
     ST_RING,
     QnPolynomial,
+    census_json,
     dense_coefficients,
     factor_census,
-    irreducibility_certified,
+    irreducible_fp,
     mirror_fp,
 )
 
@@ -736,12 +737,47 @@ def test_census_check_certifies_one_factor_per_mirror_pair(monkeypatch):
     assert len(classes) < len(factors)
     calls = []
 
-    def counted(g):
-        calls.append(g)
-        return irreducibility_certified(g)
-    monkeypatch.setattr(scenarios, "irreducibility_certified", counted)
+    def counted(f, p):
+        calls.append(f)
+        return irreducible_fp(f, p)
+    monkeypatch.setattr(scenarios, "irreducible_fp", counted)
     assert scenarios._census_rows_sound(p, rows)
     assert len(calls) == len(classes)
+
+
+def test_census_check_builds_no_polynomial(monkeypatch):
+    # the row check works on dense coefficient lists from parse to verdict
+    rows = factor_census(64, 5).to_json_dict()["rows"]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the census row check built a Polynomial")
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert scenarios._census_rows_sound(5, rows)
+
+
+def test_reverify_rejects_non_monic_census_factors():
+    # over GF(5), (2t + 2)(3t + 2) = t^2 - 1 = (t + 1)(t + 4): the associates
+    # keep row 2's product and each is irreducible, and once recounted (t + 1
+    # and t + 4 are new again at their next row) every count is consistent.
+    # The census prints monic factors only
+    report = run_scenario("toeplitz-suite",
+                          {"census_p": 5, "census_n_max": 16}).to_json_dict()
+    tampered = copy.deepcopy(report)
+    census = _census_of(tampered)
+    assert census["rows"][1]["factorization"] == [["t + 1", 1], ["t + 4", 1]]
+    census["rows"][1]["factorization"] = [["2*t + 2", 1], ["3*t + 2", 1]]
+    seen = set()
+    for row in census["rows"]:
+        row["factors"] = [f for f, _ in row["factorization"]]
+        row["new_factors"] = [f for f in row["factors"] if f not in seen]
+        seen.update(row["factors"])
+        row["cumulative_count"] = len(seen)
+    census["first_occurrence"] = \
+        census_json(5, 16, census["rows"])["first_occurrence"]
+    assert _census_of(report)["rows"][-1]["cumulative_count"] == 26
+    assert census["rows"][-1]["cumulative_count"] == 28
+    assert not reverify(tampered)
+    assert reverify(report)
 
 
 def test_reverify_rejects_a_merged_mirror_pair(census_report):

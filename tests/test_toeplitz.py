@@ -42,6 +42,7 @@ from cohomcert.toeplitz import (
     dense_coefficients,
     mirror_fp,
     mul_fp,
+    power_product_fp,
 )
 
 from census_oracle import (
@@ -685,6 +686,22 @@ def test_mul_fp_matches_schoolbook():
             assert mul_fp(a, b, p) == _umul(a, b, p), (p, la, lb)
         top = [p - 1] * 30
         assert mul_fp(top, top, p) == _umul(top, top, p)
+
+
+def test_power_product_matches_chained_schoolbook():
+    # every coefficient p - 1 makes each ||g||_1 as large as it can be, the
+    # worst case for the slot bound of the one integer product
+    rng = random.Random(2604)
+    for p in (2, 65521, 2 ** 64 - 59):
+        cases = [[([p - 1] * 4, 64)], [([p - 1] * 2, 64), ([p - 1] * 3, 64)], []]
+        cases += [[([p - 1] * rng.randint(2, 4), rng.randint(1, 64))
+                   for _ in range(rng.randint(1, 3))] for _ in range(5)]
+        for powers in cases:
+            want = [1]
+            for g, m in powers:
+                for _ in range(m):
+                    want = _umul(want, g, p)
+            assert power_product_fp(powers, p) == want, (p, powers)
 
 
 def test_irreducibility_matches_trial_division():
