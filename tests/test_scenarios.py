@@ -24,14 +24,15 @@ from cohomcert import (
     reverify,
     run_scenario,
 )
-from cohomcert import cohomology, groebner, scenarios
+from cohomcert import cohomology, groebner, scenarios, toeplitz
 from cohomcert.cohomology import CechClass, UnknownUpTo, is_zero_up_to
 from cohomcert.polyring import format_polynomial
-from cohomcert.scenarios import _read_factor
 from cohomcert.toeplitz import (
     ST_RING,
     QnPolynomial,
+    _read_factor,
     census_json,
+    census_rows_sound,
     dense_coefficients,
     factor_census,
     irreducible_fp,
@@ -740,9 +741,28 @@ def test_census_check_certifies_one_factor_per_mirror_pair(monkeypatch):
     def counted(f, p):
         calls.append(f)
         return irreducible_fp(f, p)
-    monkeypatch.setattr(scenarios, "irreducible_fp", counted)
-    assert scenarios._census_rows_sound(p, rows)
+    monkeypatch.setattr(toeplitz, "irreducible_fp", counted)
+    assert census_rows_sound(p, rows)
     assert len(calls) == len(classes)
+
+
+@pytest.mark.parametrize("p, certificates", [(5, 83), (11, 113)])
+def test_run_and_reverify_certify_each_census_factor_once(monkeypatch, p, certificates):
+    # the row check is the only irreducibility certificate: factor_census
+    # runs it on its own rows, and the scenario does not run it again
+    real = toeplitz._degree_certified
+    calls = []
+
+    def counted(mod, e):
+        calls.append(e)
+        return real(mod, e)
+    monkeypatch.setattr(toeplitz, "_degree_certified", counted)
+    report = run_scenario("toeplitz-suite", {"census_p": p, "census_n_max": 64})
+    assert report.passed
+    run_calls = len(calls)
+    calls.clear()
+    assert reverify(report.to_json_dict())
+    assert run_calls == len(calls) == certificates
 
 
 def test_census_check_builds_no_polynomial(monkeypatch):
@@ -752,7 +772,7 @@ def test_census_check_builds_no_polynomial(monkeypatch):
     def refuse(*_args, **_kwargs):
         raise AssertionError("the census row check built a Polynomial")
     monkeypatch.setattr(Polynomial, "__init__", refuse)
-    assert scenarios._census_rows_sound(5, rows)
+    assert census_rows_sound(5, rows)
 
 
 def test_reverify_rejects_non_monic_census_factors():

@@ -33,9 +33,9 @@ from cohomcert.toeplitz import (
     ToeplitzMatrix,
     _Modulus,
     _degree_certified,
+    _equal_degree,
     _qn_row,
     _slot_width,
-    _split_certified,
     _split_power,
     _udivmod,
     _upow_mod,
@@ -429,19 +429,19 @@ def _raised_within(seconds, fn, *args):
 
 
 def test_split_at_a_wrong_degree_raises_promptly():
-    # t^4 + 2 is irreducible over GF(5); equal-degree splitting at degree 2
-    # would search forever, so the degree certificate must refuse it first
+    # t^4 + 2 is irreducible over GF(5); no draw splits it at degree 2, so
+    # equal-degree splitting must give up after its bounded number of draws
     t5 = PolyRing(("t",), GF(5))
     assert irreducibility_certified(t5.parse("t^4 + 2"))
     f = [2, 0, 0, 0, 1]
-    assert isinstance(_raised_within(1, _split_certified, f, 2, 5, random.Random(0)),
+    assert isinstance(_raised_within(1, _equal_degree, f, 2, 5, random.Random(0)),
                       ArithmeticError)
-    assert _split_certified(f, 4, 5, random.Random(0)) == [f]
+    assert _equal_degree(f, 4, 5, random.Random(0)) == [f]
 
 
 @pytest.mark.parametrize("wrong", [lambda e: e + 1, lambda e: 2 * e,
-                                   lambda e: max(1, e - 1)],
-                         ids=["e+1", "2e", "e-1"])
+                                   lambda e: max(1, e - 1), lambda e: 3 * e],
+                         ids=["e+1", "2e", "e-1", "3e"])
 def test_census_rejects_a_wrong_split_degree(monkeypatch, wrong):
     real = toeplitz._split_degree
     monkeypatch.setattr(toeplitz, "_split_degree", lambda d, p: wrong(real(d, p)))
