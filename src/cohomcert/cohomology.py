@@ -246,13 +246,15 @@ def verify_zero_at(c: CechClass, verdict: ZeroAt) -> bool:
 # the torsion construction
 
 
-def lambda_q(f_list, g_list, p: int, e: int, relation: Polynomial | None = None) -> Polynomial:
+def lambda_q(f_list, g_list, p: int, e: int, relation: Polynomial | None = None,
+             *, relation_power: Polynomial | None = None) -> Polynomial:
     """The divided power sum ((f_1 g_1)^q + ... + (f_n g_n)^q) / p, q = p^e.
 
     When sum f_i g_i = 0 the divisibility is the multinomial theorem; in
     the hypersurface case sum f_i g_i = relation, the canonical integer
     lift subtracts relation^q first.  Any two lifts differ by a multiple
-    of the relation, so downstream verdicts agree.
+    of the relation, so downstream verdicts agree.  `relation_power` is
+    relation^q, from a caller that has already formed it.
     """
     if len(f_list) != len(g_list) or not f_list:
         raise ValueError("need equal-length nonempty factor lists")
@@ -276,7 +278,7 @@ def lambda_q(f_list, g_list, p: int, e: int, relation: Polynomial | None = None)
             raise IllFormedSyzygyError(
                 f"sum f_i g_i = {total}, expected the relation {relation}"
             )
-        powers = powers - relation ** q
+        powers = powers - (relation ** q if relation_power is None else relation_power)
     return divide_exact_by_integer(powers, p)
 
 
@@ -525,23 +527,20 @@ class TorsionCertificate(Record):
     nonvanishing: NonzeroCertified
 
 
-def eta_class(p: int) -> CechClass:
+def eta_annihilation(p: int) -> tuple[CechClass, tuple[Polynomial, ...], Polynomial]:
     """eta_p = [lambda_p + (x^p, y^p, z^p)] in the ux + vy + wz
-    hypersurface over Z."""
+    hypersurface over Z, with the cofactors of p * lambda_p =
+    sum_i cof_i x_i^p + cof_rel * relation, the identity that kills
+    p * eta_p at transition exponent 0.  relation^(p-1) is formed once:
+    negated it is cof_rel, and one more product gives the relation^p that
+    lambda_p subtracts."""
     ring, relation = torsion_ring()
     u, v, w, x, y, z = ring.gens()
-    lam = lambda_q([u, v, w], [x, y, z], p, 1, relation=relation)
-    return CechClass(QuotientRing(ring, (relation,)), (x, y, z), p, lam)
-
-
-def eta_annihilation(p: int) -> tuple[CechClass, tuple[Polynomial, ...], Polynomial]:
-    """eta_p with the cofactors of p * lambda_p = sum_i cof_i x_i^p +
-    cof_rel * relation, the identity that kills p * eta_p at transition
-    exponent 0."""
-    cls = eta_class(p)
-    (relation,) = cls.ring.relations
-    u, v, w = (cls.ring.ring.gen(n) for n in ("u", "v", "w"))
-    return cls, (u ** p, v ** p, w ** p), -(relation ** (p - 1))
+    rel_power = relation ** (p - 1)
+    lam = lambda_q([u, v, w], [x, y, z], p, 1, relation=relation,
+                   relation_power=rel_power * relation)
+    cls = CechClass(QuotientRing(ring, (relation,)), (x, y, z), p, lam)
+    return cls, (u ** p, v ** p, w ** p), -rel_power
 
 
 def eta_torsion_check(p: int, annihilation=None) -> TorsionCertificate:

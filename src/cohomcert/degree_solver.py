@@ -20,14 +20,19 @@ functional: an integer covector, nonnegative on every weight and zero on
 the target, whose zero face carries linearly independent weights, so the
 family found at k = 0, 1 is the only solution on it.  Emptiness for all k
 is certified by a Farkas covector.
+
+All linear algebra is in integers: the echelon form comes from
+fraction-free elimination with primitive rows.  The three covector
+searches (positive, face, Farkas) each ask for a covector nonnegative on
+every weight, so each scans one cached list per weight table and box
+radius -- the cone of such covectors, in lexicographic order -- and tests
+only its own conditions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm
+from math import gcd
 from operator import mul
 
 from .polyring import Record
@@ -58,12 +63,40 @@ def _check_shapes(weights, *vectors):
         )
 
 
-def _small_covector(d, accept):
-    """The first integer covector of length d with accept(c), searching the
-    boxes of radius 1, 2 and 3 in turn, each in lexicographic order; None
-    when there is none."""
+@lru_cache(maxsize=64)
+def _cone_box(weights, radius) -> tuple[tuple[int, ...], ...]:
+    """The integer covectors c with every |c_j| <= radius and c . w >= 0
+    for every weight w, in lexicographic order.  Built one coordinate at a
+    time: a prefix is dropped as soon as some c . w stays negative however
+    the remaining coordinates are chosen."""
+    d = len(weights[0])
+    cols = tuple(zip(*weights))
+    # reach[j][i]: the most that coordinates j+1, ..., d-1 can add to c . w_i
+    reach = [[radius * sum(map(abs, w[j + 1:])) for w in weights] for j in range(d)]
+    cone = []
+
+    def extend(prefix, values):
+        j = len(prefix)
+        if j == d:
+            cone.append(prefix)
+            return
+        for x in range(-radius, radius + 1):
+            new = [v + x * a for v, a in zip(values, cols[j])]
+            if all(v + r >= 0 for v, r in zip(new, reach[j])):
+                extend(prefix + (x,), new)
+
+    extend((), [0] * len(weights))
+    return tuple(cone)
+
+
+def _small_covector(weights, accept):
+    """The first integer covector c with c . w >= 0 for every weight w and
+    accept(c), searching the boxes of radius 1, 2 and 3 in turn, each in
+    lexicographic order; None when there is none.  A larger box is listed
+    only when the smaller ones hold no such covector."""
+    weights = tuple(map(tuple, weights))
     for radius in range(1, 4):
-        for cand in product(range(-radius, radius + 1), repeat=d):
+        for cand in _cone_box(weights, radius):
             if accept(cand):
                 return cand
     return None
@@ -72,8 +105,7 @@ def _small_covector(d, accept):
 def positive_functional(weights) -> tuple[int, ...]:
     """An integer covector c with c . w >= 1 for every variable weight w."""
     _check_shapes(weights)
-    c = _small_covector(len(weights[0]),
-                        lambda cand: all(_dot(cand, w) >= 1 for w in weights))
+    c = _small_covector(weights, lambda cand: all(_dot(cand, w) >= 1 for w in weights))
     if c is None:
         raise CertificationError("no small positive functional for this weight table")
     return c
@@ -88,6 +120,9 @@ class _DegreeMap(Record):
             = transform[i] . target;
     the rows past the rank have no variable and say that a target off the
     rational span of the weights has transform[i] . target != 0.
+    settled[j][i] says no free coordinate from free[j] on has a negative
+    coefficient in row i, so raising those exponents can only lower row
+    i's value.
     """
 
     functional: tuple[int, ...]
@@ -96,6 +131,7 @@ class _DegreeMap(Record):
     free: tuple[int, ...]
     scales: tuple[int, ...]
     free_coeffs: tuple[tuple[int, ...], ...]
+    settled: tuple[tuple[bool, ...], ...]
     transform: tuple[tuple[int, ...], ...]
 
 
@@ -105,21 +141,22 @@ def _degree_map(weights) -> _DegreeMap:
     c = positive_functional(weights)
     aug = [[w[j] for w in weights] + [int(i == j) for i in range(d)]
            for j in range(d)]
-    red, cols = _rref(aug)
-    rows = []
-    for row in red:
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([int(x * scale) for x in row])
+    rows, cols = _rref(aug)
     pivots = tuple(col for col in cols if col < n)
     rank = len(pivots)
     free = tuple(j for j in range(n) if j not in pivots)
+    free_coeffs = tuple(tuple(row[j] for row in rows[:rank]) for j in free)
     return _DegreeMap(
         functional=c,
         phi=tuple(_dot(c, w) for w in weights),
         pivots=pivots,
         free=free,
         scales=tuple(rows[i][col] for i, col in enumerate(pivots)),
-        free_coeffs=tuple(tuple(row[j] for row in rows[:rank]) for j in free),
+        free_coeffs=free_coeffs,
+        settled=tuple(
+            tuple(all(fc[i] >= 0 for fc in free_coeffs[j:]) for i in range(rank))
+            for j in range(len(free))
+        ),
         transform=tuple(tuple(row[n:]) for row in rows),
     )
 
@@ -130,7 +167,9 @@ def monomials_of_degree(weights, target) -> list[tuple[int, ...]]:
     Only the free coordinates of the degree map are enumerated; the pivot
     coordinates are solved for exactly.  Complete by the positive-functional
     bound: phi(E) = phi(target) with every phi(w_i) >= 1 caps each free
-    exponent by the remaining budget.
+    exponent by the remaining budget.  A branch ends as soon as a pivot
+    row whose value the remaining free exponents can only lower is
+    negative (scales are positive, so that pivot exponent would be too).
     """
     _check_shapes(weights, target)
     dm = _degree_map(tuple(map(tuple, weights)))
@@ -153,9 +192,11 @@ def monomials_of_degree(weights, target) -> list[tuple[int, ...]]:
                 exps[col] = e
             out.append(tuple(exps))
             return
-        col, coeffs = dm.free[j], dm.free_coeffs[j]
+        col, coeffs, settled = dm.free[j], dm.free_coeffs[j], dm.settled[j]
         step = dm.phi[col]
         for e in range(remaining // step + 1):
+            if any(x < 0 and s for x, s in zip(nums, settled)):
+                return
             exps[col] = e
             rec(j + 1, remaining - e * step, nums)
             nums = [x - c for x, c in zip(nums, coeffs)]
@@ -175,29 +216,40 @@ class MonomialFamily(Record):
 # -- exact linear algebra helpers ------------------------------------------
 
 
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _rref(rows):
-    rows = [[Fraction(x) for x in row] for row in rows]
+    """The reduced row echelon form of an integer matrix and its pivot
+    columns, by fraction-free Gauss-Jordan elimination.  Each row is the
+    rational reduced row scaled to the primitive integer vector with a
+    positive pivot: its entries have gcd 1, and it is zero in every other
+    pivot column."""
+    rows = [list(row) for row in rows]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
+        top = _primitive(rows[r])
+        if top[col] < 0:
+            top = [-x for x in top]
+        rows[r] = top
+        pv = top[col]
         for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = _primitive([pv * x - f * y for x, y in zip(rows[i], top)])
         pivots.append(col)
         r += 1
         if r == nrows:
             break
     return rows[:r], pivots
-
-
 
 
 def unique_monomial_family(weights, base, slope,
@@ -238,13 +290,10 @@ def unique_monomial_family(weights, base, slope,
     def face_functional(c):
         if _dot(c, base) or _dot(c, slope):
             return False
-        values = [_dot(c, w) for w in weights]
-        if any(v < 0 for v in values):
-            return False
-        face = [w for w, v in zip(weights, values) if v == 0]
+        face = [w for w in weights if not _dot(c, w)]
         return len(_rref(face)[1]) == len(face)
 
-    if _small_covector(d, face_functional) is None:
+    if _small_covector(weights, face_functional) is None:
         raise CertificationError(
             "no small face functional; uniqueness for all k not certified"
         )
@@ -259,10 +308,8 @@ def certify_no_solutions(weights, base, slope) -> tuple[int, ...]:
     psi . base < 0, so psi is nonnegative on every monomial degree and
     negative on every target."""
     _check_shapes(weights, base, slope)
-    psi = _small_covector(len(base), lambda c: (
-        _dot(c, base) < 0
-        and _dot(c, slope) <= 0
-        and all(_dot(c, w) >= 0 for w in weights)
+    psi = _small_covector(weights, lambda c: (
+        _dot(c, base) < 0 and _dot(c, slope) <= 0
     ))
     if psi is None:
         raise CertificationError("no small Farkas certificate found")

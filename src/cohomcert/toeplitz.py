@@ -186,22 +186,20 @@ def generating_check(N: int, family=qn_recursive) -> bool:
     One z-coefficient at a time, on dense rows over Z: the coefficient of
     s^(n-j) t^j z^n is Q_n[j] - Q_(n-1)[j-1] + Q_(n-2)[j], which must be 1
     at n = j = 0 and 0 otherwise.  `family` exists so tests can feed a
-    sabotaged sequence; each member is read into a row once.  A member
-    that is not homogeneous of degree n fails the check: Q_0..Q_(m-1) fix
-    Q_m, homogeneous of degree m, so the identity fails at the first such
-    m.  A member with a non-integral coefficient raises ValueError.
+    sabotaged sequence; each member is read into a row when the identity
+    reaches it, so no member past the first failing z-coefficient is
+    built.  A member that is not homogeneous of degree n fails the check:
+    Q_0..Q_(n-1) fix Q_n, homogeneous of degree n, so the identity fails
+    at the first such n.  A member read with a non-integral coefficient
+    raises ValueError.
     """
     if N < 2:
         raise ValueError("truncation order must be at least 2")
-    if family is qn_recursive:
-        rows = [_qn_row(n) for n in range(N + 1)]
-    else:
-        rows = [_member_row(family(n), n) for n in range(N + 1)]
-        if None in rows:
-            return False
     prev, last = (), ()
-    for n, row in enumerate(rows):
-        if [c - a + b for c, a, b in zip_longest(row, (0, *last), prev, fillvalue=0)] \
+    for n in range(N + 1):
+        row = _qn_row(n) if family is qn_recursive else _member_row(family(n), n)
+        if row is None or [c - a + b for c, a, b in
+                           zip_longest(row, (0, *last), prev, fillvalue=0)] \
                 != [int(n == 0)] + [0] * n:
             return False
         prev, last = last, row

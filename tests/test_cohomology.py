@@ -238,6 +238,28 @@ def test_step_two_families_give_the_reduction_identity(p):
             assert c * gen ** (p + k) == (X * Y * Z) ** k * m, (rec["generator"], k)
 
 
+def test_eta_annihilation_shares_one_relation_power(monkeypatch):
+    # relation^(p-1) is formed once: it is the relation cofactor, and
+    # lambda_p subtracts relation^p = relation^(p-1) * relation
+    powers = []
+    pow_ = type(RELATION).__pow__
+
+    def recording(self, n):
+        if self == RELATION:
+            powers.append(n)
+        return pow_(self, n)
+
+    for p in (2, 3, 5, 7, 11):
+        monkeypatch.setattr(type(RELATION), "__pow__", recording)
+        powers.clear()
+        cls, seq_cofactors, rel_cofactor = cohomology.eta_annihilation(p)
+        assert powers == [p - 1], p
+        monkeypatch.undo()
+        assert cls.numerator == lambda_q([U, V, W], [X, Y, Z], p, 1, relation=RELATION)
+        assert rel_cofactor == -(RELATION ** (p - 1))
+        assert seq_cofactors == (U ** p, V ** p, W ** p)
+
+
 def test_eta_torsion_certificates():
     for p in (2, 3, 5, 7):
         cert = eta_torsion_check(p)

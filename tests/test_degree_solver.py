@@ -1,5 +1,7 @@
 import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -214,6 +216,140 @@ def test_farkas_covector_is_the_first_in_box_order():
             assert psi == expected, (weights, base, slope)
             found += psi is not None
     assert found >= 10, found
+
+
+def _first_in_boxes(d, accept):
+    """Reference search: the first covector of length d in the boxes of
+    radius 1, 2, 3, each in lexicographic order, with accept(c); None when
+    there is none."""
+    for radius in range(1, 4):
+        for c in product(range(-radius, radius + 1), repeat=d):
+            if accept(c):
+                return c
+    return None
+
+
+def _fraction_rref(rows):
+    """Reference: the reduced row echelon form over Q, every pivot 1."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return rows[:r], pivots
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _first_positive_functional(weights):
+    return _first_in_boxes(len(weights[0]), lambda c: all(
+        _dot(c, w) >= 1 for w in weights))
+
+
+def _first_face_functional(weights, base, slope):
+    """Reference face search: c . base = c . slope = 0, c . w >= 0 for every
+    weight, and the weights with c . w = 0 have full rank over Q."""
+    def accept(c):
+        if _dot(c, base) or _dot(c, slope) or any(_dot(c, w) < 0 for w in weights):
+            return False
+        face = [w for w in weights if _dot(c, w) == 0]
+        return len(_fraction_rref(face)[1]) == len(face)
+    return _first_in_boxes(len(base), accept)
+
+
+def test_integer_rref_matches_fraction_reference():
+    rng = random.Random(1729)
+    for trial in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 7)
+        rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3 == 0 and nrows > 1:
+            # a dependent row: a combination of two others
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+        got, pivots = degree_solver._rref(rows)
+        ref, ref_pivots = _fraction_rref(rows)
+        assert pivots == ref_pivots, rows
+        assert len(got) == len(ref) == len(pivots), rows
+        for row, ref_row, col in zip(got, ref, pivots):
+            assert all(type(x) is int for x in row), rows
+            assert row[col] > 0 and gcd(*row) == 1, (rows, row)
+            assert row == [row[col] * x for x in ref_row], (rows, row, ref_row)
+
+
+def test_cone_box_is_the_filtered_box():
+    for weights in list(_random_tables(random.Random(2718), 40)) + [W6, ((1,), (-1,))]:
+        for radius in (1, 2, 3):
+            box = product(range(-radius, radius + 1), repeat=len(weights[0]))
+            assert degree_solver._cone_box(weights, radius) == tuple(
+                c for c in box if all(_dot(c, w) >= 0 for w in weights)), \
+                (weights, radius)
+
+
+def test_positive_functional_is_the_first_in_box_order():
+    tables = list(_random_tables(random.Random(314), 60)) + [
+        W6,
+        # c1 >= c2 + 1 and 3 c2 >= c1 + 1 need c = (2, 1): radius 2
+        ((1, -1), (-1, 3)),
+        # c1 >= c2 + 1 and 2 c2 >= c1 + 1 need c = (3, 2): radius 3
+        ((1, -1), (-1, 2)),
+    ]
+    radii = set()
+    for weights in tables:
+        c = positive_functional(weights)
+        assert c == _first_positive_functional(weights), weights
+        radii.add(max(map(abs, c)))
+    assert radii >= {1, 2, 3}, radii
+    # no covector is positive on both w and -w
+    with pytest.raises(CertificationError):
+        positive_functional(((1, 2), (-1, -2)))
+
+
+def test_face_functional_is_the_first_in_box_order(monkeypatch):
+    # the last covector search unique_monomial_family makes is its face search
+    found = []
+    search = degree_solver._small_covector
+
+    def recording(weights, accept):
+        found.append(search(weights, accept))
+        return found[-1]
+
+    monkeypatch.setattr(degree_solver, "_small_covector", recording)
+    certified = refused = 0
+    cases = [(weights, base, slope)
+             for weights, (base, slope), _ in _certificate_inputs()]
+    cases += [(W6, (-p, 0, 0, p), (0, 1, 1, 0)) for p in (2, 3, 5)]
+    cases += [(((1,), (2,)), (0,), (1,))]
+    for weights, base, slope in cases:
+        counts = [len(monomials_of_degree(weights, t))
+                  for t in (base, _along(base, slope, 1))]
+        found.clear()
+        try:
+            unique_monomial_family(weights, base, slope)
+        except CertificationError:
+            refused += 1
+        else:
+            certified += 1
+        if counts != [1, 1] or not found:
+            continue  # refused before the face search
+        assert found[-1] == _first_face_functional(weights, base, slope), \
+            (weights, base, slope)
+    assert certified >= 10 and refused >= 1, (certified, refused)
+
+
+def test_degree_solver_is_integer_only():
+    assert not hasattr(degree_solver, "Fraction")
+    assert not hasattr(degree_solver, "fractions")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])

@@ -24,7 +24,7 @@ from cohomcert import (
     reverify,
     run_scenario,
 )
-from cohomcert import cohomology, groebner, scenarios, toeplitz
+from cohomcert import cohomology, degree_solver, groebner, scenarios, toeplitz
 from cohomcert.cohomology import CechClass, UnknownUpTo, is_zero_up_to
 from cohomcert.polyring import format_polynomial
 from cohomcert.toeplitz import (
@@ -189,6 +189,30 @@ def test_socle_nonzero_decides_unknown_by_one_membership_test(monkeypatch):
         status, actual, _ = scenarios._socle_nonzero("c", cls, k_max).issue()
         assert actual == is_zero_up_to(cls, k_max).to_json_dict()
         assert status == ("fail" if actual["verdict"] == "zero_at" else "unknown")
+
+
+def _masked_report(name, params=None):
+    report = run_scenario(name, params).to_json_dict()
+    report["seconds"] = 0
+    for check in report["checks"]:
+        check["seconds"] = 0
+    return json.dumps(report, sort_keys=True)
+
+
+def test_singh_p_torsion_report_does_not_depend_on_earlier_runs():
+    # the degree solver caches echelon forms and covector cones per weight
+    # table; what earlier runs left there must not change a report
+    def cold():
+        degree_solver._cone_box.cache_clear()
+        degree_solver._degree_map.cache_clear()
+
+    params = {"primes": [2, 3, 5, 7, 11, 31]}
+    cold()
+    first = _masked_report("singh-p-torsion", params)
+    assert _masked_report("singh-p-torsion", params) == first
+    cold()
+    _masked_report("singh-swanson-S", {"n_max": 8, "k": 2})
+    assert _masked_report("singh-p-torsion", params) == first
 
 
 def test_singh_p_torsion_report():

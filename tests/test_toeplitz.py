@@ -25,7 +25,7 @@ from cohomcert import (
     qn_dehomogenized,
     qn_recursive,
 )
-from cohomcert import toeplitz
+from cohomcert import scenarios, toeplitz
 from cohomcert.polyring import NonDivisibleError, convert
 from cohomcert.toeplitz import (
     QnPolynomial,
@@ -169,6 +169,22 @@ def _sabotages(N, rng):
     del dropped[rng.choice(sorted(dropped))]
     yield f"Q_{m} with a term dropped", _family_with(
         m, Polynomial(ST_RING, dropped))
+
+
+def test_generating_check_reads_members_up_to_the_first_failure():
+    # the scenario's sabotaged family is wrong at Q_2: no later member is built
+    read = []
+
+    def recording(n):
+        read.append(n)
+        return scenarios._sabotaged_family(n)
+
+    assert generating_check(64, family=recording) is False
+    assert read == [0, 1, 2]
+    read.clear()
+    family = _family_with(5, qn_recursive(5).poly + S)
+    assert generating_check(12, family=lambda n: read.append(n) or family(n)) is False
+    assert read == list(range(6))
 
 
 def test_generating_check_agrees_with_series_oracle():
