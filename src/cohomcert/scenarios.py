@@ -3,13 +3,15 @@
 Each scenario is a plan: a function from validated parameters to an
 ordered list of checks.  A planned check carries its name, operation,
 expected outcome and the certificate fields the parameters fix, a function
-that issues it and one that re-checks the witness fields a report adds.
-`run_scenario` validates the parameters, plans and issues every check;
-`reverify` validates the parameters a report names, plans again, and
-requires each reported check to match its planned one before it re-checks
-the witness.  So one implementation both issues and checks every
-certificate, and the only polynomials read back from a report are census
-factors.
+that issues it and, for some, one that issues it from a reported witness.
+`run_scenario` validates the parameters, plans and issues every check.
+`reverify` validates the parameters a report names, plans again and
+derives, through the same path, the report that the plan and the reported
+certificates imply; it accepts iff every derived check meets its expected
+status and that report equals the given one as JSON, `seconds` left out.
+So one implementation both issues and checks every certificate, no
+reported field is taken on trust, and the only polynomials read back from
+a report are census factors.
 
 Reports are deterministic: identical runs produce identical payloads up to
 the per-check wall-clock fields.
@@ -99,17 +101,7 @@ class CheckResult(Record):
         return self.status == self.expected_status
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "operation": self.operation,
-            "status": self.status,
-            "expected_status": self.expected_status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "certificate": self.certificate,
-            "seconds": self.seconds,
-            "diagnostics": self.diagnostics,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class Report(Record):
@@ -139,11 +131,11 @@ class Report(Record):
 class PlannedCheck(Record):
     """One check of a plan.  `fixed` holds the certificate fields the
     parameters fix, "kind" among them.  `issue()` runs the check and
-    returns (status, actual, witness fields).  `verify(certificate)`
-    re-checks a reported certificate whose fixed fields match; without
-    one, the check is issued again and must give the same status and
-    certificate.  A check reads no other check's outcome: a fact it needs
-    from another planned check it decides by issuing that check itself."""
+    returns (status, actual, witness fields).  `verify(certificate)`, when
+    given, issues the check from a reported certificate instead: it reads
+    the witness from it rather than searching, and returns the same
+    triple.  A check reads no other check's outcome: a fact it needs from
+    another planned check it decides by issuing that check itself."""
 
     name: str
     operation: str
@@ -153,17 +145,18 @@ class PlannedCheck(Record):
     verify: Callable | None = None
     expected_status: str = "pass"
 
-    def verified(self, certificate: dict) -> bool:
-        if self.verify is not None:
-            return self.verify(certificate)
-        status, _, witness = self.issue()
-        return status == self.expected_status and \
-            _same({**self.fixed, **witness}, certificate)
-
 
 def _same(a, b) -> bool:
-    """Equal as JSON: unlike ==, 1 differs from 1.0 and from true."""
-    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    """Equal as JSON: unlike ==, 1 differs from 1.0 and from true.  A value
+    both sides share, such as the census rows a report hands to its own
+    check, is not walked."""
+    if a is b or type(a) is not type(b):
+        return a is b
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def abbreviate(value, limit: int = 100) -> str:
@@ -178,13 +171,15 @@ def _ring_json(ring: PolyRing) -> dict:
     return {"variables": list(ring.variables), "domain": str(ring.domain)}
 
 
-def _guarded_check(planned: PlannedCheck) -> CheckResult:
-    """Issue a planned check, turning degree-guard aborts and pipeline
-    failures into failed checks with diagnostics instead of crashes."""
+def _guarded_check(planned: PlannedCheck, certificate=None) -> CheckResult:
+    """Issue a planned check, from a reported certificate if it has a
+    verify, turning degree-guard aborts and pipeline failures into failed
+    checks with diagnostics instead of crashes."""
     t0 = time.perf_counter()
     diagnostics = {}
     try:
-        status, actual, witness = planned.issue()
+        status, actual, witness = planned.issue() if certificate is None or \
+            planned.verify is None else planned.verify(certificate)
         certificate = {**planned.fixed, **witness}
     except GuardExceededError as exc:
         status, actual = "fail", f"degree guard: {exc}"
@@ -210,8 +205,8 @@ def _guarded_check(planned: PlannedCheck) -> CheckResult:
 
 
 def _socle_kill(name: str, cls: CechClass, k_max: int) -> PlannedCheck:
-    def issue():
-        verdict = is_zero_up_to(cls, k_max)
+    def issue(verdict=None):
+        verdict = verdict or is_zero_up_to(cls, k_max)
         ok = isinstance(verdict, ZeroAt) and verdict.k <= 2
         return ("pass" if ok else "fail"), verdict.to_json_dict(), \
             {"k": getattr(verdict, "k", None)}
@@ -219,7 +214,8 @@ def _socle_kill(name: str, cls: CechClass, k_max: int) -> PlannedCheck:
     def verify(cert):
         # the claim is k <= 2, so one membership test re-checks the witness
         k = cert["k"]
-        return type(k) is int and 0 <= k <= 2 and verify_zero_at(cls, ZeroAt(k))
+        ok = type(k) is int and 0 <= k <= 2 and verify_zero_at(cls, ZeroAt(k))
+        return issue(ZeroAt(k) if ok else UnknownUpTo(2))
 
     return PlannedCheck(
         name, "is_zero_up_to", {"verdict": "zero_at", "k_at_most": 2},
@@ -546,8 +542,10 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
                 {"polynomial": str(lhs)}
 
         def verify(cert, n=n):
-            # the recursion is linear; the determinant oracle is not re-run
-            return cert["polynomial"] == str(qn_recursive(n).poly)
+            # the recursion is linear; the determinant oracle is not re-run,
+            # and the reported polynomial stands for its value
+            lhs, rhs = str(qn_recursive(n).poly), cert["polynomial"]
+            return ("pass" if lhs == rhs else "fail"), rhs, {"polynomial": lhs}
         plan.append(PlannedCheck(
             f"recursion-vs-oracle-n{n}", "det_oracle", "equal",
             {"kind": "toeplitz_equality", "n": n}, issue, verify,
@@ -578,34 +576,29 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
             {"kind": "chebyshev", "n": n}, roots_issue,
         ))
 
+    def census_outcome(census):
+        counts = [row["cumulative_count"] for row in census["rows"]]
+        monotone = all(a <= b for a, b in zip(counts, counts[1:]))
+        return ("pass" if monotone else "fail"), {
+            "cumulative_count": counts[-1],
+            "monotone": monotone,
+            "factors_certified_irreducible_and_reconstruct": True,
+        }, {"census": census}
+
     def census_verify(cert):
-        data = cert["census"]
-        rows = data["rows"]
-        # the census the parameters ask for, rows n = 1..n_max, before any
-        # arithmetic; the counts the row check confirms never fall.  Sound
-        # rows fix every other field of the census (both sides carry the
-        # same rows, so they are left out of the comparison)
-        return data["p"] == census_p and data["n_max"] == census_n_max \
-            and len(rows) == census_n_max \
-            and all(type(row["n"]) is int and row["n"] == i
-                    for i, row in enumerate(rows, 1)) \
-            and census_rows_sound(census_p, rows) \
-            and _same({**data, "rows": None},
-                      {**census_json(census_p, census_n_max, rows), "rows": None})
+        # the rows the parameters ask for, n = 1..n_max, before any
+        # arithmetic; sound rows fix every other field of the census
+        rows = cert["census"]["rows"]
+        sound = len(rows) == census_n_max and all(
+            type(row["n"]) is int and row["n"] == i for i, row in enumerate(rows, 1)
+        ) and census_rows_sound(census_p, rows)
+        return census_outcome(census_json(census_p, census_n_max, rows)) if sound \
+            else ("fail", "the census rows fail the row check", {})
 
     def census_issue():
         # factor_census returns only a census whose rows census_rows_sound,
         # the check census_verify makes, has accepted
-        census = factor_census(census_n_max, census_p)
-        monotone = all(
-            a.cumulative_count <= b.cumulative_count
-            for a, b in zip(census.rows, census.rows[1:])
-        )
-        return ("pass" if monotone else "fail"), {
-            "cumulative_count": census.cumulative_count,
-            "monotone": monotone,
-            "factors_certified_irreducible_and_reconstruct": True,
-        }, {"census": census.to_json_dict()}
+        return census_outcome(factor_census(census_n_max, census_p).to_json_dict())
     plan.append(PlannedCheck(
         "factor-census", "factor_census",
         {"monotone": True, "factors_certified_irreducible_and_reconstruct": True},
@@ -852,16 +845,18 @@ def run_scenario(name: str, params: dict | None = None) -> Report:
 
 
 def reverify(report) -> bool:
-    """Re-check a report against the plan of the scenario it names.
+    """Re-derive a report from the plan of the scenario it names and the
+    certificates it carries, through the path run_scenario takes.
 
     Accepts a Report or its JSON dict form.  Raises MalformedReportError
     when the payload is not a report of this artifact, names no known
-    scenario, has no checks, or carries a certificate of another kind than
-    its plan.  Returns False when its parameters are not exactly the
-    validated ones, when a check differs from its planned one in name,
-    operation, expected outcome, status or any certificate field the
-    parameters fix, and as soon as a witness fails to re-verify; all of
-    these are decided before any arithmetic but the witness re-check.
+    scenario, has no checks, or has a check of the planned name and
+    operation whose certificate is of another kind.  Returns False, before
+    any arithmetic, when its parameters are not exactly the validated ones
+    or its checks are not as many as planned.  Otherwise it accepts iff
+    every derived check meets its expected status and the derived report
+    equals the given one as JSON, `seconds` left out at the top level and
+    in each check.
     """
     if isinstance(report, Report):
         report = report.to_json_dict()
@@ -885,25 +880,23 @@ def reverify(report) -> bool:
         return False
     for planned, check in zip(plan, checks):
         try:
-            cert, status = check["certificate"], check["status"]
-            kind = cert.get("kind")
+            kind = check["certificate"].get("kind")
+            relabelled = (check.get("name"), check.get("operation")) != \
+                (planned.name, planned.operation)
         except (TypeError, KeyError, AttributeError) as exc:
             raise MalformedReportError(f"malformed check entry: {exc}") from exc
-        header = (check.get("name"), check.get("operation"), check.get("expected"),
-                  check.get("expected_status"), status)
-        if not _same(header, (planned.name, planned.operation, planned.expected,
-                              planned.expected_status, planned.expected_status)):
-            return False
-        if kind != planned.fixed["kind"]:
+        if kind != planned.fixed["kind"] and not relabelled:
             raise MalformedReportError(
                 f"check {planned.name}: certificate kind {kind!r}, "
                 f"planned {planned.fixed['kind']!r}"
             )
-        if not all(_same(cert.get(key), value) for key, value in planned.fixed.items()):
-            return False
-        try:
-            if not planned.verified(cert):
-                return False
-        except Exception:
-            return False
-    return True
+    try:
+        derived = Report(name, scenario.description, params, tuple(
+            _guarded_check(planned, check["certificate"])
+            for planned, check in zip(plan, checks)), report.get("seconds"))
+    except Exception:
+        return False
+    derived_json = derived.to_json_dict()
+    for mine, theirs in zip(derived_json["checks"], checks):
+        mine["seconds"] = theirs.get("seconds")
+    return derived.passed and _same(derived_json, report)

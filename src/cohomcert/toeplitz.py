@@ -530,11 +530,10 @@ def _split_power(a, d, mod):
     return b
 
 
-def _equal_degree(f, d, p, rng, mod=None):
-    """Factor a monic squarefree product of degree-d irreducibles; mod,
-    when given, is f's modulus.  Each random element is raised to the
-    splitting power mod f once and splits every piece found so far, so no
-    piece needs a modulus of its own.
+def _equal_degree(f, d, p, rng):
+    """Factor a monic squarefree product of degree-d irreducibles.  Each
+    random element is raised to the splitting power mod f once and splits
+    every piece found so far, so no piece needs a modulus of its own.
 
     At most _EDF_DRAWS elements are drawn.  A draw is uniform mod f, and
     separates any two distinct factors g, g' still in one piece with
@@ -550,7 +549,7 @@ def _equal_degree(f, d, p, rng, mod=None):
     degree exactly d."""
     n = _udeg(f)
     pieces = [f]
-    if n > d and mod is None:
+    if n > d:
         mod = _Modulus(f, p)
     draws = 0
     while len(pieces) < n // d and draws < _EDF_DRAWS:
@@ -722,20 +721,24 @@ def _read_factor(text: str, p: int):
 
 
 def census_rows_sound(p: int, rows) -> bool:
-    """Each census row (JSON form) lists monic irreducible factors over F_p
-    whose product is Q_n(1,t), names as new exactly its factors that no
-    earlier row has, and counts the distinct factors seen so far;
-    multiplicities and counts are ints.  Each distinct factor string is
-    read once, and made a dense coefficient list and certified once, after
-    its row's degrees add up to n.  t -> -t is a ring automorphism of
-    F_p[t], so a factor whose mirror (-1)^deg g * g(-t) is already
-    certified irreducible is irreducible without Rabin's test.  A row's
-    product is one exact integer product of its factor powers."""
+    """Each census row (JSON form) has exactly the fields of a row, lists
+    monic irreducible factors over F_p whose product is Q_n(1,t), names as
+    new exactly its factors that no earlier row has, and counts the
+    distinct factors seen so far; multiplicities and counts are ints.
+    Each distinct factor string is read once, and made a dense coefficient
+    list and certified once, after its row's degrees add up to n.  t -> -t
+    is a ring automorphism of F_p[t], so a factor whose mirror
+    (-1)^deg g * g(-t) is already certified irreducible is irreducible
+    without Rabin's test.  A row's product is one exact integer product of
+    its factor powers."""
     read: dict = {}  # factor string -> its terms, or None if not monic canonical
     certified: dict = {}  # factor string -> dense coefficients, or None
     irreducible: set = set()  # dense coefficient tuples certified so far
     seen: set[str] = set()
     for row in rows:
+        if row.keys() != {"n", "factors", "new_factors", "cumulative_count",
+                          "factorization"}:
+            return False
         n = int(row["n"])
         factorization = []
         for fac, mult in row["factorization"]:
@@ -858,7 +861,7 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
 
     rows = []
     for n in range(1, n_max + 1):
-        dense_qn[n] = dense_coefficients(qn_dehomogenized(n, p))
+        dense_qn[n] = qn_row_fp(n, p)
         top = 2 * (n + 1)
         if n % 2:
             psi[top] = quotient(dense_qn[n], range(3, top), top)

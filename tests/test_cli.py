@@ -310,10 +310,10 @@ def test_run_engine_fault_is_an_internal_error(tmp_path, capsys, monkeypatch):
     from cohomcert import toeplitz
     from cohomcert.polyring import NonDivisibleError
 
-    def broken(n, p=None):
+    def broken(n, p):
         raise NonDivisibleError(f"injected fault at n = {n}")
 
-    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    monkeypatch.setattr(toeplitz, "qn_row_fp", broken)
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"n_max": 1, "generating_order": 2,
                                 "roots_n_max": 1, "census_n_max": 3}))
@@ -340,13 +340,14 @@ def test_run_engine_value_error_is_not_bad_parameters(capsys, monkeypatch):
 def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
     from cohomcert import toeplitz
 
-    real = toeplitz.qn_dehomogenized
+    real = toeplitz.qn_row_fp
 
     def broken(n, p):
         # Q_3 + 1 is not divisible by Q_1 = t
-        return real(n, p) + 1 if n == 3 else real(n, p)
+        row = real(n, p)
+        return [(row[0] + 1) % p] + row[1:] if n == 3 else row
 
-    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+    monkeypatch.setattr(toeplitz, "qn_row_fp", broken)
     assert main(["toeplitz", "--n-max", "6", "--p", "5"]) == 2
     err = capsys.readouterr().err
     assert "internal error: NonDivisibleError" in err and "Traceback" not in err

@@ -316,7 +316,27 @@ def test_each_check_reverifies_on_its_own(name):
     plan = scenarios._REGISTRY[name].plan(report["params"])
     assert [planned.name for planned in plan] == [c["name"] for c in report["checks"]]
     for planned, check in reversed(list(zip(plan, report["checks"]))):
-        assert planned.verified(check["certificate"]), check["name"]
+        derived = scenarios._guarded_check(planned, check["certificate"])
+        assert derived.ok, check["name"]
+        assert scenarios._same({**derived.to_json_dict(), "seconds": None},
+                               {**check, "seconds": None}), check["name"]
+
+
+def _without_seconds(report):
+    return {**report, "seconds": None,
+            "checks": [{**check, "seconds": None} for check in report["checks"]]}
+
+
+def test_a_report_that_misses_an_expected_status_does_not_reverify(monkeypatch):
+    # an empty component breaks every annihilator check from n = 2 on;
+    # deriving the report again under the same fault reproduces it exactly,
+    # and it is still rejected for the statuses it misses
+    monkeypatch.setattr(scenarios, "monomials_of_degree", lambda weights, target: [])
+    report = run_scenario("singh-swanson-S").to_json_dict()
+    assert not report["passed"]
+    assert scenarios._same(_without_seconds(report),
+                           _without_seconds(run_scenario("singh-swanson-S").to_json_dict()))
+    assert reverify(report) is False
 
 
 def test_frobenius_witness_fails_with_its_annihilator(monkeypatch):
@@ -462,6 +482,73 @@ def test_reverify_rejects_forgeries_against_the_plan(name, params, forge):
     t0 = time.perf_counter()
     assert reverify(report) is False
     assert time.perf_counter() - t0 < 0.1
+
+
+def _passed_false(report):
+    report["passed"] = False
+
+
+def _description_replaced(report):
+    report["description"] = "a construction this report is not about"
+
+
+def _version_replaced(report):
+    report["version"] = "0.0.0"
+
+
+def _every_actual_1(report):
+    for check in report["checks"]:
+        check["actual"] = "1"
+
+
+def _every_diagnostics_x1(report):
+    for check in report["checks"]:
+        check["diagnostics"] = {"x": 1}
+
+
+def _extra_report_key(report):
+    report["extra"] = 1
+
+
+def _extra_check_key(report):
+    report["checks"][-1]["extra"] = 1
+
+
+def _extra_certificate_key(kind):
+    def tamper(report):
+        for check in report["checks"]:
+            if check["certificate"]["kind"] == kind:
+                check["certificate"]["extra"] = 1
+    tamper.__name__ = f"_extra_{kind}_certificate_key"
+    return tamper
+
+
+def _census_count_1000(report):
+    _check(report, "factor-census")["actual"]["cumulative_count"] = 1000
+
+
+def _census_row_extra_key(report):
+    _check(report, "factor-census")["certificate"]["census"]["rows"][2]["extra"] = 1
+
+
+@pytest.mark.parametrize("name, tamper", [
+    *[(name, tamper) for name, _ in list_scenarios()
+      for tamper in (_passed_false, _description_replaced, _version_replaced,
+                     _every_actual_1, _every_diagnostics_x1, _extra_report_key,
+                     _extra_check_key)],
+    ("hartshorne", _extra_certificate_key("zero_at")),
+    ("toeplitz-suite", _extra_certificate_key("toeplitz_equality")),
+    ("toeplitz-suite", _extra_certificate_key("census")),
+    ("toeplitz-suite", _census_count_1000),
+    ("toeplitz-suite", _census_row_extra_key),
+])
+def test_reverify_rejects_a_tampered_field(name, tamper):
+    # a report re-verifies only if it is the one its plan and certificates
+    # imply, so no field outside a certificate is taken on trust
+    report = _fresh_report(name, None)
+    assert reverify(copy.deepcopy(report))
+    tamper(report)
+    assert reverify(report) is False
 
 
 def test_reverify_needs_a_known_scenario():

@@ -372,15 +372,24 @@ def test_census_rows_match_direct_factorization(p):
             (p, row.n)
 
 
+def _plus(row, other, p):
+    """row + other over F_p, both dense little-endian lists."""
+    out = [0] * max(len(row), len(other))
+    for f in (row, other):
+        for i, c in enumerate(f):
+            out[i] += c
+    return [c % p for c in out]
+
+
 def test_census_rejects_a_divisor_that_does_not_divide(monkeypatch):
     # Psi_4 = Q_1 = t must divide Q_3; a wrong Q_3 raises instead of
     # being factored
-    real = toeplitz.qn_dehomogenized
+    real = toeplitz.qn_row_fp
 
-    def broken(n, p=None):
+    def broken(n, p):
         f = real(n, p)
-        return f + f.ring.one() if n == 3 else f
-    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+        return _plus(f, [1], p) if n == 3 else f
+    monkeypatch.setattr(toeplitz, "qn_row_fp", broken)
     with pytest.raises(NonDivisibleError):
         factor_census(3, 5)
 
@@ -388,12 +397,12 @@ def test_census_rejects_a_divisor_that_does_not_divide(monkeypatch):
 def test_census_rejects_a_wrong_even_row_identity(monkeypatch):
     # Q_4 = (Q_2 - Q_1)(Q_2 + Q_1); a wrong Q_4 breaks that product and
     # raises before any Psi_d is divided out
-    real = toeplitz.qn_dehomogenized
+    real = toeplitz.qn_row_fp
 
-    def broken(n, p=None):
+    def broken(n, p):
         f = real(n, p)
-        return f + f.ring.one() if n == 4 else f
-    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+        return _plus(f, [1], p) if n == 4 else f
+    monkeypatch.setattr(toeplitz, "qn_row_fp", broken)
     with pytest.raises(NonDivisibleError):
         factor_census(4, 5)
 
@@ -401,12 +410,12 @@ def test_census_rejects_a_wrong_even_row_identity(monkeypatch):
 def test_census_rejects_a_wrong_odd_row_past_its_older_divisors(monkeypatch):
     # Q_5 = Psi_3 Psi_4 Psi_6 Psi_12; Q_5 + 1 leaves a remainder on division
     # by the older Psi_3 Psi_4 Psi_6 = t^3 - t
-    real = toeplitz.qn_dehomogenized
+    real = toeplitz.qn_row_fp
 
-    def broken(n, p=None):
+    def broken(n, p):
         f = real(n, p)
-        return f + f.ring.one() if n == 5 else f
-    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+        return _plus(f, [1], p) if n == 5 else f
+    monkeypatch.setattr(toeplitz, "qn_row_fp", broken)
     with pytest.raises(NonDivisibleError):
         factor_census(5, 5)
 
@@ -415,14 +424,14 @@ def test_census_checks_the_power_rule(monkeypatch):
     # over GF(5), Psi_20 = Psi_4^4 = t^4; a Q_9 that keeps the older
     # Psi_4 Psi_5 Psi_10 as a divisor but turns Psi_20 into t^4 + 1 passes
     # the division and must fail the power-rule product
-    real = toeplitz.qn_dehomogenized
+    real = toeplitz.qn_row_fp
     t4 = PolyRing(("t",), GF(5)).parse("t^4")
-    older = exact_divide(real(9, 5), t4)
+    older = dense_coefficients(exact_divide(qn_dehomogenized(9, 5), t4))
 
-    def broken(n, p=None):
+    def broken(n, p):
         f = real(n, p)
-        return f + older if n == 9 else f
-    monkeypatch.setattr(toeplitz, "qn_dehomogenized", broken)
+        return _plus(f, older, p) if n == 9 else f
+    monkeypatch.setattr(toeplitz, "qn_row_fp", broken)
     with pytest.raises(NonDivisibleError):
         factor_census(9, 5)
 
