@@ -240,21 +240,23 @@ def _binomial_row(j: int) -> tuple:
 # --------------------------------------------------------------------------
 # univariate factorization over F_p
 #
-# Dense little-endian coefficient lists internally; squarefree
-# decomposition, then distinct-degree splitting, then equal-degree
-# splitting (Cantor-Zassenhaus for odd p, the trace map for p = 2) with a
-# fixed-seed generator so runs are reproducible bit for bit.  The census
-# knows each degree in advance and skips the first two.
+# Squarefree decomposition, then distinct-degree splitting, then
+# equal-degree splitting (Cantor-Zassenhaus for odd p, the trace map for
+# p = 2) with a fixed-seed generator so runs are reproducible bit for bit.
+# The census knows each degree in advance and skips the first two.
 #
-# Products go through Kronecker substitution: a coefficient list is packed
-# into one integer, w bytes per coefficient, so a single big-integer
-# product yields every convolution sum at once, provided no sum reaches
-# 2^(8w).
-#
-# Frobenius powers h -> h^p mod f (the degree certificate, distinct-degree
-# splitting, and the norm a^((p^d-1)/2) of equal-degree splitting) go
-# through the modulus's packed table of x^(i*p) mod f, one packed sum
-# each, instead of square-and-multiply (von zur Gathen-Shoup 1992).
+# The arithmetic runs on packed polynomials (Kronecker substitution): one
+# integer holds coefficient i in its W-bit slot i, so one big-integer
+# operation acts on every coefficient at once.  Slots stay unreduced
+# between operations while they are at most a bound V, and are reduced mod
+# p all at once by multiply-shift-mask, exact division by an invariant
+# integer (Granlund-Montgomery 1994).  Products are reduced mod f by
+# polynomial Barrett, remainders and gcds by one quotient step per slot
+# read, and Frobenius powers h -> h^p mod f (the degree certificate,
+# distinct-degree splitting, and the norm a^((p^d-1)/2) of equal-degree
+# splitting) by a table of x^(i*p) mod f, one packed sum each, instead of
+# square-and-multiply (von zur Gathen-Shoup 1992).  Dense coefficient
+# lists go in and come out only at the edges of the kernel.
 
 
 _BYTEORDER = sys.byteorder
@@ -277,30 +279,163 @@ def _pack(coeffs, width):
     return int.from_bytes(data, _BYTEORDER)
 
 
-def _unpack(x, count, width, p):
-    """The first count slots of a packed integer, each reduced mod p."""
+def _slot_values(x, count, width):
+    """The first count slots of a packed integer, as they stand."""
     data = x.to_bytes(count * width, _BYTEORDER)
     code = _TYPECODES.get(width)
     if code is not None:
-        return [c % p for c in array(code, data)]
-    return [int.from_bytes(data[i:i + width], _BYTEORDER) % p
+        return array(code, data)
+    return [int.from_bytes(data[i:i + width], _BYTEORDER)
             for i in range(0, len(data), width)]
 
 
-def _convolve(a, b, width, p):
-    """a*b over F_p, untrimmed, by one packed product; width must hold
-    min(len(a), len(b)) * (p-1)^2."""
-    x = _pack(a, width)
-    y = x if a is b else _pack(b, width)
-    return _unpack(x * y, len(a) + len(b) - 1, width, p)
+class _Slots:
+    """Packed arithmetic over F_p on polynomials of degree at most 2n.
+
+    A packed value is reduced when every slot is in [0, p): then it is 0
+    for the zero polynomial, and its degree is (bit_length - 1) // W.  No
+    slot exceeds V = n*p*(p-1) + p in any operation here:
+    - a product of reduced operands with at most n slots, or a sum of n
+      reduced operands times coefficients, reaches n*(p-1)^2;
+    - a remainder step adds c*(p - g_i) <= (p-1)*p to the slots below the
+      divisor's leading slot, and for a dividend of degree at most 2n a
+      slot lies there in at most n steps.
+    With k = bitlen(V) + bitlen(p) and M = ceil(2^k/p), floor(v*M / 2^k)
+    is floor(v/p) for every v <= V, since v*(M*p - 2^k) < 2^k.  The slot
+    width W is the least of 8, 16, 32 and 64 bits, or above 64 the least
+    multiple of 8, with V*M < 2^W, so no slot of X*M carries into the next
+    and red reduces every slot at once.
+    """
+
+    __slots__ = ("p", "n", "width", "bits", "k", "magic", "mask", "pall")
+
+    def __init__(self, n, p):
+        self.p, self.n = p, n
+        bound = n * p * (p - 1) + p
+        self.k = bound.bit_length() + p.bit_length()
+        self.magic = -(-(1 << self.k) // p)
+        self.width = _slot_width(bound * self.magic)
+        self.bits = w = 8 * self.width
+        ones = ((1 << (2 * n + 1) * w) - 1) // ((1 << w) - 1)
+        self.mask = ((1 << w - self.k) - 1) * ones
+        self.pall = p * ones
+
+    def pack(self, coeffs):
+        """The packed form of a dense list with entries in [0, p)."""
+        return _pack(coeffs, self.width)
+
+    def unpack(self, x):
+        """The dense coefficient list of a reduced x."""
+        return list(_slot_values(x, self.degree(x) + 1, self.width))
+
+    def degree(self, x):
+        return (x.bit_length() - 1) // self.bits
+
+    def red(self, x):
+        """x with every slot reduced mod p, for slots at most V."""
+        return x - ((x * self.magic >> self.k) & self.mask) * self.p
+
+    def sub(self, a, b):
+        """a - b for reduced a and b of degree at most 2n."""
+        return self.red(a + self.pall - b)
+
+    def divmod(self, a, g):
+        """Quotient and remainder of a reduced a of degree at most 2n by a
+        reduced nonzero g.  The negated divisor is kept as p - g_i."""
+        w, p = self.bits, self.p
+        dg = (g.bit_length() - 1) // w
+        if dg < 0:
+            raise ZeroDivisionError("division by the zero polynomial")
+        inv = pow(g >> dg * w, -1, p)
+        low = (1 << dg * w) - 1
+        neg, top, q = self.pall - g & low, (1 << w) - 1, 0
+        for shift in range((a.bit_length() - 1) // w * w, dg * w - 1, -w):
+            c = (a >> shift & top) * inv % p
+            if c:
+                q |= c << shift - dg * w
+                a += c * neg << shift - dg * w
+        return q, self.red(a & low)
+
+    def gcd(self, a, b):
+        """The monic gcd of reduced a and b of degree at most 2n."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        lead = a >> self.degree(a) * self.bits if a else 1
+        return a if lead == 1 else self.red(a * pow(lead, -1, self.p))
+
+
+class _Modulus(_Slots):
+    """Multiplication and the Frobenius map modulo a monic f of degree
+    n >= 1 over F_p, on packed values reduced mod p and mod f.
+
+    Built once per modulus.  A product X of degree at most 2n-2 is reduced
+    mod f by polynomial Barrett: with mu = floor(x^(2n-2)/f), the quotient
+    floor(X/f) is exactly floor(floor(X/x^n) * mu / x^(n-2)), and dropping
+    low slots commutes with reducing slots mod p; the remainder is the low
+    n slots of X + quotient*(p - f).  The Frobenius table, built on first
+    use, holds x^(i*p) mod f for i < n, each the one before times x^p mod
+    f: a -> a^p is linear over F_p, so a^p mod f is the sum of
+    a_i * (x^(i*p) mod f), reduced once.
+    """
+
+    __slots__ = ("packed", "x", "low", "mu", "negf", "frob")
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        super().__init__(n, p)
+        w = self.bits
+        self.packed = self.pack(f)
+        self.low = (1 << n * w) - 1
+        self.negf = self.pall - self.packed & self.low
+        self.mu = self.divmod(1 << (2 * n - 2) * w, self.packed)[0]
+        self.x = 1 << w if n > 1 else -f[0] % p  # x mod f
+        self.frob = None
+
+    def mul(self, a, b):
+        """a*b mod f for reduced a and b of degree < n."""
+        x = self.red(a * b)
+        hi = x >> self.n * self.bits
+        if hi:
+            q = self.red(hi * self.mu) >> (self.n - 2) * self.bits
+            x = self.red((x & self.low) + (q * self.negf & self.low))
+        return x
+
+    def frobenius(self, a):
+        """a^p mod f for a reduced a of degree at most 2n."""
+        if a >> self.n * self.bits:
+            a = self.divmod(a, self.packed)[1]
+        if self.frob is None:
+            xp = _upow_mod(self.x, self.p, self)
+            self.frob = [1]
+            for _ in range(self.n - 1):
+                self.frob.append(self.mul(self.frob[-1], xp))
+        acc = 0
+        for c, row in zip(_slot_values(a, self.n, self.width), self.frob):
+            if c:
+                acc += c * row
+        return self.red(acc)
+
+
+def _upow_mod(a, e, mod):
+    """a^e mod f for a reduced packed a of degree at most 2n, by
+    square-and-multiply in the modulus context."""
+    base = mod.divmod(a, mod.packed)[1] if a >> mod.n * mod.bits else a
+    result = 1
+    while e:
+        if e & 1:
+            result = mod.mul(result, base)
+        e >>= 1
+        if e:
+            base = mod.mul(base, base)
+    return result
 
 
 def mul_fp(a, b, p):
     """Product of dense coefficient lists over F_p (entries in [0, p))."""
     if not a or not b:
         return []
-    width = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
-    return _utrim(_convolve(a, b, width, p))
+    s = _Slots(max(len(a), len(b)), p)
+    return s.unpack(s.red(s.pack(a) * s.pack(b)))
 
 
 def power_product_fp(powers, p):
@@ -316,7 +451,7 @@ def power_product_fp(powers, p):
     for g, m in powers:
         x *= _pack(g, width) ** m
     count = sum(m * (len(g) - 1) for g, m in powers) + 1
-    return _utrim(_unpack(x, count, width, p))
+    return _utrim([c % p for c in _slot_values(x, count, width)])
 
 
 def mirror_fp(f, p):
@@ -335,84 +470,6 @@ def dense_coefficients(f: Polynomial) -> list:
     return dense
 
 
-class _Modulus:
-    """Multiplication and the Frobenius map modulo a monic f of degree
-    n >= 1 over F_p.
-
-    Built once per modulus.  The slot width holds n*(p-1)^2 + p, the
-    largest sum a product of reduced operands, its fold or a Frobenius
-    image can reach.  The fold table holds x^k mod f for k = n..2n-2,
-    packed, so a product is reduced by adding c_k * (x^k mod f) for its
-    high coefficients c_k into one packed accumulator.  The Frobenius
-    table, built on first use, holds x^(i*p) mod f for i < n, packed the
-    same way: a -> a^p is linear over F_p, so a^p mod f is the sum of
-    a_i * (x^(i*p) mod f).
-    """
-
-    __slots__ = ("f", "p", "n", "width", "fold", "frob")
-
-    def __init__(self, f, p):
-        n = len(f) - 1
-        self.f, self.p, self.n = f, p, n
-        self.width = _slot_width(n * (p - 1) ** 2 + p)
-        self.frob = None
-        r = [-c % p for c in f[:n]]  # x^n mod f
-        self.fold = []
-        for _ in range(n - 1):
-            self.fold.append(_pack(r, self.width))
-            top = r[-1]
-            r = [0] + r[:-1]
-            if top:
-                r = [(a - top * b) % p for a, b in zip(r, f)]
-
-    def mul(self, a, b):
-        """a*b mod f for a, b of degree < n with entries in [0, p)."""
-        if not a or not b:
-            return []
-        n, width, p = self.n, self.width, self.p
-        c = _convolve(a, b, width, p)
-        if len(c) > n:
-            acc = _pack(c[:n], width)
-            for ck, rk in zip(c[n:], self.fold):
-                if ck:
-                    acc += ck * rk
-            c = _unpack(acc, n, width, p)
-        return _utrim(c)
-
-    def frobenius(self, a):
-        """a^p mod f for a with entries in [0, p), of any degree."""
-        if len(a) > self.n:
-            a = _udivmod(a, self.f, self.p)[1]
-        if not a:
-            return []
-        if self.frob is None:
-            self.frob = self._frobenius_table()
-        acc = 0
-        for ai, row in zip(a, self.frob):
-            if ai:
-                acc += ai * row
-        return _utrim(_unpack(acc, self.n, self.width, self.p))
-
-    def _frobenius_table(self):
-        """x^(i*p) mod f for i < n, packed.  For p < n each row is the
-        one before shifted by p slots, its p high coefficients folded
-        back; otherwise each row is the one before times x^p mod f."""
-        n, width, p = self.n, self.width, self.p
-        row, table = [1], [1]
-        xp = _upow_mod([0, 1], p, self) if p >= n else None
-        for _ in range(n - 1):
-            if xp is not None:
-                row = self.mul(row, xp)
-            else:
-                acc = table[-1] << 8 * width * p & (1 << 8 * width * n) - 1
-                for ck, rk in zip(row[n - p:], self.fold):
-                    if ck:
-                        acc += ck * rk
-                row = _unpack(acc, n, width, p)
-            table.append(_pack(row, width))
-        return table
-
-
 def _utrim(f):
     while f and f[-1] == 0:
         f.pop()
@@ -428,43 +485,17 @@ def _umonic(f, p):
     return [c * inv % p for c in f]
 
 def _udivmod(f, g, p):
-    dg = _udeg(g)
-    if dg < 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    inv = pow(g[-1], p - 2, p)
-    low, r = g[:-1], list(f)
-    q = [0] * max(len(r) - dg, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = q[k] = r[k + dg] * inv % p
-        if c:
-            r[k:k + dg] = [(a - c * b) % p for a, b in zip(r[k:k + dg], low)]
-    return _utrim(q), _utrim(r[:dg])
+    """Quotient and remainder of dense lists over F_p, g nonzero."""
+    s = _Slots(max(len(f), 1), p)
+    q, r = s.divmod(s.pack(f), s.pack(g))
+    return s.unpack(q), s.unpack(r)
 
 def _ugcd(f, g, p):
-    f, g = list(f), list(g)
-    while g:
-        f, g = g, _udivmod(f, g, p)[1]
-    return _umonic(f, p)
-
-def _upow_mod(f, e, mod):
-    """f^e modulo mod.f, by square-and-multiply in the modulus context."""
-    base = _udivmod(f, mod.f, mod.p)[1] if len(f) > mod.n else f
-    result = [1]
-    while e:
-        if e & 1:
-            result = mod.mul(result, base)
-        e >>= 1
-        if e:
-            base = mod.mul(base, base)
-    return result
+    s = _Slots(max(len(f), len(g), 1), p)
+    return s.unpack(s.gcd(s.pack(f), s.pack(g)))
 
 def _uderiv(f, p):
     return _utrim([i * c % p for i, c in enumerate(f)][1:])
-
-def _minus_x(h, p):
-    hx = list(h) + [0] * max(0, 2 - len(h))
-    hx[1] = (hx[1] - 1) % p
-    return _utrim(hx)
 
 
 def _squarefree(f, p):
@@ -501,21 +532,20 @@ def _uadd(f, g, p):
 def _distinct_degree(f, p):
     """Split a squarefree monic f into (product, d) blocks."""
     out = []
-    # h = x^(p^d) stays reduced mod the input f: the f left after each
-    # split divides it, so gcd(h - x, f) is unchanged
+    # h = x^(p^d) stays reduced mod the input f: the rest left after each
+    # split divides it, so gcd(h - x, rest) is unchanged
     mod = _Modulus(f, p)
-    h = [0, 1]  # x
-    d = 0
-    while _udeg(f) > 0:
+    rest, h, d = mod.packed, mod.x, 0
+    while mod.degree(rest) > 0:
         d += 1
-        if 2 * d > _udeg(f):
-            out.append((f, _udeg(f)))
+        if 2 * d > mod.degree(rest):
+            out.append((mod.unpack(rest), mod.degree(rest)))
             break
         h = mod.frobenius(h)
-        g = _ugcd(_minus_x(h, p), f, p)
-        if _udeg(g) > 0:
-            out.append((g, d))
-            f = _udivmod(f, g, p)[0]
+        g = mod.gcd(mod.sub(h, mod.x), rest)
+        if mod.degree(g) > 0:
+            out.append((mod.unpack(g), d))
+            rest = mod.divmod(rest, g)[0]
     return out
 
 
@@ -548,28 +578,31 @@ def _equal_degree(f, d, p, rng):
     degree; either raises ArithmeticError, so every piece returned has
     degree exactly d."""
     n = _udeg(f)
-    pieces = [f]
+    pieces, draws = [f], 0
     if n > d:
         mod = _Modulus(f, p)
-    draws = 0
-    while len(pieces) < n // d and draws < _EDF_DRAWS:
-        draws += 1
-        a = _utrim([rng.randrange(p) for _ in range(n)])
-        if _udeg(a) < 1:
-            continue  # a constant separates nothing
-        if p == 2:
-            # trace map: a + a^2 + a^4 + ... + a^(2^(d-1)) splits f
-            b = []
-            for _ in range(d):
-                b = _uadd(b, a, p)
-                a = mod.mul(a, a)
-        else:
-            b = _uadd(_split_power(a, d, mod), [p - 1], p)
-        split = []
-        for g in pieces:
-            h = _ugcd(b, g, p) if _udeg(g) > d else g
-            split += [h, _udivmod(g, h, p)[0]] if 0 < _udeg(h) < _udeg(g) else [g]
-        pieces = split
+        pieces = [mod.packed]
+        while len(pieces) < n // d and draws < _EDF_DRAWS:
+            draws += 1
+            a = mod.pack([rng.randrange(p) for _ in range(n)])
+            if mod.degree(a) < 1:
+                continue  # a constant separates nothing
+            if p == 2:
+                # trace map: a + a^2 + a^4 + ... + a^(2^(d-1)) splits f
+                b = 0
+                for _ in range(d):
+                    b += a
+                    a = mod.mul(a, a)
+                b = mod.red(b)
+            else:
+                b = mod.sub(_split_power(a, d, mod), 1)
+            split = []
+            for g in pieces:
+                h = mod.gcd(b, g) if mod.degree(g) > d else g
+                split += [h, mod.divmod(g, h)[0]] \
+                    if 0 < mod.degree(h) < mod.degree(g) else [g]
+            pieces = split
+        pieces = [mod.unpack(g) for g in pieces]
     if any(_udeg(g) != d for g in pieces):
         raise ArithmeticError(f"coefficients {f} over GF({p}): not split into "
                               f"factors of degree {d} in {draws} draws")
@@ -583,27 +616,29 @@ def _factor_order(item):
 
 
 def _degree_certified(mod, e):
-    """Is the monic f = mod.f a product of distinct irreducibles of degree
+    """Is the monic f of mod a product of distinct irreducibles of degree
     exactly e?  Yes iff f divides x^(p^e) - x (f is squarefree, each factor
     degree divides e) and gcd(x^(p^(e/l)) - x, f) = 1 for each prime l | e
     (no factor degree divides e/l).  The iterates x^(p^k) mod f are
     computed once, k = 1..e in turn, each gcd taken when k reaches e/l."""
-    f, p = mod.f, mod.p
     checkpoints = {e // l for l in range(2, e + 1)
                    if e % l == 0 and all(l % k for k in range(2, l))}
-    h = [0, 1]
+    h = mod.x
     for k in range(1, e + 1):
         h = mod.frobenius(h)
-        if k in checkpoints and _udeg(_ugcd(_minus_x(h, p), f, p)) != 0:
+        if k in checkpoints and \
+                mod.degree(mod.gcd(mod.sub(h, mod.x), mod.packed)) != 0:
             return False
-    hx = _minus_x(h, p)
-    return not hx or _udivmod(hx, f, p)[1] == []
+    return h == mod.x
 
 
 def irreducible_fp(f, p) -> bool:
     """Deterministic irreducibility certificate (Rabin's test) for a monic
-    dense coefficient list over F_p: f of degree n >= 1 is irreducible iff
-    it is a product of distinct irreducibles of degree exactly n."""
+    dense coefficient list over F_p with entries in [0, p); any other list
+    raises ValueError.  f of degree n >= 1 is irreducible iff it is a
+    product of distinct irreducibles of degree exactly n."""
+    if not f or f[-1] != 1 or not all(0 <= c < p for c in f):
+        raise ValueError(f"not a monic coefficient list over GF({p}): {f}")
     n = _udeg(f)
     return n >= 1 and _degree_certified(_Modulus(f, p), n)
 
@@ -614,7 +649,7 @@ def irreducibility_certified(f: Polynomial) -> bool:
     if ring.domain.kind != "prime_field" or ring.nvars != 1:
         raise ValueError("irreducibility test expects one variable over F_p")
     p = ring.domain.p
-    return irreducible_fp(_umonic(dense_coefficients(f), p), p)
+    return not f.is_zero and irreducible_fp(_umonic(dense_coefficients(f), p), p)
 
 
 def factor_univariate_fp(f: Polynomial) -> list[tuple[Polynomial, int]]:

@@ -426,8 +426,13 @@ def _masked_digest(path):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("p, digest", [(5, "f58335ab79db58ce"),
-                                       (13, "d280ada9fc626401")])
+@pytest.mark.parametrize("p, digest", [(2, "def397c20248e9e2"),
+                                       (3, "3017142c67417fca"),
+                                       (5, "f58335ab79db58ce"),
+                                       (7, "6e3581dd4bd30e17"),
+                                       (11, "bbcc0f87b6560a13"),
+                                       (13, "d280ada9fc626401"),
+                                       (65521, "e50794dccb7b2947")])
 def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
     # the census benchmark's parameters: the report must not change by a byte
     params = tmp_path / "params.json"

@@ -32,14 +32,15 @@ from cohomcert.toeplitz import (
     ST_RING,
     ToeplitzMatrix,
     _Modulus,
+    _Slots,
     _degree_certified,
     _equal_degree,
     _qn_row,
     _slot_width,
     _split_power,
-    _udivmod,
     _upow_mod,
     dense_coefficients,
+    irreducible_fp,
     mirror_fp,
     mul_fp,
     power_product_fp,
@@ -575,6 +576,7 @@ def test_divisibility_ladder():
 # packed GF(p)[t] kernel, checked against schoolbook arithmetic
 
 KERNEL_PRIMES = (2, 3, 13, 257, 65521, 2 ** 31 - 1, 2 ** 61 - 1)
+WIDE_PRIME = 2 ** 64 - 59  # the largest prime census_p accepts
 
 
 def _umul(f, g, p):
@@ -590,6 +592,30 @@ def _umul(f, g, p):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _udivmod(f, g, p):
+    """Schoolbook quotient and remainder over F_p, g nonzero."""
+    inv, dg = pow(g[-1], -1, p), len(g) - 1
+    r, q = list(f), [0] * max(len(f) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + dg] * inv % p
+        for i, b in enumerate(g):
+            r[k + i] = (r[k + i] - c * b) % p
+    r = r[:dg]
+    while q and q[-1] == 0:
+        q.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
+def _ugcd(f, g, p):
+    """Schoolbook monic gcd over F_p."""
+    while g:
+        f, g = g, _udivmod(f, g, p)[1]
+    inv = pow(f[-1], -1, p) if f else 1
+    return [c * inv % p for c in f]
 
 
 def _oracle_mulmod(a, b, f, p):
@@ -614,6 +640,11 @@ def _random_monic(n, p, rng):
     return [rng.randrange(p) for _ in range(n)] + [1]
 
 
+def _on_lists(mod, op, *args):
+    """op on the packed forms of dense lists, read back as a dense list."""
+    return mod.unpack(op(*(mod.pack(a) for a in args)))
+
+
 def test_slot_width_rounds_up_never_down():
     assert _slot_width(255) == 1
     assert _slot_width(256) == 2
@@ -634,34 +665,96 @@ def test_mulmod_matches_schoolbook_on_random_operands():
             widths.add(mod.width)
             for _ in range(4):
                 a, b = _random_dense(n, p, rng), _random_dense(n, p, rng)
-                assert mod.mul(a, b) == _oracle_mulmod(a, b, f, p), (p, n)
-                assert mod.mul(a, a) == _oracle_mulmod(a, a, f, p), (p, n)
-            assert mod.mul([], _random_dense(n, p, rng)) == []
+                assert _on_lists(mod, mod.mul, a, b) == _oracle_mulmod(a, b, f, p), (p, n)
+                assert _on_lists(mod, mod.mul, a, a) == _oracle_mulmod(a, a, f, p), (p, n)
+            assert _on_lists(mod, mod.mul, [], _random_dense(n, p, rng)) == []
     # every array slot width and the generic wide path ran
     assert {1, 2, 4, 8} <= widths and max(widths) > 8
 
 
 def test_mulmod_worst_case_operands():
-    # all coefficients p - 1 make every convolution and fold sum maximal
+    # all coefficients p - 1 make every product, Barrett quotient and
+    # remainder sum maximal; every degree from 1 to 64
     rng = random.Random(7)
-    for p in KERNEL_PRIMES:
-        for n in (1, 2, 4, 9, 40):
+    for p in KERNEL_PRIMES + (WIDE_PRIME,):
+        for n in range(1, 65):
             top = [p - 1] * n
-            for f in ([p - 1] * n + [1], _random_monic(n, p, rng)):
+            fs = [[p - 1] * n + [1]]
+            if n in (1, 2, 3, 4, 9, 40, 64):
+                fs.append(_random_monic(n, p, rng))
+            for f in fs:
                 mod = _Modulus(f, p)
-                assert mod.mul(top, top) == _oracle_mulmod(top, top, f, p), (p, n)
+                assert _on_lists(mod, mod.mul, top, top) == \
+                    _oracle_mulmod(top, top, f, p), (p, n)
 
 
-def test_mulmod_needs_its_nine_byte_slot():
-    # p = 2^31 - 1, degree 5: n*(p-1)^2 + p needs 9 bytes; an 8-byte slot
-    # would let the worst-case sums carry into the next coefficient
+def test_mulmod_needs_its_seventeen_byte_slot():
+    # p = 2^31 - 1, degree 5: V = n*p*(p-1) + p has 65 bits, k = 96, and
+    # V*M has 130 bits for M = ceil(2^96/p), so the slot takes 17 bytes; in
+    # 16 the worst-case slot of X*M would carry into the next coefficient
     p, n = 2 ** 31 - 1, 5
     f = [p - 1] * n + [1]
     mod = _Modulus(f, p)
-    assert mod.width == 9
+    bound = n * p * (p - 1) + p
+    assert (mod.k, mod.magic) == (96, -(-2 ** 96 // p))
+    assert (bound * mod.magic).bit_length() == 130
+    assert mod.width == 17
     top = [p - 1] * n
-    assert mod.mul(top, top) == _oracle_mulmod(top, top, f, p)
+    assert _on_lists(mod, mod.mul, top, top) == _oracle_mulmod(top, top, f, p)
     assert mul_fp(top, top, p) == _umul(top, top, p)
+
+
+def test_red_is_exact_with_every_slot_at_its_bound():
+    # red(X) = X - (((X*M) >> k) & MASK)*p in every one of the 2n+1 slots,
+    # each at V = n*p*(p-1) + p, just below it and at random values
+    rng = random.Random(1994)
+    for p in KERNEL_PRIMES + (WIDE_PRIME,):
+        for n in (1, 2, 3, 17, 64):
+            s = _Slots(n, p)
+            bound = n * p * (p - 1) + p
+            assert s.bits == 8 * s.width and bound * s.magic < 2 ** s.bits
+            for values in ([bound] * (2 * n + 1), [bound - 1] * (2 * n + 1),
+                           [rng.randint(0, bound) for _ in range(2 * n + 1)]):
+                packed = sum(v << i * s.bits for i, v in enumerate(values))
+                assert s.red(packed) == s.pack([v % p for v in values]), (p, n)
+
+
+def test_packed_remainder_and_gcd_match_schoolbook():
+    # dividends up to degree 2n, divisors of every degree up to it, monic
+    # or not.  Below the lead of a monomial divisor x^m every slot adds
+    # (p-1)*p per step, so the all-(p-1) dividend of degree 2n over x^n
+    # brings n slots to p - 1 + n*p*(p-1), one below V
+    rng = random.Random(1970)
+    for p in KERNEL_PRIMES + (WIDE_PRIME,):
+        for n in (1, 2, 3, 8, 21):
+            s = _Slots(n, p)
+            cases = [([p - 1] * (2 * n + 1), g) for m in (0, 1, n)
+                     for g in ([p - 1] * (m + 1), [0] * m + [1])]
+            for _ in range(6):
+                a = _random_dense(rng.randint(0, 2 * n + 1), p, rng)
+                g = _random_dense(rng.randint(1, 2 * n + 1), p, rng) or [1]
+                cases.append((a, g))
+            for a, g in cases:
+                q, r = s.divmod(s.pack(a), s.pack(g))
+                assert [s.unpack(q), s.unpack(r)] == list(_udivmod(a, g, p)), (p, n)
+                if len(a) <= n + 1 and len(g) <= n + 1:
+                    assert _on_lists(s, s.gcd, a, g) == _ugcd(a, g, p), (p, n)
+            # a common factor survives, and gcd(0, g) is g made monic
+            c = _random_monic(n, p, rng)
+            a, g = _umul(c, [1, 1], p), _umul(c, [2 % p, 1], p)
+            assert _on_lists(s, s.gcd, a, g) == _ugcd(a, g, p)
+            assert _on_lists(s, s.gcd, [], [p - 1]) == [1]
+            with pytest.raises(ZeroDivisionError):
+                s.divmod(s.pack([1]), 0)
+
+
+def test_irreducible_fp_refuses_a_list_that_is_not_monic_over_f_p():
+    # 2t^2 + 1 over GF(5) is 2(t^2 + 3), an associate of an irreducible:
+    # the test answers only for monic lists with entries in [0, p)
+    assert irreducible_fp([3, 0, 1], 5)
+    for f in ([1, 0, 2], [8, 0, 1], [-2, 0, 1], [3, 0, 1, 0], [], [0]):
+        with pytest.raises(ValueError):
+            irreducible_fp(f, 5)
 
 
 def test_upow_mod_matches_schoolbook():
@@ -672,7 +765,8 @@ def test_upow_mod_matches_schoolbook():
             mod = _Modulus(f, p)
             for e in (0, 1, 2, 3, 7, 16, 29):
                 a = _random_dense(n + 2, p, rng)  # unreduced base too
-                assert _upow_mod(a, e, mod) == _oracle_powmod(a, e, f, p), (p, n, e)
+                assert _on_lists(mod, lambda x: _upow_mod(x, e, mod), a) == \
+                    _oracle_powmod(a, e, f, p), (p, n, e)
 
 
 def test_frobenius_matches_powering():
@@ -687,7 +781,8 @@ def test_frobenius_matches_powering():
                 for a in ([p - 1] * n, [p - 1] * (2 * n + 1),
                           _random_dense(n, p, rng), _random_dense(n + 3, p, rng),
                           [], [0, 1]):
-                    assert mod.frobenius(a) == _upow_mod(a, p, mod), (p, n)
+                    assert _on_lists(mod, mod.frobenius, a) == \
+                        _on_lists(mod, lambda x: _upow_mod(x, p, mod), a), (p, n)
 
 
 def test_split_power_matches_powering():
@@ -699,8 +794,9 @@ def test_split_power_matches_powering():
             mod = _Modulus(f, p)
             for d in (1, 2, 3, 4):
                 for a in (_random_dense(n, p, rng), [p - 1] * n):
-                    assert _split_power(a, d, mod) == \
-                        _upow_mod(a, (p ** d - 1) // 2, mod), (p, n, d)
+                    assert _on_lists(mod, lambda x: _split_power(x, d, mod), a) == \
+                        _on_lists(mod, lambda x: _upow_mod(x, (p ** d - 1) // 2, mod),
+                                  a), (p, n, d)
 
 
 def test_mul_fp_matches_schoolbook():
