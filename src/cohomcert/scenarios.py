@@ -586,12 +586,10 @@ def _plan_toeplitz_suite(params) -> list[PlannedCheck]:
         }, {"census": census}
 
     def census_verify(cert):
-        # the rows the parameters ask for, n = 1..n_max, before any
-        # arithmetic; sound rows fix every other field of the census
+        # as many rows as the parameters ask for, before any arithmetic;
+        # sound rows are rows n = 1..n_max and fix every other field
         rows = cert["census"]["rows"]
-        sound = len(rows) == census_n_max and all(
-            type(row["n"]) is int and row["n"] == i for i, row in enumerate(rows, 1)
-        ) and census_rows_sound(census_p, rows)
+        sound = len(rows) == census_n_max and census_rows_sound(census_p, rows)
         return census_outcome(census_json(census_p, census_n_max, rows)) if sound \
             else ("fail", "the census rows fail the row check", {})
 

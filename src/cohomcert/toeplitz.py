@@ -16,8 +16,10 @@ division, a wrong product or a split that fails is an engine error, never
 a verdict.  The census row check, census_rows_sound, is the only
 irreducibility certificate: factor_census runs it on its own rows before
 it returns them, and reverify runs it on a reported census.  It certifies
-one factor of each mirror pair by Rabin's test: t -> -t is a ring
-automorphism, so the other is irreducible with it.
+one factor of each mirror pair by Rabin's test (t -> -t is a ring
+automorphism, so the other is irreducible with it), and asks that the rows
+equal, as JSON, what census_rows derives from their factorizations.
+_print_factor and _read_factor print and read factor names.
 """
 
 from __future__ import annotations
@@ -525,10 +527,6 @@ def _squarefree(f, p):
     return out
 
 
-def _uadd(f, g, p):
-    return _utrim([(x + y) % p for x, y in zip_longest(f, g, fillvalue=0)])
-
-
 def _distinct_degree(f, p):
     """Split a squarefree monic f into (product, d) blocks."""
     out = []
@@ -698,21 +696,29 @@ class FactorCensus(Record):
         return self.rows[-1].cumulative_count if self.rows else 0
 
     def to_json_dict(self) -> dict:
-        return census_json(self.p, self.n_max, [
-            {
-                "n": r.n,
-                "factors": list(r.factors),
-                "new_factors": list(r.new_factors),
-                "cumulative_count": r.cumulative_count,
-                "factorization": [[f, m] for f, m in r.factorization],
-            }
-            for r in self.rows
-        ])
+        return census_json(self.p, self.n_max,
+                           census_rows([r.factorization for r in self.rows]))
+
+
+def census_rows(factorizations) -> list:
+    """The JSON census rows of (factor, multiplicity) lists, row n from
+    the list at position n - 1: its factors, those no earlier row has, and
+    the count of distinct factors so far."""
+    rows, seen = [], set()
+    for n, factorization in enumerate(factorizations, 1):
+        factors = [f for f, _ in factorization]
+        new = [f for f in factors if f not in seen]
+        seen.update(new)
+        rows.append({"n": n, "factors": factors, "new_factors": new,
+                     "cumulative_count": len(seen),
+                     "factorization": [[f, m] for f, m in factorization]})
+    return rows
 
 
 def census_json(p: int, n_max: int, rows: list) -> dict:
     """The JSON form of a census over F_p for n = 1..n_max, from its rows
-    in JSON form: every other field follows from p, n_max and the rows."""
+    in JSON form: every other field follows from p, n_max and the rows,
+    and sound rows (census_rows_sound) follow from their factorizations."""
     return {
         "p": p,
         "n_max": n_max,
@@ -727,92 +733,89 @@ def census_json(p: int, n_max: int, rows: list) -> dict:
     }
 
 
-# one term of a factor as format_polynomial prints it over F_p: c*t^k, t^k,
-# c*t, t or c, with no coefficient 1 on t and no exponent 0 or 1
+# one term of a factor name over F_p: c*t^k, t^k, c*t, t or c, with no
+# coefficient 1 on t and no exponent 0 or 1
 _FACTOR_TERM = re.compile(r"(?:([1-9]\d*)\*)?t(?:\^([1-9]\d*))?|([1-9]\d*)")
 
 
-def _read_factor(text: str, p: int):
-    """Terms (k, c) of a polynomial in t over F_p, exponents strictly
-    decreasing and coefficients in [1, p), read from exactly the string
-    format_polynomial prints for it; None for any other string."""
+def _print_factor(dense) -> str:
+    """The name of a nonzero dense list over F_p with entries in [0, p),
+    the string format_polynomial prints for it."""
+    return " + ".join(
+        str(c) if k == 0 else
+        ("" if c == 1 else f"{c}*") + ("t" if k == 1 else f"t^{k}")
+        for k, c in reversed(list(enumerate(dense))) if c)
+
+
+def _read_factor(text: str, p: int, max_degree: int):
+    """The dense list over F_p of degree at most max_degree that
+    _print_factor names text; None for any other string.  No term longer
+    than (p-1)*t^max_degree is matched or converted to ints."""
+    longest = len(f"{p - 1}*t^{max_degree}")
     terms = []
     for piece in text.split(" + "):
-        m = _FACTOR_TERM.fullmatch(piece)
+        m = _FACTOR_TERM.fullmatch(piece) if len(piece) <= longest else None
         if m is None:
             return None
         coeff, exp, const = m.groups()
-        if const is not None:
-            k, c = 0, int(const)
-        elif coeff == "1" or exp == "1":
+        if coeff == "1" or exp == "1":
             return None
-        else:
-            k = int(exp or 1)
-            c = int(coeff or 1)
-        if c >= p or terms and terms[-1][0] <= k:
+        k, c = (0, int(const)) if const else (int(exp or 1), int(coeff or 1))
+        if c >= p or k > max_degree or terms and terms[-1][0] <= k:
             return None
         terms.append((k, c))
-    return terms
+    dense = [0] * (terms[0][0] + 1)
+    for k, c in terms:
+        dense[k] = c
+    return dense
 
 
 def census_rows_sound(p: int, rows) -> bool:
-    """Each census row (JSON form) has exactly the fields of a row, lists
-    monic irreducible factors over F_p whose product is Q_n(1,t), names as
-    new exactly its factors that no earlier row has, and counts the
-    distinct factors seen so far; multiplicities and counts are ints.
-    Each distinct factor string is read once, and made a dense coefficient
-    list and certified once, after its row's degrees add up to n.  t -> -t
-    is a ring automorphism of F_p[t], so a factor whose mirror
-    (-1)^deg g * g(-t) is already certified irreducible is irreducible
-    without Rabin's test.  A row's product is one exact integer product of
-    its factor powers."""
-    read: dict = {}  # factor string -> its terms, or None if not monic canonical
-    certified: dict = {}  # factor string -> dense coefficients, or None
+    """Do the census rows (JSON form) list, as row n, monic irreducible
+    factors over F_p named as _print_factor names them, with int
+    multiplicities and product Q_n(1,t), and equal, as JSON, the rows
+    census_rows derives from those factorizations?  A value of any other
+    shape is False.  Each distinct factor string is read and certified
+    once, after its row's degrees add up to n.  t -> -t is a ring
+    automorphism of F_p[t], so a factor whose mirror (-1)^deg g * g(-t) is
+    already certified irreducible is irreducible without Rabin's test.  A
+    row's product is one exact integer product of its factor powers.  The
+    closing == cannot tell 1.0 or True from 1, so n and every count must
+    be an int too."""
+    if not isinstance(rows, list):
+        return False
+    read: dict = {}  # factor string -> dense tuple, or None if not monic canonical
     irreducible: set = set()  # dense coefficient tuples certified so far
-    seen: set[str] = set()
-    for row in rows:
-        if row.keys() != {"n", "factors", "new_factors", "cumulative_count",
-                          "factorization"}:
-            return False
-        n = int(row["n"])
-        factorization = []
-        for fac, mult in row["factorization"]:
-            if fac not in read:
-                terms = _read_factor(fac, p)
-                read[fac] = terms if terms and terms[0][1] == 1 else None
-            if read[fac] is None or type(mult) is not int:
-                return False
-            factorization.append((fac, read[fac][0][0], mult))
-        # degrees adding up to n bound the work before any arithmetic
-        if any(d < 1 or m < 1 for _, d, m in factorization) or \
-                sum(d * m for _, d, m in factorization) != n:
+    column = []
+    for n, row in enumerate(rows, 1):
+        entries = row.get("factorization") if isinstance(row, dict) else None
+        if not isinstance(entries, list) or not all(
+                isinstance(e, list) and len(e) == 2 and type(e[0]) is str
+                and type(e[1]) is int for e in entries):
             return False
         powers = []
-        for fac, d, m in factorization:
-            if fac not in certified:
-                dense = [0] * (d + 1)
-                for k, c in read[fac]:
-                    dense[k] = c
-                if tuple(mirror_fp(dense, p)) in irreducible or \
-                        irreducible_fp(dense, p):
-                    irreducible.add(tuple(dense))
-                    certified[fac] = dense
-                else:
-                    certified[fac] = None
-            if certified[fac] is None:
+        for fac, m in entries:
+            if fac not in read:
+                g = _read_factor(fac, p, len(rows))
+                read[fac] = tuple(g) if g and g[-1] == 1 else None
+            if read[fac] is None:
                 return False
-            powers.append((certified[fac], m))
+            powers.append((read[fac], m))
+        # degrees adding up to n bound the work before any arithmetic
+        if any(len(g) < 2 or m < 1 for g, m in powers) or \
+                sum((len(g) - 1) * m for g, m in powers) != n:
+            return False
+        for g, _ in powers:
+            if not (g in irreducible or tuple(mirror_fp(g, p)) in irreducible
+                    or irreducible_fp(g, p)):
+                return False
+            irreducible.add(g)
         if power_product_fp(powers, p) != qn_row_fp(n, p):
             return False
-        factors = [fac for fac, _ in row["factorization"]]
-        if row["factors"] != factors or \
-                row["new_factors"] != [f for f in factors if f not in seen]:
-            return False
-        seen.update(factors)
-        count = row["cumulative_count"]
-        if type(count) is not int or count != len(seen):
-            return False
-    return True
+        column.append(entries)
+    return rows == census_rows(column) and all(
+        type(row["n"]) is int and type(row["cumulative_count"]) is int
+        for row in rows)
 
 
 def _split_degree(d, p):
@@ -846,26 +849,22 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
     degree of _split_degree, in a bounded number of draws.  For
     d = p^a * d' with p prime to d', Psi_d is Psi_(d')^phi(p^a) when
     d' >= 3 and (t -+ 2)^(phi(p^a)/2) when d' is 1 or 2, checked by
-    multiplying out.  Nothing here certifies irreducibility: the census
-    ends by running census_rows_sound, the check reverify makes, on its
-    own rows, so a factor that is not irreducible, or a row whose product
-    is not Q_n(1,t), never leaves this function.  A division, product,
-    split or row check that comes out wrong raises ArithmeticError, never
-    a verdict.  Factors are ordered as factor_univariate_fp orders them.
+    multiplying out.  Factors are ordered as factor_univariate_fp orders
+    them, and census_rows derives the rest of each row from them.  Nothing
+    here certifies irreducibility: the census ends by running
+    census_rows_sound, the check reverify makes, on its own rows, so a
+    factor that is not irreducible, or a row that is not what its
+    factorization implies, never leaves this function.  A division,
+    product, split or row check that comes out wrong raises
+    ArithmeticError, never a verdict.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    ring = PolyRing(("t",), GF(p))
     rng = random.Random(_EDF_SEED)
-    seen: set[str] = set()
-    names: dict[tuple, str] = {}   # dense coefficients -> printed factor
+    name = lru_cache(maxsize=None)(_print_factor)  # each factor printed once
     dense_qn: dict[int, list] = {0: [1]}
     psi: dict[int, list] = {}      # d -> dense Psi_d
     psi_counts: dict[int, dict] = {}  # d -> {dense factor: multiplicity}
-
-    def poly(f):
-        return Polynomial(ring, {(i,): c for i, c in enumerate(f) if c},
-                          _normalized=True)
 
     def quotient(f, older, d):
         """Psi_d: f divided exactly by psi[k] for the k in older dividing d."""
@@ -894,7 +893,7 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
             raise NonDivisibleError(f"Psi_{rest}^{phi} is not Psi_{d} over GF({p})")
         return counts
 
-    rows = []
+    factorizations = []
     for n in range(1, n_max + 1):
         dense_qn[n] = qn_row_fp(n, p)
         top = 2 * (n + 1)
@@ -903,7 +902,9 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
             psi_counts[top] = factor_psi(top)
         else:
             j = n // 2
-            half = _uadd(dense_qn[j], [-c % p for c in dense_qn[j - 1]], p)
+            # Q_j - Q_(j-1), whose t^j coefficient is 1
+            half = [(a - b) % p for a, b in
+                    zip_longest(dense_qn[j], dense_qn[j - 1], fillvalue=0)]
             if mul_fp(half, mirror_fp(half, p), p) != dense_qn[n]:
                 raise NonDivisibleError(f"(Q_{j} - Q_{j - 1})(Q_{j} + Q_{j - 1}) "
                                         f"is not Q_{n}(1,t) over GF({p})")
@@ -916,16 +917,12 @@ def factor_census(n_max: int, p: int) -> FactorCensus:
         for d in range(3, top + 1):
             if top % d == 0:
                 counts.update(psi_counts[d])
-        for key in counts:
-            if key not in names:
-                names[key] = str(poly(key))
-        factorization = tuple((names[key], mult) for key, mult
-                              in sorted(counts.items(), key=_factor_order))
-        factors = tuple(name for name, _ in factorization)
-        new = tuple(g for g in factors if g not in seen)
-        seen.update(new)
-        rows.append(CensusRow(n, factors, new, len(seen), factorization))
-    census = FactorCensus(p, n_max, tuple(rows))
-    if not census_rows_sound(p, census.to_json_dict()["rows"]):
+        factorizations.append([(name(key), mult) for key, mult
+                               in sorted(counts.items(), key=_factor_order)])
+    rows = census_rows(factorizations)
+    if not census_rows_sound(p, rows):
         raise ArithmeticError(f"the census over GF({p}) fails its row check")
-    return census
+    return FactorCensus(p, n_max, tuple(
+        CensusRow(r["n"], tuple(r["factors"]), tuple(r["new_factors"]),
+                  r["cumulative_count"], tuple(map(tuple, r["factorization"])))
+        for r in rows))

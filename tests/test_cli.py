@@ -432,7 +432,8 @@ def _masked_digest(path):
                                        (7, "6e3581dd4bd30e17"),
                                        (11, "bbcc0f87b6560a13"),
                                        (13, "d280ada9fc626401"),
-                                       (65521, "e50794dccb7b2947")])
+                                       (65521, "e50794dccb7b2947"),
+                                       (2 ** 64 - 59, "d680b4cb6d8c324c")])
 def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
     # the census benchmark's parameters: the report must not change by a byte
     params = tmp_path / "params.json"
@@ -444,6 +445,21 @@ def test_toeplitz_suite_report_digest(tmp_path, capsys, p, digest):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert _masked_digest(out) == digest
+
+
+@pytest.mark.parametrize("p, fmt, digest", [
+    (2, "json", "8c9b5af76a2253e3"),
+    (2, "text", "51382ccaeeaf9ef8"),
+    (13, "json", "f961872ec9c8ff8d"),
+    (13, "text", "f51bf77a8b20e4f6"),
+    (2 ** 64 - 59, "json", "ab29ee2b1c567e11"),
+    (2 ** 64 - 59, "text", "988dad1c7ef2e9de"),
+])
+def test_toeplitz_census_digest(capsys, p, fmt, digest):
+    # the standalone census, table and JSON, must not change by a byte
+    assert main(["toeplitz", "--n-max", "64", "--p", str(p), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("scenario, params, digest", [

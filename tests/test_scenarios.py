@@ -30,8 +30,10 @@ from cohomcert.polyring import format_polynomial
 from cohomcert.toeplitz import (
     ST_RING,
     QnPolynomial,
+    _print_factor,
     _read_factor,
     census_json,
+    census_rows,
     census_rows_sound,
     dense_coefficients,
     factor_census,
@@ -722,6 +724,39 @@ def _census_n_max_float(report):
     _census_of(report)["n_max"] = float(_census_of(report)["n_max"])
 
 
+def _census_first_occurrence_rederived(report):
+    census = _census_of(report)
+    census["first_occurrence"] = \
+        census_json(census["p"], census["n_max"], census["rows"])["first_occurrence"]
+
+
+def _census_factors_swapped(report):
+    # row 5 is t (t + 1)(t + 4)(t^2 + 2)
+    factors = _census_of(report)["rows"][4]["factors"]
+    factors[0], factors[1] = factors[1], factors[0]
+
+
+def _census_new_factor_dropped(report):
+    # t + 1 and t + 4 are new at row 2
+    row = _census_of(report)["rows"][1]
+    assert row["new_factors"] == ["t + 1", "t + 4"]
+    row["new_factors"] = ["t + 4"]
+    _census_first_occurrence_rederived(report)
+
+
+def _census_old_factor_new_again(report):
+    # t, new at row 1, is a factor of row 5 again
+    row = _census_of(report)["rows"][4]
+    assert row["factors"][0] == "t" and "t" not in row["new_factors"]
+    row["new_factors"] = ["t"] + row["new_factors"]
+    _census_first_occurrence_rederived(report)
+
+
+def _census_count_one_higher(report):
+    for row in _census_of(report)["rows"][3:]:
+        row["cumulative_count"] += 1
+
+
 @pytest.mark.parametrize("tamper", [
     _census_p_string,             # p is not an int
     _census_p_not_prime,          # p is not prime
@@ -741,6 +776,10 @@ def _census_n_max_float(report):
     _census_extra_key,
     _census_p_float,              # equal to params.census_p, but not an int
     _census_n_max_float,
+    _census_factors_swapped,      # a field the factorizations imply is not theirs
+    _census_new_factor_dropped,
+    _census_old_factor_new_again,
+    _census_count_one_higher,
 ])
 def test_reverify_bounds_census_work(census_report, tamper):
     tampered = copy.deepcopy(census_report)
@@ -877,13 +916,15 @@ def test_run_and_reverify_certify_each_census_factor_once(monkeypatch, p, certif
 
 
 def test_census_check_builds_no_polynomial(monkeypatch):
-    # the row check works on dense coefficient lists from parse to verdict
+    # the census and its row check work on dense coefficient lists from
+    # factorization or parse to verdict
     rows = factor_census(64, 5).to_json_dict()["rows"]
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("the census row check built a Polynomial")
+        raise AssertionError("the census or its row check built a Polynomial")
     monkeypatch.setattr(Polynomial, "__init__", refuse)
     assert census_rows_sound(5, rows)
+    assert factor_census(64, 5).to_json_dict()["rows"] == rows
 
 
 def test_reverify_rejects_non_monic_census_factors():
@@ -897,12 +938,7 @@ def test_reverify_rejects_non_monic_census_factors():
     census = _census_of(tampered)
     assert census["rows"][1]["factorization"] == [["t + 1", 1], ["t + 4", 1]]
     census["rows"][1]["factorization"] = [["2*t + 2", 1], ["3*t + 2", 1]]
-    seen = set()
-    for row in census["rows"]:
-        row["factors"] = [f for f, _ in row["factorization"]]
-        row["new_factors"] = [f for f in row["factors"] if f not in seen]
-        seen.update(row["factors"])
-        row["cumulative_count"] = len(seen)
+    census["rows"] = census_rows([row["factorization"] for row in census["rows"]])
     census["first_occurrence"] = \
         census_json(5, 16, census["rows"])["first_occurrence"]
     assert _census_of(report)["rows"][-1]["cumulative_count"] == 26
@@ -965,18 +1001,51 @@ def test_reverify_reads_census_factors_strictly(census_report, old, new):
 
 
 def test_census_factor_reader_round_trips():
+    # format_polynomial is the oracle of the census printer
     rng = random.Random(13)
-    for p in (2, 5, 13, 65521):
+    for p in (2, 5, 13, 65521, 2 ** 64 - 59):
         ring = PolyRing(("t",), GF(p))
         for _ in range(200):
             terms = {(k,): rng.randrange(1, p)
                      for k in rng.sample(range(12), rng.randint(1, 5))}
+            dense = [0] * (max(terms)[0] + 1)
+            for (k,), c in terms.items():
+                dense[k] = c
             text = format_polynomial(Polynomial(ring, terms))
-            assert _read_factor(text, p) == \
-                sorted(((k, c) for (k,), c in terms.items()), reverse=True)
+            assert _print_factor(dense) == text
+            assert _read_factor(text, p, 11) == dense
+    long_exponent = "t^" + "9" * 5000  # int() of it raises past 4300 digits
     for text in ("0", "", "t+3", "t + 3 + 4", "t^1", "t^0", "1*t", "05",
-                 "-t", "t - 1", "t^2 + t^2", "x", " t"):
-        assert _read_factor(text, 5) is None
+                 "-t", "t - 1", "t^2 + t^2", "x", " t", "t^12", "t^99",
+                 "15*t", long_exponent, "9" * 5000 + "*t", "9" * 5000):
+        assert _read_factor(text, 5, 11) is None
+    assert census_rows_sound(5, [{
+        "n": 1, "factors": [long_exponent], "new_factors": [long_exponent],
+        "cumulative_count": 1, "factorization": [[long_exponent, 1]]}]) is False
+
+
+_CENSUS_ROW_1 = {"n": 1, "factors": ["t"], "new_factors": ["t"],
+                 "cumulative_count": 1, "factorization": [["t", 1]]}
+
+
+@pytest.mark.parametrize("rows", [
+    [["t", 1]],                                           # a row not a dict
+    [None],
+    [dict(_CENSUS_ROW_1, factorization=[["t", 1, 2]])],   # entry of three
+    [dict(_CENSUS_ROW_1, factorization=["t"])],
+    [dict(_CENSUS_ROW_1, factorization=[[["t"], 1]])],    # name not a string
+    [dict(_CENSUS_ROW_1, factorization=[[7, 1]])],
+    [dict(_CENSUS_ROW_1, factorization=5)],
+    [{k: v for k, v in _CENSUS_ROW_1.items() if k != "factorization"}],
+    [dict(_CENSUS_ROW_1, n="x")],
+    [dict(_CENSUS_ROW_1, n=1.0)],
+    [dict(_CENSUS_ROW_1, extra=1)],
+    {"rows": [_CENSUS_ROW_1]},                            # rows not a list
+    5,
+])
+def test_census_row_check_is_false_on_malformed_rows(rows):
+    assert census_rows_sound(5, [_CENSUS_ROW_1])
+    assert census_rows_sound(5, rows) is False
 
 
 def test_reverify_rejects_malformed():
