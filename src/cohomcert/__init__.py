@@ -46,7 +46,6 @@ from .groebner import (
     ideal_equal,
     intersect,
     membership,
-    membership_monomial_plus_p,
     normal_form,
 )
 from .toeplitz import (

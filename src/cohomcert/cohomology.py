@@ -8,6 +8,13 @@ witness exponent) but never nonvanishing; the only nonvanishing
 certificates issued here come from the weight-reduction pipeline, which
 turns the torsion construction's grading argument into five machine-checked
 steps.
+
+Every membership question that needs no Groebner basis is decided here:
+outside_monomial_ideal drops the terms a monomial ideal contains (with a
+reduction mod p first it decides (p, monomials) in Z[vars]), and
+_term_ideal_membership walks pure-difference binomial moves.  Only
+_ideal_membership hands a question it cannot decide that way to the
+engine's membership.
 """
 
 from __future__ import annotations
@@ -22,8 +29,6 @@ from .groebner import (
     eliminate,
     colon,
     membership,
-    membership_monomial_plus_p,
-    outside_monomial_ideal,
 )
 from .polyring import (
     Multigrading,
@@ -31,6 +36,7 @@ from .polyring import (
     PolyRing,
     Record,
     ZZ,
+    _format_monomial,
     convert,
     divide_exact_by_integer,
     is_prime,
@@ -195,21 +201,35 @@ def _term_ideal_membership(f: Polynomial, gens, relations=()) -> bool:
     return True
 
 
-def _vanishes_at(c: CechClass, k: int) -> bool:
-    """Does f (x_1...x_n)^k lie in (x_1^{m+k}, ..., x_n^{m+k}) + relations?
+def outside_monomial_ideal(f: Polynomial, exponents) -> Polynomial:
+    """The terms of f that no x^e, e in exponents, divides: f's normal form
+    modulo that monomial ideal, over any coefficient domain.  With f
+    reduced mod p first, it decides membership in (p, monomials) in
+    Z[vars]: f lies there iff nothing survives."""
+    return Polynomial(f.ring, {
+        t: c for t, c in f.terms.items()
+        if not any(monomial_divides(e, t) for e in exponents)
+    }, _normalized=True)
 
-    Decided by moves when the ideal allows it, otherwise by the Groebner
-    engine."""
+
+def _ideal_membership(f: Polynomial, gens, quotient: QuotientRing | None = None) -> bool:
+    """Decide f in (gens) + the relations of quotient: by moves when the
+    ideal allows it, otherwise by the Groebner engine, which raises
+    DomainNotSupportedError again over Z."""
+    try:
+        return _term_ideal_membership(f, gens, quotient.relations if quotient else ())
+    except DomainNotSupportedError:
+        return membership(f, Ideal(f.ring, tuple(gens)), rel=quotient)
+
+
+def _vanishes_at(c: CechClass, k: int) -> bool:
+    """Does f (x_1...x_n)^k lie in (x_1^{m+k}, ..., x_n^{m+k}) + relations?"""
     pushed = push_forward(c, k)
-    ideal, relations = pushed.power_ideal(), c.ring.relations
-    if not c.ring.ring.domain.is_field and relations:
+    if not c.ring.ring.domain.is_field and c.ring.relations:
         raise DomainNotSupportedError(
             "vanishing over Z with relations is outside the membership engine"
         )
-    try:
-        return _term_ideal_membership(pushed.numerator, ideal.generators, relations)
-    except DomainNotSupportedError:  # over Z the engine raises it again
-        return membership(pushed.numerator, ideal, rel=c.ring)
+    return _ideal_membership(pushed.numerator, pushed.power_ideal().generators, c.ring)
 
 
 def is_zero_up_to(c: CechClass, k_max: int):
@@ -301,11 +321,7 @@ def conjecture_membership_check(f_list, g_list, p: int, e: int, k: int, domain) 
     product = convert(lam, ring)
     for g in g_list:
         product = product * convert(g, ring) ** k
-    gens = tuple(convert(g, ring) ** (q + k) for g in g_list)
-    try:
-        return _term_ideal_membership(product, gens)
-    except DomainNotSupportedError:  # not a monomial ideal
-        return membership(product, Ideal(ring, gens))
+    return _ideal_membership(product, [convert(g, ring) ** (q + k) for g in g_list])
 
 
 # -- the fixed ux + vy + wz scenario ----------------------------------------
@@ -455,6 +471,7 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
         raise PipelineStepError("specialization", "the map does not kill the relation")
     zxy = PolyRing(("x", "y"), ZZ)
     lam_bar = convert(lam.substitute(subst), zxy)
+    lam_bar_str = str(lam_bar)
     xb, yb = zxy.gens()
     images = {
         "u^p*x^p": convert((u ** p * x ** p).substitute(subst), zxy),
@@ -466,7 +483,7 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
     third = images["w^p*z^p"]
     if third != (-(xb + yb)) ** p:
         raise PipelineStepError("specialization", "third generator image is wrong")
-    if not membership_monomial_plus_p(third, p, [xb ** p, yb ** p]):
+    if not outside_monomial_ideal(reduce_mod_p(third, p), [(p, 0), (0, p)]).is_zero:
         raise PipelineStepError(
             "specialization",
             "the image of w^p z^p is not in (p, x^p, y^p), so the final "
@@ -476,7 +493,7 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
         "specialization",
         "u,v,w -> 1 and z -> -(x+y) kill the relation and send the three "
         "generators into (p, x^p, y^p) of Z[x,y]",
-        {"specialized_numerator": str(lam_bar),
+        {"specialized_numerator": lam_bar_str,
          "generator_images": {k: str(vv) for k, vv in images.items()}},
     ))
 
@@ -489,24 +506,21 @@ def weight_reduction_nonvanishing(p: int, lam: Polynomial | None = None) -> Nonz
             "the specialized numerator lies in (p, x^p, y^p); the class "
             "could be zero",
         )
-    witness = residual.sorted_terms()[0][0]
-    witness_str = "*".join(
-        n if e2 == 1 else f"{n}^{e2}"
-        for n, e2 in zip(("x", "y"), witness) if e2
-    )
+    residual_str = str(residual)
+    witness_str = _format_monomial(zxy, residual.sorted_terms()[0][0])
     steps.append(PipelineStep(
         "final_nonmembership",
-        f"{lam_bar} is not in (p, x^p, y^p) in Z[x,y] for p = {p}: "
-        f"mod {p} the terms {residual} survive and none is divisible by "
+        f"{lam_bar_str} is not in (p, x^p, y^p) in Z[x,y] for p = {p}: "
+        f"mod {p} the terms {residual_str} survive and none is divisible by "
         f"x^{p} or y^{p}",
-        {"specialized_numerator": str(lam_bar),
+        {"specialized_numerator": lam_bar_str,
          "monomial_generators": [f"x^{p}", f"y^{p}"],
-         "residual_mod_p": str(residual),
+         "residual_mod_p": residual_str,
          "witness_monomial": witness_str},
     ))
 
     return NonzeroCertified(WeightPipelineCertificate(
-        p, tuple(steps), witness_str, str(residual)
+        p, tuple(steps), witness_str, residual_str
     ))
 
 

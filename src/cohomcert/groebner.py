@@ -3,12 +3,10 @@
 Membership, colon ideals, elimination, intersections, bracket powers and
 quotient-ring normal forms over Q and F_p reduce to the reduced Groebner
 bases computed here.  They are library API and the acceptance oracles,
-but no scenario asks the engine anything: the scenarios decide their
-ideal questions by termwise divisibility, binomial moves
-(cohomology._term_ideal_membership, over any domain, ZZ included) and
-linear algebra in one graded component.  Ideals of the shape
-(p, monomials) in Z[vars] are decided here without a basis, by
-membership_monomial_plus_p via reduction mod p.
+but no scenario asks the engine anything: every basis-free membership
+decision (monomial ideals, binomial moves, (p, monomials) in Z[vars])
+lives in cohomology, and the colon scenarios add linear algebra in one
+graded component.
 
 The pair queue uses the normal selection strategy (lowest lcm degree
 first) and the Gebauer-Moeller criteria; bases are monic and fully
@@ -63,13 +61,10 @@ from .polyring import (
     Record,
     RingMismatchError,
     NonDivisibleError,
-    ZZ,
     convert,
-    is_prime,
     monomial_div,
     monomial_divides,
     monomial_mul,
-    reduce_mod_p,
 )
 
 
@@ -570,37 +565,6 @@ def membership(f: Polynomial, ideal: Ideal, rel: QuotientRing | None = None) -> 
     if full.is_zero:
         return f.is_zero
     return buchberger(full).contains(f)
-
-
-def outside_monomial_ideal(f: Polynomial, exponents) -> Polynomial:
-    """The terms of f that no x^e, e in exponents, divides: f's normal form
-    modulo that monomial ideal, over any coefficient domain."""
-    return Polynomial(f.ring, {
-        t: c for t, c in f.terms.items()
-        if not any(monomial_divides(e, t) for e in exponents)
-    }, _normalized=True)
-
-
-def membership_monomial_plus_p(f: Polynomial, p: int, monomials) -> bool:
-    """Decide f in (p, m_1, ..., m_r) inside Z[vars].
-
-    Exact for this shape of ideal: reduce f mod p, then every surviving
-    term must be divisible by some m_i.
-    """
-    if f.ring.domain != ZZ:
-        raise DomainNotSupportedError("membership_monomial_plus_p works over Z")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    exps = []
-    for m in monomials:
-        if m.ring != f.ring:
-            raise RingMismatchError(f"generator {m} not in {f.ring}")
-        if len(m.terms) != 1:
-            raise ValueError(f"generator {m} is not a monomial")
-        ((e, c),) = m.terms.items()
-        if c % p != 0:
-            exps.append(e)
-    return outside_monomial_ideal(reduce_mod_p(f, p), exps).is_zero
 
 
 def exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:

@@ -27,12 +27,17 @@ from cohomcert import (
     is_zero_up_to,
     lambda_q,
     membership,
+    normal_form,
     push_forward,
     qn_recursive,
     torsion_ring,
     verify_zero_at,
     weight_reduction_nonvanishing,
 )
+from cohomcert.cohomology import outside_monomial_ideal
+from cohomcert.polyring import reduce_mod_p
+
+from helpers import random_polynomial
 
 RING_Z, RELATION = torsion_ring()
 U, V, W, X, Y, Z = RING_Z.gens()
@@ -272,6 +277,37 @@ def test_eta_torsion_certificates():
         assert recombined == p * cert.cech_class.numerator
 
 
+# -- the monomial-ideal reducer ----------------------------------------------
+
+def test_outside_monomial_ideal_decides_monomials_plus_p():
+    # f lies in (p, x^a, ...) of Z[x, y] iff nothing of f mod p survives
+    ring = PolyRing(("x", "y"), ZZ)
+    x, y = ring.gens()
+
+    def outside(f, p, exps):
+        return outside_monomial_ideal(reduce_mod_p(f, p), exps)
+    lam = -(x * y)  # ((x^2+y^2) - (x+y)^2)/2
+    assert outside(lam, 2, [(2, 0), (0, 2)]) == reduce_mod_p(x * y, 2)
+    assert outside(x ** 2, 2, [(2, 0), (0, 2)]).is_zero
+    assert outside(x ** 3 * y, 2, [(2, 0), (0, 2)]).is_zero
+    assert outside(3 * x, 3, [(5, 0)]).is_zero
+    assert outside(3 * x + y, 3, [(5, 0)]) == reduce_mod_p(y, 3)
+
+
+@pytest.mark.parametrize("domain", [QQ, GF(5)])
+def test_outside_monomial_ideal_is_the_engine_normal_form(domain):
+    # monomial generators are a Groebner basis under any order, so the
+    # engine's normal form is an independent oracle for the reducer
+    ring = PolyRing(("x", "y", "z"), domain)
+    rng = random.Random(32)
+    for _ in range(80):
+        exps = [tuple(rng.randint(0, 3) for _ in range(3))
+                for _ in range(rng.randint(1, 3))]
+        f = random_polynomial(rng, ring, max_terms=8, max_deg=5)
+        gb = buchberger(Ideal(ring, tuple(ring.monomial(e) for e in exps)))
+        assert outside_monomial_ideal(f, exps) == normal_form(f, gb), (f, exps)
+
+
 # -- the k = q - 1 membership -------------------------------------------------
 
 def test_conjecture_membership_examples():
@@ -295,8 +331,8 @@ def test_termwise_membership_agrees_with_the_engine(monkeypatch, domain):
     f, g = [x, y, z], [y * z, z * x, -2 * x * y]
     engine = []
 
-    def recorded(product, ideal):
-        engine.append(membership(product, ideal))
+    def recorded(product, ideal, rel):
+        engine.append(membership(product, ideal, rel=rel))
         return engine[-1]
     monkeypatch.setattr(cohomology, "membership", recorded)
     for p, e in ((2, 1), (2, 2), (3, 1), (3, 2)):

@@ -26,7 +26,6 @@ from cohomcert import (
     ideal_equal,
     intersect,
     membership,
-    membership_monomial_plus_p,
     normal_form,
     reverify,
     run_scenario,
@@ -177,19 +176,6 @@ def test_membership_brute_force_agreement():
                     g.total_degree() for g in ideal.generators) + 2
                 assert brute_force_membership(combo, ideal.generators, bound)
     assert hits  # at least one positive random case exercised both routes
-
-
-def test_membership_monomial_plus_p():
-    ring = PolyRing(("x", "y"), ZZ)
-    x, y = ring.gens()
-    lam = -(x * y)  # ((x^2+y^2) - (x+y)^2)/2
-    assert not membership_monomial_plus_p(lam, 2, [x ** 2, y ** 2])
-    assert membership_monomial_plus_p(x ** 2, 2, [x ** 2, y ** 2])
-    assert membership_monomial_plus_p(3 * x, 3, [x ** 5])
-    with pytest.raises(ValueError):
-        membership_monomial_plus_p(x, 4, [x ** 2])
-    with pytest.raises(ValueError):
-        membership_monomial_plus_p(x, 2, [x + y])
 
 
 def test_normal_form_idempotent():

@@ -757,6 +757,22 @@ def _census_count_one_higher(report):
         row["cumulative_count"] += 1
 
 
+def _census_missing(report):
+    del report["checks"][-1]["certificate"]["census"]
+
+
+def _census_5(report):
+    report["checks"][-1]["certificate"]["census"] = 5
+
+
+def _census_rows_5(report):
+    _census_of(report)["rows"] = 5
+
+
+def _census_rows_null(report):
+    _census_of(report)["rows"] = None
+
+
 @pytest.mark.parametrize("tamper", [
     _census_p_string,             # p is not an int
     _census_p_not_prime,          # p is not prime
@@ -780,6 +796,10 @@ def _census_count_one_higher(report):
     _census_new_factor_dropped,
     _census_old_factor_new_again,
     _census_count_one_higher,
+    _census_missing,              # the census is not a dict of rows
+    _census_5,
+    _census_rows_5,
+    _census_rows_null,
 ])
 def test_reverify_bounds_census_work(census_report, tamper):
     tampered = copy.deepcopy(census_report)
@@ -829,6 +849,53 @@ def _roots_n_3000(report):
 def _roots_n_and_params_3000(report):
     _roots_n_3000(report)
     report["params"]["roots_n_max"] = 3000
+
+
+def _without(key):
+    def tamper(certificate):
+        del certificate[key]
+    tamper.__name__ = f"_without_{key}"
+    return tamper
+
+
+def _setter(key, value):
+    def tamper(certificate):
+        certificate[key] = value
+    tamper.__name__ = f"_{key}_{value}"
+    return tamper
+
+
+def _census_setter(key, value):
+    def tamper(certificate):
+        certificate["census"][key] = value
+    tamper.__name__ = f"_census_{key}_{value}"
+    return tamper
+
+
+@pytest.mark.parametrize("name, check, tamper", [
+    ("toeplitz-suite", "factor-census", _without("census")),
+    ("toeplitz-suite", "factor-census", _setter("census", 5)),
+    ("toeplitz-suite", "factor-census", _census_setter("rows", 5)),
+    ("toeplitz-suite", "factor-census", _census_setter("rows", None)),
+    ("toeplitz-suite", "recursion-vs-oracle-n3", _without("polynomial")),
+    ("hartshorne", "socle-kill-n1-w", _without("k")),
+    ("hartshorne", "socle-kill-n1-w", _setter("k", 3)),  # past k <= 2
+])
+def test_planned_verify_fails_on_a_malformed_certificate(monkeypatch, name, check, tamper):
+    # a certificate of the planned kind but the wrong shape, or a witness
+    # past the claim, is a failed check before any membership test, not an
+    # exception that reverify would have to swallow
+    report = _fresh_report(name, None)
+    certificate = _check(report, check)["certificate"]
+    tamper(certificate)
+    scenario = scenarios._REGISTRY[name]
+    (planned,) = [c for c in scenario.plan(report["params"]) if c.name == check]
+    tests = []
+    monkeypatch.setattr(scenarios, "verify_zero_at", lambda *args: tests.append(args))
+    status, _, _ = planned.verify(copy.deepcopy(certificate))
+    monkeypatch.undo()
+    assert status == "fail" and tests == []
+    assert reverify(report) is False
 
 
 @pytest.mark.parametrize("tamper", [
@@ -1042,6 +1109,8 @@ _CENSUS_ROW_1 = {"n": 1, "factors": ["t"], "new_factors": ["t"],
     [dict(_CENSUS_ROW_1, extra=1)],
     {"rows": [_CENSUS_ROW_1]},                            # rows not a list
     5,
+    # over GF(5) (2t + 2)(3t + 2) = Q_2(1, t), but the factors are not monic
+    census_rows([[["t", 1]], [["2*t + 2", 1], ["3*t + 2", 1]]]),
 ])
 def test_census_row_check_is_false_on_malformed_rows(rows):
     assert census_rows_sound(5, [_CENSUS_ROW_1])
