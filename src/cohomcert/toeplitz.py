@@ -15,11 +15,15 @@ bounded number of random draws, at a degree that d and p fix; an inexact
 division, a wrong product or a split that fails is an engine error, never
 a verdict.  The census row check, census_rows_sound, is the only
 irreducibility certificate: factor_census runs it on its own rows before
-it returns them, and reverify runs it on a reported census.  It certifies
-one factor of each mirror pair by Rabin's test (t -> -t is a ring
-automorphism, so the other is irreducible with it), and asks that the rows
-equal, as JSON, what census_rows derives from their factorizations.
-_print_factor and _read_factor print and read factor names.
+it returns them, and reverify runs it on a reported census.  It runs no
+Rabin's test: every irreducible factor of Psi_d over F_p with p prime to
+d has one degree, which d and p fix (Lidl-Niederreiter, Finite Fields, Thm
+2.47), so a row's new factors are irreducible once they have that degree
+and the row multiplies back to Q_n(1,t).  It asks that the rows equal, as
+JSON, what census_rows derives from their factorizations.  _print_factor
+and _read_factor print and read factor names.  Rabin's test,
+irreducible_fp, serves irreducibility_certified, the library entry
+point.
 """
 
 from __future__ import annotations
@@ -775,17 +779,29 @@ def census_rows_sound(p: int, rows) -> bool:
     factors over F_p named as _print_factor names them, with int
     multiplicities and product Q_n(1,t), and equal, as JSON, the rows
     census_rows derives from those factorizations?  A value of any other
-    shape is False.  Each distinct factor string is read and certified
-    once, after its row's degrees add up to n.  t -> -t is a ring
-    automorphism of F_p[t], so a factor whose mirror (-1)^deg g * g(-t) is
-    already certified irreducible is irreducible without Rabin's test.  A
-    row's product is one exact integer product of its factor powers.  The
-    closing == cannot tell 1.0 or True from 1, so n and every count must
-    be an int too."""
+    shape is False.  Each distinct factor string is read once.
+
+    Irreducibility comes from the degree lemma, with no Rabin's test: for
+    d >= 3 prime to p, every irreducible factor of Psi_d over F_p has the
+    degree _split_degree(d, p) (Lidl-Niederreiter, Finite Fields, Thm
+    2.47), so a monic divisor of Psi_d of that degree is irreducible.
+    Q_n(1,t) is the product of G_k over k | n+1, k >= 2, with G_k = Psi_2k
+    for even k and Psi_k * Psi_2k for odd k, so row n brings exactly one
+    new group, G_(n+1); every older one is stored from the row that
+    brought it.  Once the row's degrees add up to n, it must contain every
+    older G_k (no count goes negative when they are subtracted), and each
+    factor left over must have degree 1, be a factor of an earlier row, or
+    have the degree _group_degree(n + 1, p) of every factor of G_(n+1).
+    The row's product, one exact integer product of its factor powers, is
+    Q_n(1,t); by induction on n the leftover then multiplies to G_(n+1),
+    so each leftover factor is irreducible, and the leftover is stored as
+    G_(n+1).  The closing == cannot tell 1.0 or True from 1, so n and
+    every count must be an int too."""
     if not isinstance(rows, list):
         return False
     read: dict = {}  # factor string -> dense tuple, or None if not monic canonical
-    irreducible: set = set()  # dense coefficient tuples certified so far
+    groups: dict = {}  # k -> Counter of G_k's factors, for k = 2..n
+    certified: set = set()  # the factors of every stored group
     column = []
     for n, row in enumerate(rows, 1):
         entries = row.get("factorization") if isinstance(row, dict) else None
@@ -805,13 +821,21 @@ def census_rows_sound(p: int, rows) -> bool:
         if any(len(g) < 2 or m < 1 for g, m in powers) or \
                 sum((len(g) - 1) * m for g, m in powers) != n:
             return False
-        for g, _ in powers:
-            if not (g in irreducible or tuple(mirror_fp(g, p)) in irreducible
-                    or irreducible_fp(g, p)):
-                return False
-            irreducible.add(g)
+        left = Counter()
+        for g, m in powers:
+            left[g] += m
+        for k in range(2, (n + 1) // 2 + 1):
+            if (n + 1) % k == 0:
+                left.subtract(groups[k])
+        if min(left.values()) < 0:
+            return False
+        new, e = +left, _group_degree(n + 1, p)
+        if not all(len(g) == 2 or g in certified or len(g) - 1 == e for g in new):
+            return False
         if power_product_fp(powers, p) != qn_row_fp(n, p):
             return False
+        groups[n + 1] = new
+        certified.update(new)
         column.append(entries)
     return rows == census_rows(column) and all(
         type(row["n"]) is int and type(row["cumulative_count"]) is int
@@ -820,11 +844,24 @@ def census_rows_sound(p: int, rows) -> bool:
 
 def _split_degree(d, p):
     """The least e >= 1 with p^e = +-1 mod d, for d >= 3 prime to p: the
-    degree over F_p of every irreducible factor of Psi_d."""
+    degree over F_p of every irreducible factor of Psi_d.  Any other d
+    raises ValueError: when p divides d, no power of p is +-1 mod d."""
+    if d < 3 or d % p == 0:
+        raise ValueError(f"the split degree needs d >= 3 prime to p, got d = {d}, "
+                         f"p = {p}")
     e, r = 1, p % d
     while r not in (1, d - 1):
         e, r = e + 1, r * p % d
     return e
+
+
+def _group_degree(k, p):
+    """The degree over F_p of every irreducible factor of G_k, for k >= 2
+    prime to p; None when p divides k.  G_k is Psi_2k for even k (then p
+    is odd and prime to 2k) and Psi_k * Psi_2k for odd k: for odd p,
+    p^e = +-1 mod 2k iff p^e = +-1 mod k, and for p = 2, Psi_2k is Psi_k
+    over F_2."""
+    return _split_degree(k if k % 2 else 2 * k, p) if k % p else None
 
 
 def factor_census(n_max: int, p: int) -> FactorCensus:

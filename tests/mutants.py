@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 SCENARIOS = "tests/test_scenarios.py::"
+TOEPLITZ = "tests/test_toeplitz.py::"
 
 MUTANTS = (
     Mutant(
@@ -82,6 +83,51 @@ MUTANTS = (
         "return q, a & low",
         ("tests/test_toeplitz.py::test_packed_remainder_and_gcd_match_schoolbook",),
         "CHANGES.md: packed GF(p)[t] kernel, no final red in divmod",
+    ),
+    Mutant(
+        "census-degree-test-dropped", "toeplitz.py",
+        "len(g) == 2 or g in certified or len(g) - 1 == e",
+        "True",
+        (SCENARIOS + "test_reverify_rejects_two_new_factors_merged",
+         "tests/test_cli.py::test_toeplitz_rejected_certificate_is_an_internal_error"),
+        "census_rows_sound takes a new factor of any degree as irreducible",
+    ),
+    Mutant(
+        "census-old-part-unchecked", "toeplitz.py",
+        "if min(left.values()) < 0:",
+        "if False:",
+        (SCENARIOS + "test_reverify_rejects_a_row_without_an_older_group",),
+        "census_rows_sound lets a row's new group stand in for an older one",
+    ),
+    Mutant(
+        "slot-bound-one-coefficient-product", "toeplitz.py",
+        "bound = n * p * (p - 1) + p",
+        "bound = n * (p - 1) ** 2 + p",
+        (TOEPLITZ + "test_red_is_exact_with_every_slot_at_its_bound",
+         TOEPLITZ + "test_packed_remainder_and_gcd_match_schoolbook"),
+        "CHANGES.md: packed GF(p)[t] kernel, the old slot bound n*(p-1)^2 + p",
+    ),
+    Mutant(
+        "red-shift-two-bits-short", "toeplitz.py",
+        "self.k = bound.bit_length() + p.bit_length()",
+        "self.k = bound.bit_length() + p.bit_length() - 2",
+        (TOEPLITZ + "test_red_is_exact_with_every_slot_at_its_bound",),
+        "CHANGES.md: packed GF(p)[t] kernel, k two bits short",
+    ),
+    Mutant(
+        "barrett-shift-one-slot-long", "toeplitz.py",
+        "q = self.red(hi * self.mu) >> (self.n - 2) * self.bits",
+        "q = self.red(hi * self.mu) >> (self.n - 1) * self.bits",
+        (TOEPLITZ + "test_mulmod_matches_schoolbook_on_random_operands",
+         TOEPLITZ + "test_mulmod_worst_case_operands"),
+        "CHANGES.md: packed GF(p)[t] kernel, a Barrett shift of (n-1)W",
+    ),
+    Mutant(
+        "divisor-inverse-one", "toeplitz.py",
+        "inv = pow(g >> dg * w, -1, p)",
+        "inv = 1",
+        (TOEPLITZ + "test_packed_remainder_and_gcd_match_schoolbook",),
+        "CHANGES.md: packed GF(p)[t] kernel, a divisor inverse fixed at 1",
     ),
     Mutant(
         "census-shape-unguarded", "scenarios.py",

@@ -355,10 +355,12 @@ def test_toeplitz_engine_fault_is_an_internal_error(capsys, monkeypatch):
 
 def test_toeplitz_rejected_certificate_is_an_internal_error(capsys, monkeypatch):
     # the census carries its own row check: a factor it cannot certify
-    # irreducible is an engine error, never a printed census
+    # irreducible is an engine error, never a printed census.  Without the
+    # degree lemma the check has no degree for a new group's factors, so
+    # t^2 + 3 = Psi_8 at row 3 is uncertified
     from cohomcert import toeplitz
 
-    monkeypatch.setattr(toeplitz, "irreducible_fp", lambda f, p: False)
+    monkeypatch.setattr(toeplitz, "_group_degree", lambda k, p: None)
     assert main(["toeplitz", "--n-max", "6", "--p", "5"]) == 2
     captured = capsys.readouterr()
     assert "internal error" in captured.err and "Traceback" not in captured.err

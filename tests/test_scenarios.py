@@ -25,6 +25,7 @@ from cohomcert import (
     run_scenario,
 )
 from cohomcert import cohomology, degree_solver, groebner, scenarios, toeplitz
+from cohomcert.cli import main
 from cohomcert.cohomology import CechClass, UnknownUpTo, is_zero_up_to
 from cohomcert.polyring import format_polynomial
 from cohomcert.toeplitz import (
@@ -35,10 +36,9 @@ from cohomcert.toeplitz import (
     census_json,
     census_rows,
     census_rows_sound,
-    dense_coefficients,
     factor_census,
-    irreducible_fp,
     mirror_fp,
+    mul_fp,
 )
 
 
@@ -945,41 +945,46 @@ def test_reverify_requires_int_census_counts(census_report, field, value):
     assert not reverify(tampered)
 
 
-def test_census_check_certifies_one_factor_per_mirror_pair(monkeypatch):
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("Rabin's test or the mirror ran on the census certificate path")
+
+
+def test_census_check_needs_no_rabin_test_and_no_mirror(monkeypatch):
+    # rows full of mirror pairs g, (-1)^deg g g(-t) are certified by the
+    # degree lemma alone: the check takes neither Rabin's test nor a mirror
     p = 5
     rows = factor_census(64, p).to_json_dict()["rows"]
-    tring = PolyRing(("t",), GF(p))
-    factors = {tuple(dense_coefficients(tring.parse(f)))
-               for row in rows for f in row["factors"]}
-    classes = {min(f, tuple(mirror_fp(list(f), p))) for f in factors}
-    assert len(classes) < len(factors)
-    calls = []
-
-    def counted(f, p):
-        calls.append(f)
-        return irreducible_fp(f, p)
-    monkeypatch.setattr(toeplitz, "irreducible_fp", counted)
+    factors = {tuple(_read_factor(f, p, 64)) for row in rows for f in row["factors"]}
+    pairs = {f for f in factors if tuple(mirror_fp(list(f), p)) in factors - {f}}
+    assert len(pairs) > len(factors) // 2
+    for name in ("irreducible_fp", "_degree_certified", "mirror_fp"):
+        monkeypatch.setattr(toeplitz, name, _refuse)
     assert census_rows_sound(p, rows)
-    assert len(calls) == len(classes)
 
 
-@pytest.mark.parametrize("p, certificates", [(5, 83), (11, 113)])
-def test_run_and_reverify_certify_each_census_factor_once(monkeypatch, p, certificates):
-    # the row check is the only irreducibility certificate: factor_census
-    # runs it on its own rows, and the scenario does not run it again
-    real = toeplitz._degree_certified
+@pytest.mark.parametrize("p", [5, 11])
+def test_census_certificate_path_runs_no_rabin_test(monkeypatch, capsys, p):
+    # run, reverify and `cohomcert toeplitz` certify every census factor
+    # with Rabin's test unavailable, and the row check runs once per run
+    # and once per reverify: one group degree per row
+    real = toeplitz._group_degree
     calls = []
 
-    def counted(mod, e):
-        calls.append(e)
-        return real(mod, e)
-    monkeypatch.setattr(toeplitz, "_degree_certified", counted)
+    def counted(k, p):
+        calls.append(k)
+        return real(k, p)
+    monkeypatch.setattr(toeplitz, "_group_degree", counted)
+    for name in ("irreducible_fp", "_degree_certified"):
+        monkeypatch.setattr(toeplitz, name, _refuse)
     report = run_scenario("toeplitz-suite", {"census_p": p, "census_n_max": 64})
     assert report.passed
-    run_calls = len(calls)
+    assert calls == list(range(2, 66))
     calls.clear()
     assert reverify(report.to_json_dict())
-    assert run_calls == len(calls) == certificates
+    assert calls == list(range(2, 66))
+    assert main(["toeplitz", "--n-max", "64", "--p", str(p)]) == 0
+    assert f"up to n = 64: {report.checks[-1].actual['cumulative_count']}" \
+        in capsys.readouterr().out
 
 
 def test_census_check_builds_no_polynomial(monkeypatch):
@@ -1039,6 +1044,51 @@ def test_reverify_rejects_a_merged_mirror_pair(census_report):
     assert merged
     assert not reverify(tampered)
     assert reverify(census_report)
+
+
+def _census_row_refactored(report, n, old, new):
+    """Row n with the factors old replaced by new, every row, the first
+    occurrences and the reported count derived again, so only the
+    factorization is wrong, and the row check rejects it."""
+    census = _census_of(report)
+    factorization = [[f, m] for f, m in census["rows"][n - 1]["factorization"]
+                     if f not in old] + new
+    assert len(factorization) == len(census["rows"][n - 1]["factorization"]) \
+        - len(old) + len(new)
+    column = [row["factorization"] for row in census["rows"]]
+    column[n - 1] = factorization
+    census["rows"] = census_rows(column)
+    _census_first_occurrence_rederived(report)
+    report["checks"][-1]["actual"]["cumulative_count"] = \
+        census["rows"][-1]["cumulative_count"]
+    # the row still has degree n and multiplies to Q_n(1,t)
+    assert toeplitz.power_product_fp(
+        [(_read_factor(f, 5, 8), m) for f, m in factorization], 5) == \
+        toeplitz.qn_row_fp(n, 5)
+    assert not census_rows_sound(5, census["rows"])
+
+
+def test_reverify_rejects_a_row_without_an_older_group(census_report):
+    # Q_5(1,t) = G_2 G_3 G_6 = t * (t + 1)(t + 4) * (t^2 + 2) over GF(5).
+    # t^2 + t = t(t + 1) has degree 2 = e_12, the degree of every factor of
+    # the new group G_6 = Psi_12, so only the subtraction of the older
+    # groups G_2 and G_3 rejects it
+    assert toeplitz._group_degree(6, 5) == 2
+    tampered = copy.deepcopy(census_report)
+    _census_row_refactored(tampered, 5, ("t", "t + 1"), [["t^2 + t", 1]])
+    assert not reverify(tampered)
+
+
+def test_reverify_rejects_two_new_factors_merged(census_report):
+    # G_7 = Psi_7 * Psi_14 splits over GF(5) into two factors of degree
+    # e_7 = 3, both new at row 6; their product has degree 6, not 3
+    assert toeplitz._group_degree(7, 5) == 3
+    tampered = copy.deepcopy(census_report)
+    row = _census_of(tampered)["rows"][5]
+    assert row["factors"] == row["new_factors"] and len(row["factors"]) == 2
+    product = mul_fp(*(_read_factor(f, 5, 8) for f in row["factors"]), 5)
+    _census_row_refactored(tampered, 6, row["factors"], [[_print_factor(product), 1]])
+    assert not reverify(tampered)
 
 
 def _census_factor_renamed(report, old, new):

@@ -50,6 +50,7 @@ from census_oracle import (
     brute_census_counts,
     brute_factorize,
     census_shape,
+    plus_minus_order,
     qn_dehom_dense,
     smallest_factor,
 )
@@ -472,6 +473,17 @@ def test_census_rejects_a_wrong_split_degree(monkeypatch, wrong):
     real = toeplitz._split_degree
     monkeypatch.setattr(toeplitz, "_split_degree", lambda d, p: wrong(real(d, p)))
     assert isinstance(_raised_within(5, factor_census, 16, 5), ArithmeticError)
+
+
+def test_split_degree_refuses_d_that_p_divides():
+    # when p | d no power of p is +-1 mod d (at d = 4, p = 2 every one is
+    # 0), so a search for one would never end
+    for d, p in ((4, 2), (9, 3), (10, 5), (26, 13), (2, 3), (1, 5), (0, 7)):
+        assert isinstance(_raised_within(1, toeplitz._split_degree, d, p), ValueError)
+    for p in (2, 3, 5, 13, 65521):
+        for d in range(3, 131):
+            if d % p:
+                assert toeplitz._split_degree(d, p) == plus_minus_order(d, p), (d, p)
 
 
 def test_degree_certificate_matches_trial_division():
